@@ -17,6 +17,8 @@ from `kernels`, the right-hand sides are:
   T6  (L^2/(2 6^(1/p))) [ (D2(a)^q - m D2(b/m)^q) M2 + (m/6) D2(b/m)^q ]^(1/q)
   C4  (L^2/(2 6^(1/p))) [ (D2(a) - m D2(b/m)) C4 + (m/6) D2(b/m) ]
 
+Each rule is one row of the table `_RULES`, read by one evaluator.
+
 The left-hand side is the midpoint deviation for T1, T2, C1, T3, C2 and the
 trapezoid deviation for T4, T5, C3, T6, C4. The hypothesis behind the first
 group is membership of |f'| (T1) or |f'|^q (the rest) in the declared class;
@@ -29,10 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
-from .convexity import ConvexityClass, MembershipReport, check_membership
-from .errors import DomainError, NonConvergenceError, PreconditionError
+from .convexity import ConvexityClass, MembershipReport, hypothesis_membership
+from .errors import DomainError, NonConvergenceError
 from .expr import Abs, Const, DomainInterval, Node, Pow, compile_fn, differentiate, evaluate
 from .kernels import HolderPair, beta, integrate_adaptive, kernel_moment
 
@@ -234,6 +236,104 @@ def _base_params(inst: BoundInstance) -> dict:
     return params
 
 
+@dataclass(frozen=True)
+class _Rule:
+    """One deviation rule as data. With ends E = (D(a), D(b)) for order 1 or
+    (D(a),) for order 2, Dm = D(xm) or D(b/m) and M the kernel moment:
+
+      "linear"  one bracket  (sum(E) - w m Dm) M + (m/k) Dm
+      "root"    per end      ((E_i^q - m Dm^q) M + m Dm^q / k)^(1/q)
+
+    and rhs = prefactor * (sum of the brackets).
+    """
+
+    order: int  # derivative order of f
+    kernel: str  # kernel_moment kind
+    alpha_over_q: bool  # the kernel takes alpha/q instead of alpha
+    prefactor: Callable
+    bracket: str  # "linear" or "root"
+    k: float
+    w: Optional[float] = None
+    beta: bool = False
+    note: Optional[str] = None
+
+
+# prefactors as functions of (L, p, beta(p+1,p+1)); each C rule shares its T rule's
+_PREFACTOR = {
+    "T1": lambda L, p, _: L / 4.0,
+    "T2": lambda L, p, _: L / (4.0 * (p + 1.0) ** (1.0 / p)),
+    "T3": lambda L, p, _: L / 2.0 ** ((2.0 * p + 1.0) / p),
+    "T4": lambda L, p, _: L * L / 2.0,
+    "T5": lambda L, p, bpp: 0.5 * L * L * bpp ** (1.0 / p),
+    "T6": lambda L, p, _: L * L / (2.0 * 6.0 ** (1.0 / p)),
+}
+_RULES = {
+    "T1": _Rule(1, "M1", False, _PREFACTOR["T1"], "linear", 2.0, w=-2.0),
+    "T2": _Rule(1, "M0", False, _PREFACTOR["T2"], "root", 1.0),
+    "C1": _Rule(1, "M0", True, _PREFACTOR["T2"], "linear", 0.5, w=2.0),
+    "T3": _Rule(1, "M1", False, _PREFACTOR["T3"], "root", 2.0),
+    "C2": _Rule(1, "C2", False, _PREFACTOR["T3"], "linear", 1.0, w=2.0),
+    "T4": _Rule(2, "M2", False, _PREFACTOR["T4"], "linear", 6.0, w=1.0),
+    "T5": _Rule(2, "M0", False, _PREFACTOR["T5"], "root", 1.0, beta=True),
+    "C3": _Rule(2, "M0", True, _PREFACTOR["T5"], "linear", 1.0, w=1.0, beta=True),
+    "T6": _Rule(2, "M2", False, _PREFACTOR["T6"], "root", 6.0),
+    "C4": _Rule(2, "C4", False, _PREFACTOR["T6"], "linear", 6.0, w=1.0),
+}
+_T1_TIGHT = replace(_RULES["T1"], k=1.0, w=2.0,
+                    note="tight variant in use; rhs uses the sharper bracket")
+
+
+def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float, quad_tol: float,
+                   variant: Optional[str] = None) -> BoundReport:
+    a, b, hp = inst.a, inst.b, inst.hp
+    h, alpha, m = inst.cls.h, inst.cls.alpha, inst.cls.m
+    p, q = (hp.p, hp.q) if hp is not None else (None, None)
+    L = b - a
+    d = compile_fn(differentiate(inst.f, rule.order))
+    if rule.order == 1:
+        names, points = ("d1_a", "d1_b", "d1_mid"), (a, b, (a + b) / (2.0 * m))
+    else:
+        names, points = ("d2_a", "d2_b_over_m"), (a, b / m)
+    *ends, dm = values = [abs(d(x)) for x in points]
+
+    comp = {"length": L, "m": m}
+    if q is not None:
+        comp["q"] = q
+    comp.update(zip(names, values))
+    mom = kernel_moment(
+        rule.kernel, h, alpha / q if rule.alpha_over_q else alpha,
+        hp=hp if rule.kernel in ("C2", "C4") else None, tol=quad_tol,
+    ).value
+    comp[f"moment_{rule.kernel}" + ("_alpha_over_q" if rule.alpha_over_q else "")] = mom
+    bpp = None
+    if rule.beta:
+        comp["beta_pp"] = bpp = beta(p + 1.0, p + 1.0)
+    comp["prefactor"] = rule.prefactor(L, p, bpp)
+    if rule.bracket == "root":
+        base = m * dm ** q
+        brackets = [_root_q((e ** q - base) * mom + base / rule.k, q, inst.rule_id)
+                    for e in ends]
+    else:
+        brackets = [(sum(ends) - rule.w * m * dm) * mom + m / rule.k * dm]
+    keys = ("bracket_a", "bracket_b") if len(brackets) == 2 else ("bracket",)
+    comp.update(zip(keys, brackets))
+    rhs = comp["prefactor"] * sum(brackets)
+
+    deviation = midpoint_deviation if rule.order == 1 else trapezoid_deviation
+    lhs = deviation(inst.f, a, b, quad_tol)
+    margin = rhs - lhs
+    notes = (_NOTE_SECOND,) if rule.order == 2 else ()
+    if inst.rule_id in EMPIRICAL_RULES:
+        notes += (_NOTE_EMPIRICAL,)
+    if rule.note:
+        notes += (rule.note,)
+    params = _base_params(inst)
+    if variant is not None:
+        params["variant"] = variant
+    return BoundReport(inst.rule_id, lhs, rhs, margin, margin >= -tol, comp, params,
+                       notes=notes)
+
+
 def bound_first_derivative(
     inst: BoundInstance,
     variant: str = "printed",
@@ -253,75 +353,8 @@ def bound_first_derivative(
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "tight" and rule != "T1":
         raise ValueError("the tight variant exists only for T1")
-
-    a, b, cls, hp = inst.a, inst.b, inst.cls, inst.hp
-    h, alpha, m = cls.h, cls.alpha, cls.m
-    L = b - a
-    fp = compile_fn(differentiate(inst.f))
-    xm = (a + b) / (2.0 * m)
-    d1a, d1b, d1m = abs(fp(a)), abs(fp(b)), abs(fp(xm))
-
-    comp = {"length": L, "m": m}
-    notes = (_NOTE_EMPIRICAL,) if rule in EMPIRICAL_RULES else ()
-    if rule == "T1":
-        mom = kernel_moment("M1", h, alpha, tol=quad_tol)
-        comp["d1_a"], comp["d1_b"], comp["d1_mid"] = d1a, d1b, d1m
-        comp["moment_M1"] = mom.value
-        comp["prefactor"] = L / 4.0
-        if variant == "printed":
-            bracket = (d1a + d1b + 2.0 * m * d1m) * mom.value + 0.5 * m * d1m
-        else:
-            bracket = (d1a + d1b - 2.0 * m * d1m) * mom.value + m * d1m
-            notes = ("tight variant in use; rhs uses the sharper bracket",)
-        comp["bracket"] = bracket
-        rhs = comp["prefactor"] * bracket
-    elif rule == "T2":
-        q = hp.q
-        mom = kernel_moment("M0", h, alpha, tol=quad_tol)
-        comp["q"] = q
-        comp["d1_a"], comp["d1_b"], comp["d1_mid"] = d1a, d1b, d1m
-        comp["moment_M0"] = mom.value
-        comp["prefactor"] = L / (4.0 * (hp.p + 1.0) ** (1.0 / hp.p))
-        base = m * d1m ** q
-        comp["bracket_a"] = _root_q((d1a ** q - base) * mom.value + base, q, rule)
-        comp["bracket_b"] = _root_q((d1b ** q - base) * mom.value + base, q, rule)
-        rhs = comp["prefactor"] * (comp["bracket_a"] + comp["bracket_b"])
-    elif rule == "C1":
-        q = hp.q
-        mom = kernel_moment("M0", h, alpha / q, tol=quad_tol)
-        comp["q"] = q
-        comp["d1_a"], comp["d1_b"], comp["d1_mid"] = d1a, d1b, d1m
-        comp["moment_M0_alpha_over_q"] = mom.value
-        comp["prefactor"] = L / (4.0 * (hp.p + 1.0) ** (1.0 / hp.p))
-        comp["bracket"] = (d1a + d1b - 2.0 * m * d1m) * mom.value + 2.0 * m * d1m
-        rhs = comp["prefactor"] * comp["bracket"]
-    elif rule == "T3":
-        q = hp.q
-        mom = kernel_moment("M1", h, alpha, tol=quad_tol)
-        comp["q"] = q
-        comp["d1_a"], comp["d1_b"], comp["d1_mid"] = d1a, d1b, d1m
-        comp["moment_M1"] = mom.value
-        comp["prefactor"] = L / 2.0 ** ((2.0 * hp.p + 1.0) / hp.p)
-        base = m * d1m ** q
-        comp["bracket_a"] = _root_q((d1a ** q - base) * mom.value + 0.5 * base, q, rule)
-        comp["bracket_b"] = _root_q((d1b ** q - base) * mom.value + 0.5 * base, q, rule)
-        rhs = comp["prefactor"] * (comp["bracket_a"] + comp["bracket_b"])
-    else:  # C2
-        q = hp.q
-        mom = kernel_moment("C2", h, alpha, hp=hp, tol=quad_tol)
-        comp["q"] = q
-        comp["d1_a"], comp["d1_b"], comp["d1_mid"] = d1a, d1b, d1m
-        comp["moment_C2"] = mom.value
-        comp["prefactor"] = L / 2.0 ** ((2.0 * hp.p + 1.0) / hp.p)
-        comp["bracket"] = (d1a + d1b - 2.0 * m * d1m) * mom.value + m * d1m
-        rhs = comp["prefactor"] * comp["bracket"]
-
-    lhs = midpoint_deviation(inst.f, a, b, quad_tol)
-    margin = rhs - lhs
-    params = _base_params(inst)
-    if rule == "T1":
-        params["variant"] = variant
-    return BoundReport(rule, lhs, rhs, margin, margin >= -tol, comp, params, notes=notes)
+    row = _T1_TIGHT if variant == "tight" else _RULES[rule]
+    return _evaluate_rule(inst, row, tol, quad_tol, variant if rule == "T1" else None)
 
 
 def bound_second_derivative(
@@ -330,74 +363,9 @@ def bound_second_derivative(
     quad_tol: float = 1e-12,
 ) -> BoundReport:
     """Evaluate one of T4, T5, C3, T6, C4 without the membership check."""
-    rule = inst.rule_id
-    if rule not in SECOND_DERIVATIVE_RULES:
-        raise ValueError(f"{rule} is not a second-derivative rule")
-
-    a, b, cls, hp = inst.a, inst.b, inst.cls, inst.hp
-    h, alpha, m = cls.h, cls.alpha, cls.m
-    L = b - a
-    fpp = compile_fn(differentiate(inst.f, 2))
-    bm = b / m
-    d2a, d2bm = abs(fpp(a)), abs(fpp(bm))
-
-    comp = {"length": L, "m": m}
-    notes = (_NOTE_SECOND, _NOTE_EMPIRICAL) if rule in EMPIRICAL_RULES else (_NOTE_SECOND,)
-    if rule == "T4":
-        mom = kernel_moment("M2", h, alpha, tol=quad_tol)
-        comp["d2_a"], comp["d2_b_over_m"] = d2a, d2bm
-        comp["moment_M2"] = mom.value
-        comp["prefactor"] = L * L / 2.0
-        comp["bracket"] = (d2a - m * d2bm) * mom.value + m / 6.0 * d2bm
-        rhs = comp["prefactor"] * comp["bracket"]
-    elif rule == "T5":
-        q = hp.q
-        mom = kernel_moment("M0", h, alpha, tol=quad_tol)
-        bpp = beta(hp.p + 1.0, hp.p + 1.0)
-        comp["q"] = q
-        comp["d2_a"], comp["d2_b_over_m"] = d2a, d2bm
-        comp["moment_M0"] = mom.value
-        comp["beta_pp"] = bpp
-        comp["prefactor"] = 0.5 * L * L * bpp ** (1.0 / hp.p)
-        base = m * d2bm ** q
-        comp["bracket"] = _root_q((d2a ** q - base) * mom.value + base, q, rule)
-        rhs = comp["prefactor"] * comp["bracket"]
-    elif rule == "C3":
-        q = hp.q
-        mom = kernel_moment("M0", h, alpha / q, tol=quad_tol)
-        bpp = beta(hp.p + 1.0, hp.p + 1.0)
-        comp["q"] = q
-        comp["d2_a"], comp["d2_b_over_m"] = d2a, d2bm
-        comp["moment_M0_alpha_over_q"] = mom.value
-        comp["beta_pp"] = bpp
-        comp["prefactor"] = 0.5 * L * L * bpp ** (1.0 / hp.p)
-        comp["bracket"] = (d2a - m * d2bm) * mom.value + m * d2bm
-        rhs = comp["prefactor"] * comp["bracket"]
-    elif rule == "T6":
-        q = hp.q
-        mom = kernel_moment("M2", h, alpha, tol=quad_tol)
-        comp["q"] = q
-        comp["d2_a"], comp["d2_b_over_m"] = d2a, d2bm
-        comp["moment_M2"] = mom.value
-        comp["prefactor"] = L * L / (2.0 * 6.0 ** (1.0 / hp.p))
-        base = m * d2bm ** q
-        comp["bracket"] = _root_q((d2a ** q - base) * mom.value + base / 6.0, q, rule)
-        rhs = comp["prefactor"] * comp["bracket"]
-    else:  # C4
-        q = hp.q
-        mom = kernel_moment("C4", h, alpha, hp=hp, tol=quad_tol)
-        comp["q"] = q
-        comp["d2_a"], comp["d2_b_over_m"] = d2a, d2bm
-        comp["moment_C4"] = mom.value
-        comp["prefactor"] = L * L / (2.0 * 6.0 ** (1.0 / hp.p))
-        comp["bracket"] = (d2a - m * d2bm) * mom.value + m / 6.0 * d2bm
-        rhs = comp["prefactor"] * comp["bracket"]
-
-    lhs = trapezoid_deviation(inst.f, a, b, quad_tol)
-    margin = rhs - lhs
-    return BoundReport(
-        rule, lhs, rhs, margin, margin >= -tol, comp, _base_params(inst), notes=notes
-    )
+    if inst.rule_id not in SECOND_DERIVATIVE_RULES:
+        raise ValueError(f"{inst.rule_id} is not a second-derivative rule")
+    return _evaluate_rule(inst, _RULES[inst.rule_id], tol, quad_tol)
 
 
 def verify(
@@ -416,19 +384,12 @@ def verify(
     """
     extra = ()
     if membership is None:
-        try:
-            membership = check_membership(
-                hypothesis_function(inst), inst.cls, hypothesis_domain(inst),
-                samples=samples, seed=seed, tol=tol,
-            )
-        except PreconditionError as exc:
-            membership = None
-            verified = False
-            extra = (f"membership precondition failed: {exc}",)
-        else:
-            verified = membership.ok
-    else:
-        verified = membership.ok
+        membership, failure = hypothesis_membership(
+            hypothesis_function(inst), inst.cls, hypothesis_domain(inst),
+            samples=samples, seed=seed, tol=tol,
+        )
+        if failure:
+            extra = (failure,)
     if membership is not None and not membership.ok:
         extra = ("hypothesis membership counterexample found",)
 
@@ -439,6 +400,6 @@ def verify(
     return replace(
         report,
         membership=membership,
-        hypothesis_verified=verified,
+        hypothesis_verified=membership is not None and membership.ok,
         notes=report.notes + extra,
     )

@@ -20,13 +20,16 @@ from typing import Optional
 
 from ._version import __version__
 from .bounds import BoundInstance, HOLDER_RULES, RULE_IDS, verify as verify_bound
-from .convexity import ConvexityClass, HFunction, SENSES, check_membership
+from .convexity import SENSE_PARAMS, SENSES, ConvexityClass, HFunction, check_membership
 from .errors import DomainError, NonConvergenceError, ParseError, PreconditionError
 from .expr import DomainInterval, parse
 from .kernels import HolderPair
-from .means import MeanKind, PropositionInstance, mean, proposition_check
+from .means import PropositionInstance
 from .quadrature import certified_integrate
-from .suite import CaseRecord, SuiteReport, build_suite, _params
+from .suite import (
+    Emitter, SuiteReport, bound_row, build_suite, format_params, lp_monotone_row,
+    mean_chain_rows, proposition_rows, quad_row, verdict,
+)
 
 __all__ = ["run", "main", "emit_report"]
 
@@ -86,12 +89,10 @@ def emit_report(report: SuiteReport, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _single_report(seed: int, cases: list) -> SuiteReport:
-    summary = {"holds": 0, "flagged": 0, "hypothesis_unverified": 0, "total": 0}
-    for c in cases:
-        summary["total"] += 1
-        summary[c.verdict.replace("-", "_")] += 1
-    return SuiteReport(__version__, seed, tuple(cases), summary)
+def _report(seed: int, section: str, rows) -> SuiteReport:
+    em = Emitter()
+    em.extend(section, rows)
+    return SuiteReport.from_cases(seed, em.cases)
 
 
 def _add_common(sp, with_samples: bool = True):
@@ -175,28 +176,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check_class(args, seed: int) -> SuiteReport:
     sense = _resolve_sense(args.sense)
     h = _parse_h(args.h, args.s)
-    kwargs = {}
-    if sense in ("h_plain", "h_alpha_m"):
-        kwargs["h"] = h
-    if sense in ("alpha_m", "h_alpha_m", "s_alpha_m_first", "s_alpha_m_second"):
-        kwargs["alpha"] = args.alpha
-        kwargs["m"] = args.m
-    if sense in ("s_first", "s_second", "s_alpha_m_first", "s_alpha_m_second"):
-        kwargs["s"] = args.s
-    cls = ConvexityClass(sense, **kwargs)
-    g = parse(args.f)
-    rep = check_membership(g, cls, DomainInterval(args.a, args.b),
+    cls = ConvexityClass(sense, **{name: h if name == "h" else getattr(args, name)
+                                   for name in SENSE_PARAMS[sense]})
+    rep = check_membership(parse(args.f), cls, DomainInterval(args.a, args.b),
                            samples=args.samples, seed=seed, tol=args.tol)
-    ps = _params(f=args.f, a=args.a, b=args.b, **{"class": cls.describe()},
-                 samples_used=rep.samples_used, seed=rep.seed)
-    if rep.witness is None:
-        case = CaseRecord("class-001", "membership", ps, 0.0, 0.0, 0.0, "holds")
-    else:
-        w = rep.witness
-        ps += f";x={w.x:.12g};y={w.y:.12g};lam={w.lam:.12g}"
-        case = CaseRecord("class-001", "membership", ps, w.lhs, w.rhs,
-                          w.rhs - w.lhs, "flagged")
-    return _single_report(seed, [case])
+    w = rep.witness
+    where = {} if w is None else {"x": w.x, "y": w.y, "lam": w.lam}
+    ps = format_params(f=args.f, a=args.a, b=args.b, **{"class": cls.describe()},
+                       samples_used=rep.samples_used, seed=rep.seed, **where)
+    lhs, rhs = (0.0, 0.0) if w is None else (w.lhs, w.rhs)
+    return _report(seed, "class", [("membership", ps, lhs, rhs, verdict(w is None))])
 
 
 def _cmd_bound(args, seed: int) -> SuiteReport:
@@ -212,62 +201,19 @@ def _cmd_bound(args, seed: int) -> SuiteReport:
     inst = BoundInstance(args.rule, parse(args.f), args.a, args.b, cls, hp)
     rep = verify_bound(inst, tol=args.tol, samples=args.samples, seed=seed,
                        variant=args.variant)
-    if not rep.hypothesis_verified:
-        verdict = "hypothesis-unverified"
-    else:
-        verdict = "holds" if rep.holds else "flagged"
-    ps = _params(f=args.f, a=args.a, b=args.b, h=h.describe(), alpha=args.alpha,
-                 m=args.m, p=hp.p if hp else None, q=hp.q if hp else None,
-                 variant=args.variant if args.rule == "T1" else None)
-    case = CaseRecord("bound-001", args.rule, ps, rep.lhs, rep.rhs, rep.margin, verdict)
-    return _single_report(seed, [case])
+    variant = args.variant if args.rule == "T1" else None
+    return _report(seed, "bound", [bound_row(args.f, inst, rep, variant)])
 
 
 def _cmd_means(args, seed: int) -> SuiteReport:
-    a, b = args.a, args.b
-    if not (0.0 < a < b):
-        raise DomainError(f"need 0 < a < b, got ({a!r}, {b!r})")
-    order = ("H", "G", "L", "I", "A")
-    vals = {t: mean(MeanKind(t), a, b) for t in order}
-    eps = 1e-12 * max(1.0, vals["A"])
-    cases = []
-    for i, (left, right) in enumerate(zip(order, order[1:]), 1):
-        verdict = "holds" if vals[left] <= vals[right] + eps else "flagged"
-        cases.append(CaseRecord(f"means-{i:03d}", "chain",
-                                _params(a=a, b=b, left=left, right=right),
-                                vals[left], vals[right],
-                                vals[right] - vals[left], verdict))
-    grid = sorted(float(t) for t in args.grid.split(","))
-    gv = []
-    for p in grid:
-        if p == -1.0:
-            gv.append(mean(MeanKind("L"), a, b))
-        elif p == 0.0:
-            gv.append(mean(MeanKind("I"), a, b))
-        else:
-            gv.append(mean(MeanKind("Lp", p), a, b))
-    worst = max(u - v for u, v in zip(gv, gv[1:])) if len(gv) > 1 else 0.0
-    eps = 1e-12 * max(1.0, *(abs(v) for v in gv))
-    cases.append(CaseRecord(f"means-{len(cases) + 1:03d}", "Lp-monotone",
-                            _params(a=a, b=b, grid="|".join(f"{p:g}" for p in grid)),
-                            worst, 0.0, -worst,
-                            "holds" if worst <= eps else "flagged"))
-    return _single_report(seed, cases)
+    rows = mean_chain_rows(args.a, args.b)
+    rows.append(lp_monotone_row(args.a, args.b, [float(t) for t in args.grid.split(",")]))
+    return _report(seed, "means", rows)
 
 
 def _cmd_prop(args, seed: int) -> SuiteReport:
     inst = PropositionInstance(args.id, args.a, args.b, args.p, n=args.n)
-    out = proposition_check(inst, tol=args.tol)
-    ps = _params(a=args.a, b=args.b, p=args.p, n=args.n)
-    cases = [CaseRecord("prop-001", args.id, ps, out.lhs, out.rhs,
-                        out.rhs - out.lhs,
-                        "holds" if out.holds else "flagged")]
-    if "alt_rhs" in out.extras:
-        alt = out.extras["alt_rhs"]
-        cases.append(CaseRecord("prop-002", f"{args.id}-alt", ps, out.lhs, alt,
-                                alt - out.lhs,
-                                "holds" if out.extras["alt_holds"] else "flagged"))
-    return _single_report(seed, cases)
+    return _report(seed, "prop", proposition_rows(inst, args.tol))
 
 
 def _cmd_quad(args, seed: int) -> SuiteReport:
@@ -279,18 +225,18 @@ def _cmd_quad(args, seed: int) -> SuiteReport:
         alpha=args.alpha, m=args.m, variant=args.variant, points=points,
         tol=args.tol, seed=seed, samples=args.samples,
     )
-    if rep.hypothesis_verified is False:
-        verdict = "hypothesis-unverified"
-    else:
-        verdict = "holds" if rep.holds else "flagged"
-    ps = _params(f=args.f, a=args.a, b=args.b, n=rep.params["n"], p=args.p,
-                 variant=args.variant if args.rule == "midpoint" else None,
-                 alpha=args.alpha if args.rule == "trapezoid" else None,
-                 m=args.m if args.rule == "trapezoid" else None,
-                 value=rep.value, reference=rep.reference)
-    case = CaseRecord("quad-001", rep.bound_source, ps, rep.true_error,
-                      rep.apriori_bound, rep.apriori_bound - rep.true_error, verdict)
-    return _single_report(seed, [case])
+    row = quad_row(args.f, rep, value=rep.value, reference=rep.reference)
+    return _report(seed, "quad", [row])
+
+
+def _cmd_verify(args, seed: int) -> SuiteReport:
+    return build_suite(seed=seed, tol=args.tol)
+
+
+_COMMANDS = {
+    "check-class": _cmd_check_class, "bound": _cmd_bound, "means": _cmd_means,
+    "prop": _cmd_prop, "quad": _cmd_quad, "verify": _cmd_verify,
+}
 
 
 def run(argv: Optional[list] = None) -> int:
@@ -305,18 +251,7 @@ def run(argv: Optional[list] = None) -> int:
     env_seed = os.environ.get("HHC_SEED")
     try:
         seed = int(env_seed) if env_seed is not None else args.seed
-        if args.command == "check-class":
-            report = _cmd_check_class(args, seed)
-        elif args.command == "bound":
-            report = _cmd_bound(args, seed)
-        elif args.command == "means":
-            report = _cmd_means(args, seed)
-        elif args.command == "prop":
-            report = _cmd_prop(args, seed)
-        elif args.command == "quad":
-            report = _cmd_quad(args, seed)
-        else:
-            report = build_suite(seed=seed, tol=args.tol)
+        report = _COMMANDS[args.command](args, seed)
     except (ParseError, DomainError, PreconditionError, NonConvergenceError,
             ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

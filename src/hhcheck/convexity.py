@@ -29,13 +29,22 @@ from .expr import DomainInterval, Node, compile_fn, evaluate
 
 __all__ = [
     "HFunction", "ConvexityClass", "MembershipReport", "Witness",
-    "evaluate_h", "check_membership", "SENSES",
+    "evaluate_h", "check_membership", "hypothesis_membership", "SENSES", "SENSE_PARAMS",
 ]
 
-SENSES = (
-    "plain_convex", "h_plain", "alpha_m", "h_alpha_m",
-    "s_first", "s_second", "s_alpha_m_first", "s_alpha_m_second",
-)
+# the parameters each sense reads, in display order; the others must stay
+# at their defaults (h identity, alpha = m = s = 1)
+SENSE_PARAMS = {
+    "plain_convex": (),
+    "h_plain": ("h",),
+    "alpha_m": ("alpha", "m"),
+    "h_alpha_m": ("h", "alpha", "m"),
+    "s_first": ("s",),
+    "s_second": ("s",),
+    "s_alpha_m_first": ("alpha", "m", "s"),
+    "s_alpha_m_second": ("alpha", "m", "s"),
+}
+SENSES = tuple(SENSE_PARAMS)
 
 # senses whose defining inequality uses lam strictly inside (0,1)
 _OPEN_SENSES = frozenset({"h_plain", "h_alpha_m"})
@@ -145,28 +154,19 @@ class ConvexityClass:
             raise ValueError(f"m must lie in (0,1], got {self.m!r}")
         if not (0.0 < self.s <= 1.0):
             raise ValueError(f"s must lie in (0,1], got {self.s!r}")
-        uses_h = self.sense in ("h_plain", "h_alpha_m")
-        uses_alpha = self.sense in ("alpha_m", "h_alpha_m", "s_alpha_m_first", "s_alpha_m_second")
-        uses_m = self.sense in ("alpha_m", "h_alpha_m", "s_alpha_m_first", "s_alpha_m_second")
-        uses_s = self.sense in ("s_first", "s_second", "s_alpha_m_first", "s_alpha_m_second")
-        if not uses_h and self.h.kind != "identity":
-            raise ValueError(f"sense {self.sense!r} does not use h; leave it at identity")
-        if not uses_alpha and self.alpha != 1.0:
-            raise ValueError(f"sense {self.sense!r} does not use alpha; leave it at 1")
-        if not uses_m and self.m != 1.0:
-            raise ValueError(f"sense {self.sense!r} does not use m; leave it at 1")
-        if not uses_s and self.s != 1.0:
-            raise ValueError(f"sense {self.sense!r} does not use s; leave it at 1")
+        used = SENSE_PARAMS[self.sense]
+        for name, value, default in (("h", self.h.kind, "identity"), ("alpha", self.alpha, 1),
+                                     ("m", self.m, 1), ("s", self.s, 1)):
+            if name not in used and value != default:
+                raise ValueError(
+                    f"sense {self.sense!r} does not use {name}; leave it at {default}"
+                )
 
     def describe(self) -> str:
         parts = [f"sense={self.sense}"]
-        if self.sense in ("h_plain", "h_alpha_m"):
-            parts.append(f"h={self.h.describe()}")
-        if self.sense in ("alpha_m", "h_alpha_m", "s_alpha_m_first", "s_alpha_m_second"):
-            parts.append(f"alpha={self.alpha:g}")
-            parts.append(f"m={self.m:g}")
-        if self.sense in ("s_first", "s_second", "s_alpha_m_first", "s_alpha_m_second"):
-            parts.append(f"s={self.s:g}")
+        for name in SENSE_PARAMS[self.sense]:
+            value = self.h.describe() if name == "h" else f"{getattr(self, name):g}"
+            parts.append(f"{name}={value}")
         return ";".join(parts)
 
 
@@ -255,10 +255,13 @@ def check_membership(
 
     Deterministic pass first: a 21 x 21 grid in (x, y) crossed with lam in
     {0.1, ..., 0.9} (endpoints 0 and 1 added for closed-interval senses).
-    Then `samples` seeded random triples, generated up-front so the outcome
-    depends only on the seed. A found witness is re-evaluated independently;
-    no counterexample is ever reported from a stale value.
+    Then `samples` seeded random triples (0 keeps the grid pass alone),
+    generated up-front so the outcome depends only on the seed. A found
+    witness is re-evaluated independently; no counterexample is ever
+    reported from a stale value.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples!r}")
     reading = "mu^(alpha*s)" if cls.sense.startswith("s_alpha_m") else None
     if cls.sense in _NONNEG_DOMAIN_SENSES and dom.lo < 0.0:
         raise PreconditionError(
@@ -336,3 +339,13 @@ def check_membership(
     return MembershipReport(
         "counterexample", used, Witness(x, y, lam, lhs, rhs), seed, reading
     )
+
+
+def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval, **search):
+    """check_membership(g, cls, dom, **search) for a rule's hypothesis, as
+    (report, None); a failed precondition gives (None, reason) instead of
+    raising, so the hypothesis is reported unverified."""
+    try:
+        return check_membership(g, cls, dom, **search), None
+    except PreconditionError as exc:
+        return None, f"membership precondition failed: {exc}"

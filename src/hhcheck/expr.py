@@ -504,9 +504,12 @@ class _Parser:
                 self.pos = mark  # not an exponent after all
         lit = t[start:self.pos]
         try:
-            return Const(float(lit))
+            value = float(lit)
         except ValueError:
             self.error(f"bad number literal {lit!r}", start)
+        if not math.isfinite(value):
+            self.error(f"number literal {lit!r} overflows a float", start)
+        return Const(value)
 
     def ident(self) -> Node:
         self.skip_ws()

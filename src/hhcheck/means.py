@@ -19,13 +19,14 @@ from .errors import DomainError
 from .kernels import beta
 
 __all__ = [
-    "MEAN_TAGS", "MeanKind", "mean", "check_mean_chain",
+    "MEAN_TAGS", "MEAN_CHAIN", "MeanKind", "mean", "lp_kind", "check_mean_chain",
     "lp_monotonicity_check", "PROPOSITION_IDS", "PropositionInstance",
     "VerificationOutcome", "proposition_check",
 ]
 
 MEAN_TAGS = ("A", "G", "H", "L", "I", "Lp")
 PROPOSITION_IDS = ("P1", "P2", "P3", "P4")
+MEAN_CHAIN = ("H", "G", "L", "I", "A")  # non-decreasing for every positive pair
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,15 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
     return a * (math.expm1((p + 1.0) * math.log1p(r)) / ((p + 1.0) * r)) ** (1.0 / p)
 
 
+def lp_kind(p: float) -> MeanKind:
+    """The member of the monotone family p -> L_p at p: -1 is L and 0 is I."""
+    if p == -1.0:
+        return MeanKind("L")
+    if p == 0.0:
+        return MeanKind("I")
+    return MeanKind("Lp", p)
+
+
 def _slack(*values: float) -> float:
     return 1e-12 * max(1.0, *(abs(v) for v in values))
 
@@ -85,27 +95,18 @@ def check_mean_chain(a: float, b: float):
     """((H, G, L, I, A), chain holds with 1e-12 relative slack)."""
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got ({a!r}, {b!r})")
-    vals = tuple(mean(MeanKind(t), a, b) for t in ("H", "G", "L", "I", "A"))
+    vals = tuple(mean(MeanKind(t), a, b) for t in MEAN_CHAIN)
     eps = _slack(*vals)
     holds = all(vals[i] <= vals[i + 1] + eps for i in range(len(vals) - 1))
     return vals, holds
 
 
 def lp_monotonicity_check(a: float, b: float, p_grid) -> bool:
-    """True when p -> L_p is non-decreasing along the sorted grid.
-
-    Grid entries -1 and 0 stand for L and I respectively.
-    """
+    """True when p -> L_p is non-decreasing along the sorted grid, where -1
+    and 0 stand for L and I (see lp_kind)."""
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got ({a!r}, {b!r})")
-    vals = []
-    for p in sorted(p_grid):
-        if p == -1.0:
-            vals.append(mean(MeanKind("L"), a, b))
-        elif p == 0.0:
-            vals.append(mean(MeanKind("I"), a, b))
-        else:
-            vals.append(mean(MeanKind("Lp", p), a, b))
+    vals = [mean(lp_kind(p), a, b) for p in sorted(p_grid)]
     eps = _slack(*vals)
     return all(vals[i] <= vals[i + 1] + eps for i in range(len(vals) - 1))
 

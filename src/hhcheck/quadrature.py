@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .convexity import ConvexityClass, MembershipReport, check_membership
-from .errors import DomainError, NonConvergenceError, PreconditionError
+from .convexity import ConvexityClass, MembershipReport, hypothesis_membership
+from .errors import NonConvergenceError
 from .expr import Abs, DomainInterval, Node, compile_fn, differentiate
 from .kernels import beta, integrate_adaptive
 
@@ -200,19 +200,13 @@ def certified_integrate(
         bm = b / m
         dom = DomainInterval(min(a, bm), max(b, bm))
 
-    verified = None
-    note = None
+    verified = note = None
     if membership is not None:
         verified = membership.ok
     elif check_hypothesis:
-        try:
-            membership = check_membership(hyp, cls, dom, samples=samples, seed=seed, tol=tol)
-        except PreconditionError as exc:
-            membership = None
-            verified = False
-            note = f"membership precondition failed: {exc}"
-        else:
-            verified = membership.ok
+        membership, note = hypothesis_membership(hyp, cls, dom, samples=samples, seed=seed,
+                                                 tol=tol)
+        verified = membership is not None and membership.ok
 
     signed_residual = reference - value
     true_error = abs(signed_residual)

@@ -1,4 +1,8 @@
-"""Deterministic verification suite over a fixed function catalog.
+"""Verification records and the deterministic suite over a fixed catalog.
+
+Every record, here and in the single CLI subcommands, is built the same way:
+a producer returns rows (rule, params, lhs, rhs, verdict), `verdict` maps
+an outcome to its verdict and an `Emitter` numbers the rows per section.
 
 Sections, in emission order:
 
@@ -19,7 +23,7 @@ assumption is not established; the numbers are still reported).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .bounds import (
@@ -27,14 +31,19 @@ from .bounds import (
     hypothesis_domain, hypothesis_function, lemma1_residual, lemma2_residual,
     verify as verify_bound,
 )
-from .convexity import ConvexityClass, check_membership
-from .errors import PreconditionError
-from .expr import Node, parse
+from .convexity import ConvexityClass, hypothesis_membership
+from .expr import parse
 from .kernels import HolderPair
-from .means import MeanKind, PropositionInstance, mean, proposition_check
+from .means import (
+    MEAN_CHAIN, PropositionInstance, check_mean_chain, lp_kind, mean, proposition_check,
+)
 from .quadrature import certified_integrate
 
-__all__ = ["CATALOG", "QUAD_FUNCTIONS", "CaseRecord", "SuiteReport", "build_suite"]
+__all__ = [
+    "CATALOG", "QUAD_FUNCTIONS", "CaseRecord", "SuiteReport", "Emitter", "build_suite",
+    "format_params", "verdict", "bound_row", "quad_row", "mean_chain_rows",
+    "lp_monotone_row", "proposition_rows",
+]
 
 CATALOG = (
     ("x^2", parse("x^2")),
@@ -54,6 +63,7 @@ QUAD_FUNCTIONS = (
 
 _P_GRID = (1.5, 2.0, 4.0)
 _PROP_P_GRID = (1.1, 1.5, 2.0, 4.0, 10.0)
+_LP_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 5.0)
 _MEMBERSHIP_SAMPLES = 500
 
 
@@ -68,15 +78,7 @@ class CaseRecord:
     verdict: str
 
     def as_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "rule": self.rule,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,16 @@ class SuiteReport:
     cases: tuple
     summary: dict
 
+    @classmethod
+    def from_cases(cls, seed: int, cases) -> "SuiteReport":
+        """Tally the verdicts of `cases` into a report."""
+        summary = {"holds": 0, "flagged": 0, "hypothesis_unverified": 0, "total": len(cases)}
+        for c in cases:
+            summary[c.verdict.replace("-", "_")] += 1
+        return cls(__version__, seed, tuple(cases), summary)
+
     def as_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "seed": self.seed,
-            "cases": [c.as_dict() for c in self.cases],
-            "summary": dict(self.summary),
-        }
+        return asdict(self)
 
 
 def _fmt(v) -> str:
@@ -101,11 +106,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _params(**kv) -> str:
+def format_params(**kv) -> str:
+    """The params column: k=v pairs joined by ';', floats to 12 digits, None dropped."""
     return ";".join(f"{k}={_fmt(v)}" for k, v in kv.items() if v is not None)
 
 
-class _Emitter:
+def verdict(holds: bool, hypothesis_verified=None) -> str:
+    """A failed hypothesis check outranks the inequality's own outcome."""
+    if hypothesis_verified is False:
+        return "hypothesis-unverified"
+    return "holds" if holds else "flagged"
+
+
+class Emitter:
+    """Collects rows (rule, params, lhs, rhs, verdict) as records numbered
+    per section: <section>-001, <section>-002, ..."""
+
     def __init__(self):
         self.cases = []
         self._counts = {}
@@ -117,30 +133,72 @@ class _Emitter:
             CaseRecord(f"{section}-{idx:03d}", rule, params, lhs, rhs, rhs - lhs, verdict)
         )
 
+    def extend(self, section: str, rows):
+        for row in rows:
+            self.add(section, *row)
 
-def _verdict_from_margin(margin: float, tol: float) -> str:
-    return "holds" if margin >= -tol else "flagged"
+
+def bound_row(label: str, inst: BoundInstance, report, variant=None) -> tuple:
+    """The row of one verified deviation rule; `label` names f."""
+    cls, hp = inst.cls, inst.hp
+    ps = format_params(f=label, a=inst.a, b=inst.b, h=cls.h.describe(), alpha=cls.alpha,
+                       m=cls.m, p=hp.p if hp else None, q=hp.q if hp else None,
+                       variant=variant)
+    return (inst.rule_id, ps, report.lhs, report.rhs,
+            verdict(report.holds, report.hypothesis_verified))
 
 
-def _lemma_section(em: _Emitter, rng: random.Random, tol: float):
+def quad_row(label: str, report, **extra) -> tuple:
+    """The row of one certified quadrature; `extra` is appended to params."""
+    keys = ("a", "b", "n", "p", "variant", "alpha", "m")
+    ps = format_params(f=label, **{k: report.params[k] for k in keys}, **extra)
+    return (report.bound_source, ps, report.true_error, report.apriori_bound,
+            verdict(report.holds, report.hypothesis_verified))
+
+
+def mean_chain_rows(a: float, b: float) -> list:
+    """One row per link of H <= G <= L <= I <= A at (a, b)."""
+    vals, _ = check_mean_chain(a, b)
+    eps = 1e-12 * max(1.0, vals[-1])
+    links = zip(MEAN_CHAIN, vals, MEAN_CHAIN[1:], vals[1:])
+    return [("chain", format_params(a=a, b=b, left=left, right=right), u, v,
+             verdict(u <= v + eps)) for left, u, right, v in links]
+
+
+def lp_monotone_row(a: float, b: float, grid) -> tuple:
+    """The largest decrease of p -> L_p along the sorted grid, against 0."""
+    grid = sorted(grid)
+    vals = [mean(lp_kind(p), a, b) for p in grid]
+    worst = max((u - v for u, v in zip(vals, vals[1:])), default=0.0)
+    eps = 1e-12 * max(1.0, *vals)
+    ps = format_params(a=a, b=b, grid="|".join(_fmt(p) for p in grid))
+    return ("Lp-monotone", ps, worst, 0.0, verdict(worst <= eps))
+
+
+def proposition_rows(inst: PropositionInstance, tol: float) -> list:
+    """The row of one P1-P4 check, plus the alternate-constant row of P2/P4."""
+    out = proposition_check(inst, tol=tol)
+    ps = format_params(a=inst.a, b=inst.b, p=inst.p, n=inst.n)
+    rows = [(inst.id, ps, out.lhs, out.rhs, verdict(out.holds))]
+    if "alt_rhs" in out.extras:
+        rows.append((f"{inst.id}-alt", ps, out.lhs, out.extras["alt_rhs"],
+                     verdict(out.extras["alt_holds"])))
+    return rows
+
+
+def _lemma_section(em: Emitter, rng: random.Random, tol: float):
     for name, f in CATALOG:
         for _ in range(3):
             a = rng.uniform(0.1, 1.5)
             b = a + rng.uniform(0.4, 1.5)
-            ps = _params(f=name, a=a, b=b)
+            ps = format_params(f=name, a=a, b=b)
             r1 = lemma1_residual(f, a, b)
-            em.add("lemma", "L1", ps, r1, tol, "holds" if r1 <= tol else "flagged")
+            em.add("lemma", "L1", ps, r1, tol, verdict(r1 <= tol))
             r2 = lemma2_residual(f, a, b)
-            em.add("lemma", "L2", ps, r2, tol, "holds" if r2 <= tol else "flagged")
+            em.add("lemma", "L2", ps, r2, tol, verdict(r2 <= tol))
 
 
-def _bound_verdict(report) -> str:
-    if not report.hypothesis_verified:
-        return "hypothesis-unverified"
-    return "holds" if report.holds else "flagged"
-
-
-def _bound_section(em: _Emitter, rng: random.Random, seed: int, tol: float):
+def _bound_section(em: Emitter, rng: random.Random, seed: int, tol: float):
     cls = ConvexityClass("h_alpha_m")  # baseline: h=t, alpha=1, m=1
     for name, f in CATALOG:
         a = rng.uniform(0.1, 1.5)
@@ -148,133 +206,66 @@ def _bound_section(em: _Emitter, rng: random.Random, seed: int, tol: float):
         memberships = {}
 
         def hoisted(inst):
-            q = inst.hp.q if inst.hp is not None else None
+            # one search per hypothesis function: |f'|, |f''| or their q-th powers
             order = 1 if inst.rule_id in FIRST_DERIVATIVE_RULES else 2
-            key = (order, q)
+            key = (order, inst.hp.q if inst.hp is not None else None)
             if key not in memberships:
-                try:
-                    memberships[key] = check_membership(
-                        hypothesis_function(inst), inst.cls, hypothesis_domain(inst),
-                        samples=_MEMBERSHIP_SAMPLES, seed=seed, tol=tol,
-                    )
-                except PreconditionError:
-                    memberships[key] = None
+                memberships[key], _ = hypothesis_membership(
+                    hypothesis_function(inst), inst.cls, hypothesis_domain(inst),
+                    samples=_MEMBERSHIP_SAMPLES, seed=seed, tol=tol,
+                )
             return memberships[key]
 
         for rule in RULE_IDS:
-            if rule in HOLDER_RULES:
-                for p in _P_GRID:
-                    hp = HolderPair.from_p(p)
-                    inst = BoundInstance(rule, f, a, b, cls, hp)
-                    rep = verify_bound(inst, tol=tol, seed=seed,
-                                       samples=_MEMBERSHIP_SAMPLES,
-                                       membership=hoisted(inst))
-                    ps = _params(f=name, a=a, b=b, h="t", alpha=1, m=1, p=p, q=hp.q)
-                    em.add("bound", rule, ps, rep.lhs, rep.rhs, _bound_verdict(rep))
-            else:
-                inst = BoundInstance(rule, f, a, b, cls)
-                rep = verify_bound(inst, tol=tol, seed=seed,
-                                   samples=_MEMBERSHIP_SAMPLES,
+            holder = (HolderPair.from_p(p) for p in _P_GRID) if rule in HOLDER_RULES else (None,)
+            for hp in holder:
+                inst = BoundInstance(rule, f, a, b, cls, hp)
+                rep = verify_bound(inst, tol=tol, seed=seed, samples=_MEMBERSHIP_SAMPLES,
                                    membership=hoisted(inst))
-                ps = _params(f=name, a=a, b=b, h="t", alpha=1, m=1)
-                em.add("bound", rule, ps, rep.lhs, rep.rhs, _bound_verdict(rep))
+                em.add("bound", *bound_row(name, inst, rep))
 
 
-_CHAIN_ORDER = ("H", "G", "L", "I", "A")
-
-
-def _means_section(em: _Emitter, rng: random.Random, tol: float):
+def _means_section(em: Emitter, rng: random.Random, tol: float):
     for _ in range(5):
         a = rng.uniform(0.1, 50.0)
         b = a + rng.uniform(0.1, 50.0)
-        vals = {t: mean(MeanKind(t), a, b) for t in _CHAIN_ORDER}
-        eps = 1e-12 * max(1.0, vals["A"])
-        for left, right in zip(_CHAIN_ORDER, _CHAIN_ORDER[1:]):
-            ps = _params(a=a, b=b, left=left, right=right)
-            verdict = "holds" if vals[left] <= vals[right] + eps else "flagged"
-            em.add("means", "chain", ps, vals[left], vals[right], verdict)
-
-    grid = (-1.0, 0.0, 0.5, 1.0, 2.0, 5.0)
+        em.extend("means", mean_chain_rows(a, b))
     for _ in range(3):
         a = rng.uniform(0.1, 50.0)
         b = a + rng.uniform(0.1, 50.0)
-        vals = []
-        for p in grid:
-            if p == -1.0:
-                vals.append(mean(MeanKind("L"), a, b))
-            elif p == 0.0:
-                vals.append(mean(MeanKind("I"), a, b))
-            else:
-                vals.append(mean(MeanKind("Lp", p), a, b))
-        eps = 1e-12 * max(1.0, *vals)
-        worst = max(u - v for u, v in zip(vals, vals[1:]))
-        ps = _params(a=a, b=b, grid="|".join(_fmt(p) for p in grid))
-        em.add("means", "Lp-monotone", ps, worst, 0.0,
-               "holds" if worst <= eps else "flagged")
+        em.add("means", *lp_monotone_row(a, b, _LP_GRID))
 
-    pairs = []
     for _ in range(3):
         a = rng.uniform(0.1, 5.0)
         b = a + rng.uniform(0.2, 5.0)
-        pairs.append((a, b))
-    for a, b in pairs:
         for p in _PROP_P_GRID:
             for pid in ("P1", "P2", "P3", "P4"):
                 inst = PropositionInstance(pid, a, b, p, n=2 if pid == "P4" else None)
-                out = proposition_check(inst, tol=tol)
-                ps = _params(a=a, b=b, p=p, n=inst.n)
-                em.add("means", pid, ps, out.lhs, out.rhs,
-                       _verdict_from_margin(out.rhs - out.lhs, tol))
-                if "alt_rhs" in out.extras:
-                    alt = out.extras["alt_rhs"]
-                    em.add("means", f"{pid}-alt", ps, out.lhs, alt,
-                           _verdict_from_margin(alt - out.lhs, tol))
+                em.extend("means", proposition_rows(inst, tol))
 
 
-def _quad_verdict(report) -> str:
-    if report.hypothesis_verified is False:
-        return "hypothesis-unverified"
-    return "holds" if report.holds else "flagged"
-
-
-def _quad_section(em: _Emitter, seed: int, tol: float):
-    ns = (1, 4, 16)
-    for name, f in QUAD_FUNCTIONS:
+def _quad_section(em: Emitter, seed: int, tol: float):
+    # P5 shares one membership search per function, P6 one per (function, alpha)
+    groups = [(name, f, [{"rule": "midpoint", "variant": v} for v in ("statement", "proofline")])
+              for name, f in QUAD_FUNCTIONS]
+    groups += [(name, f, [{"rule": "trapezoid", "alpha": alpha, "m": 1.0}])
+               for name, f in QUAD_FUNCTIONS for alpha in (0.0, 0.5, 1.0)]
+    for name, f, runs in groups:
         mem = None
-        for variant in ("statement", "proofline"):
-            for n in ns:
-                rep = certified_integrate(
-                    f, 0.0, 1.0, n=n, rule="midpoint", p=2.0, variant=variant,
-                    tol=tol, seed=seed, samples=_MEMBERSHIP_SAMPLES, membership=mem,
-                )
+        for kw in runs:
+            for n in (1, 4, 16):
+                rep = certified_integrate(f, 0.0, 1.0, n=n, p=2.0, tol=tol, seed=seed,
+                                          samples=_MEMBERSHIP_SAMPLES, membership=mem, **kw)
                 mem = rep.membership or mem
-                ps = _params(f=name, a=0.0, b=1.0, n=n, p=2.0, variant=variant)
-                em.add("quad", rep.bound_source, ps, rep.true_error,
-                       rep.apriori_bound, _quad_verdict(rep))
-    for name, f in QUAD_FUNCTIONS:
-        for alpha in (0.0, 0.5, 1.0):
-            mem = None
-            for n in ns:
-                rep = certified_integrate(
-                    f, 0.0, 1.0, n=n, rule="trapezoid", p=2.0, alpha=alpha, m=1.0,
-                    tol=tol, seed=seed, samples=_MEMBERSHIP_SAMPLES, membership=mem,
-                )
-                mem = rep.membership or mem
-                ps = _params(f=name, a=0.0, b=1.0, n=n, p=2.0, alpha=alpha, m=1.0)
-                em.add("quad", "P6", ps, rep.true_error,
-                       rep.apriori_bound, _quad_verdict(rep))
+                em.add("quad", *quad_row(name, rep))
 
 
 def build_suite(seed: int = 42, tol: float = 1e-9) -> SuiteReport:
     """Run every section and tally the verdicts."""
     rng = random.Random(seed)
-    em = _Emitter()
+    em = Emitter()
     _lemma_section(em, rng, tol)
     _bound_section(em, rng, seed, tol)
     _means_section(em, rng, tol)
     _quad_section(em, seed, tol)
-    summary = {"holds": 0, "flagged": 0, "hypothesis_unverified": 0, "total": 0}
-    for c in em.cases:
-        summary["total"] += 1
-        summary[c.verdict.replace("-", "_")] += 1
-    return SuiteReport(__version__, seed, tuple(em.cases), summary)
+    return SuiteReport.from_cases(seed, em.cases)

@@ -15,6 +15,7 @@ import json
 import math
 import random
 import subprocess
+import sys
 import time
 
 import pytest
@@ -381,7 +382,8 @@ def test_acceptance_7_quadrature(capsys):
 
 
 def test_acceptance_8_determinism_and_exit_codes(capsys):
-    cmd = ["hhcheck", "verify", "--format", "json", "--seed", "42"]
+    hhcheck = [sys.executable, "-m", "hhcheck"]
+    cmd = [*hhcheck, "verify", "--format", "json", "--seed", "42"]
     p1 = subprocess.run(cmd, capture_output=True, timeout=300)
     p2 = subprocess.run(cmd, capture_output=True, timeout=300)
     identical = p1.stdout == p2.stdout and p1.returncode == p2.returncode
@@ -391,13 +393,13 @@ def test_acceptance_8_determinism_and_exit_codes(capsys):
     exit_matches_contract = p1.returncode == (1 if flags > 0 else 0)
 
     zero = subprocess.run(
-        ["hhcheck", "check-class", "--f", "x^2", "--sense", "convex",
+        [*hhcheck, "check-class", "--f", "x^2", "--sense", "convex",
          "--a", "0", "--b", "1"], capture_output=True, timeout=120).returncode
     one = subprocess.run(
-        ["hhcheck", "bound", "--rule", "C4", "--f", "x^2", "--a", "0", "--b", "1",
+        [*hhcheck, "bound", "--rule", "C4", "--f", "x^2", "--a", "0", "--b", "1",
          "--p", "2"], capture_output=True, timeout=120).returncode
     two = subprocess.run(
-        ["hhcheck", "bound", "--rule", "T4", "--f", "x^(", "--a", "0", "--b", "1"],
+        [*hhcheck, "bound", "--rule", "T4", "--f", "x^(", "--a", "0", "--b", "1"],
         capture_output=True, timeout=120).returncode
 
     codes_ok = (zero, one, two) == (0, 1, 2)

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import math
+import random
 import subprocess
 import sys
 
@@ -87,6 +89,24 @@ class TestExitCodes:
             "--a", "-1", "--b", "1", "--n", "2", "--p", "2",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--rule", "T1", "--f", "1e400", "--a", "0", "--b", "1"),
+        ("check-class", "--f", "1e400", "--sense", "convex", "--a", "0", "--b", "1"),
+    ])
+    def test_non_finite_literal_exits_two(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "offset 0" in err
+
+    def test_negative_samples_exits_two(self, capsys):
+        code, _, err = _run(
+            capsys, "check-class", "--f", "x^2", "--sense", "convex",
+            "--a", "0", "--b", "1", "--samples", "-5",
+        )
+        assert code == 2
+        assert "samples" in err
 
     def test_hypothesis_unverified_still_exits_zero(self, capsys):
         # nothing flagged: unverified hypotheses do not fail the run
@@ -253,6 +273,58 @@ class TestSubcommandDetails:
         assert "n=2" in json.loads(out)["cases"][0]["params"]
 
 
+def _suite_means_pairs(seed):
+    """The (a, b) pairs build_suite draws for its chain, Lp and P rows, in order."""
+    rng = random.Random(seed)
+    for _ in range(40):  # lemma rows (5 functions x 3 intervals), bound rows (5)
+        rng.random()
+
+    def pairs(count, span, width):
+        out = []
+        for _ in range(count):
+            a = rng.uniform(0.1, span)
+            out.append((a, a + rng.uniform(width, span)))
+        return out
+
+    return pairs(5, 50.0, 0.1), pairs(3, 50.0, 0.1), pairs(3, 5.0, 0.2)
+
+
+def _rows(cases):
+    return [{k: v for k, v in c.items() if k != "case_id"} for c in cases]
+
+
+class TestSinglePipeline:
+    """The CLI and build_suite produce these records through the same code."""
+
+    def test_means_zero_margin_is_positive_zero(self, capsys):
+        code, out, _ = _run(capsys, "means", "--a", "1", "--b", "2", "--grid", "3",
+                            "--format", "json")
+        assert code == 0
+        margin = json.loads(out)["cases"][-1]["margin"]
+        assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
+        assert '"margin": -0.0' not in out
+
+    def test_means_and_prop_records_match_the_suite(self, capsys):
+        suite = [c.as_dict() for c in build_suite(seed=42).cases if c.case_id.startswith("means-")]
+        chain_pairs, lp_pairs, prop_pairs = _suite_means_pairs(42)
+        cli = []
+        for a, b in chain_pairs:
+            _, out, _ = _run(capsys, "means", "--a", repr(a), "--b", repr(b), "--format", "json")
+            cli += json.loads(out)["cases"][:4]
+        for a, b in lp_pairs:
+            _, out, _ = _run(capsys, "means", "--a", repr(a), "--b", repr(b), "--format", "json")
+            cli += json.loads(out)["cases"][4:]
+        for a, b in prop_pairs:
+            for p in (1.1, 1.5, 2.0, 4.0, 10.0):
+                for pid in ("P1", "P2", "P3", "P4"):
+                    n = ("--n", "2") if pid == "P4" else ()
+                    _, out, _ = _run(capsys, "prop", "--id", pid, "--a", repr(a), "--b", repr(b),
+                                     "--p", repr(p), *n, "--format", "json")
+                    cli += json.loads(out)["cases"]
+        assert len(cli) == len(suite) == 20 + 3 + 90
+        assert _rows(cli) == _rows(suite)
+
+
 class TestEntryPoints:
     def test_console_script(self):
         proc = subprocess.run(
@@ -270,7 +342,7 @@ class TestEntryPoints:
         assert proc.returncode == 0
 
     def test_verify_byte_identical_subprocess(self):
-        cmd = ["hhcheck", "verify", "--format", "json", "--seed", "42"]
+        cmd = [sys.executable, "-m", "hhcheck", "verify", "--format", "json", "--seed", "42"]
         p1 = subprocess.run(cmd, capture_output=True, timeout=120)
         p2 = subprocess.run(cmd, capture_output=True, timeout=120)
         assert p1.stdout == p2.stdout

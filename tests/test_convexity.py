@@ -264,6 +264,17 @@ class TestDeterminism:
         assert rep.seed == 99
 
 
+class TestSamples:
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            check_membership(parse("x^2"), ConvexityClass("plain_convex"), POS, samples=-5)
+
+    def test_zero_samples_is_the_grid_pass_alone(self):
+        rep = check_membership(parse("x^2"), ConvexityClass("plain_convex"), POS, samples=0)
+        assert rep.ok
+        assert rep.samples_used == 21 * 21 * 11
+
+
 @given(
     a=st.floats(min_value=0.0, max_value=4.0),
     b=st.floats(min_value=-3.0, max_value=3.0),

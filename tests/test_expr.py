@@ -98,6 +98,13 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("1.5e")
 
+    @pytest.mark.parametrize("text,offset", [("1e400", 0), ("x + 2e308*x", 4), ("-1e999", 1)])
+    def test_non_finite_literal_rejected_at_its_offset(self, text, offset):
+        # evaluation promises a finite float, so an overflowing literal is a parse error
+        with pytest.raises(ParseError) as exc_info:
+            parse(text)
+        assert exc_info.value.offset == offset
+
 
 class TestEvaluate:
     def test_domain_errors(self):
