@@ -103,6 +103,17 @@ def _add_common(sp, with_samples: bool = True):
         sp.add_argument("--samples", type=int, default=2000)
 
 
+def _add_class_flags(sp):
+    """The function, interval and class parameters of check-class and bound."""
+    sp.add_argument("--f", required=True, help="expression in x")
+    sp.add_argument("--a", type=float, required=True)
+    sp.add_argument("--b", type=float, required=True)
+    sp.add_argument("--h", default="t", help="t, t^s, 1, or expr:<text in t>")
+    sp.add_argument("--alpha", type=float, default=1.0)
+    sp.add_argument("--m", type=float, default=1.0)
+    sp.add_argument("--s", type=float, default=1.0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hhcheck",
@@ -114,26 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("check-class", help="membership falsification for one function")
-    sp.add_argument("--f", required=True, help="expression in x")
     sp.add_argument("--sense", required=True,
                     help="'convex' or one of " + ", ".join(SENSES))
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--h", default="t", help="t, t^s, 1, or expr:<text in t>")
-    sp.add_argument("--alpha", type=float, default=1.0)
-    sp.add_argument("--m", type=float, default=1.0)
-    sp.add_argument("--s", type=float, default=1.0)
+    _add_class_flags(sp)
     _add_common(sp)
 
     sp = sub.add_parser("bound", help="evaluate one deviation rule")
     sp.add_argument("--rule", required=True, choices=RULE_IDS)
-    sp.add_argument("--f", required=True, help="expression in x")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--h", default="t")
-    sp.add_argument("--alpha", type=float, default=1.0)
-    sp.add_argument("--m", type=float, default=1.0)
-    sp.add_argument("--s", type=float, default=1.0)
+    _add_class_flags(sp)
     sp.add_argument("--p", type=float, default=None, help="Holder exponent (rules other than T1/T4)")
     sp.add_argument("--variant", choices=("printed", "tight"), default="printed")
     _add_common(sp)

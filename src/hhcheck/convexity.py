@@ -15,7 +15,10 @@ points of the domain and lam for the weight:
 The h-based and s-(alpha,m) senses require g to be non-negative; violating
 that is a precondition failure, not a counterexample. Membership is only
 semi-decidable, so the check is a deterministic grid pass followed by seeded
-random sampling; any witness found is re-evaluated before being reported.
+random sampling. All eight inequalities share one form, lhs = g(lam*x + c*y)
+and rhs = wx*g(x) + wy*g(Y), with the coefficients (c, wx, wy) and Y (y or
+y/m) read from one table. The grid pass computes g at each grid point and the
+coefficients at each lam once; random triples are drawn one at a time.
 """
 
 from __future__ import annotations
@@ -192,43 +195,34 @@ class MembershipReport:
         return self.verdict == "no-counterexample-found"
 
 
-def _sense_sides(cls: ConvexityClass, g, x: float, y: float, lam: float):
-    """Return (lhs, rhs) of the defining inequality for one triple."""
-    sense = cls.sense
-    if sense == "plain_convex":
-        return g(lam * x + (1.0 - lam) * y), lam * g(x) + (1.0 - lam) * g(y)
-    if sense == "s_second":
-        s = cls.s
-        return g(lam * x + (1.0 - lam) * y), lam ** s * g(x) + (1.0 - lam) ** s * g(y)
-    if sense == "s_first":
-        # mu = lam; nu chosen so mu^s + nu^s = 1
-        s = cls.s
-        mus = lam ** s
-        nu = (1.0 - mus) ** (1.0 / s)
-        return g(lam * x + nu * y), mus * g(x) + (1.0 - mus) * g(y)
-    if sense == "alpha_m":
-        a, m = cls.alpha, cls.m
-        w = lam ** a
-        return g(lam * x + m * (1.0 - lam) * y), w * g(x) + m * (1.0 - w) * g(y)
-    if sense == "s_alpha_m_first":
-        a, m, s = cls.alpha, cls.m, cls.s
-        w = lam ** (a * s)
-        return g(lam * x + (1.0 - lam) * y), w * g(x) + m * (1.0 - w) * g(y / m)
-    if sense == "s_alpha_m_second":
-        a, m, s = cls.alpha, cls.m, cls.s
-        w = lam ** (a * s)
-        wm = (1.0 - lam ** a) ** s
-        return g(lam * x + (1.0 - lam) * y), w * g(x) + m * wm * g(y / m)
-    if sense == "h_plain":
-        return (
-            g(lam * x + (1.0 - lam) * y),
-            evaluate_h(cls.h, lam, 1.0) * g(x) + evaluate_h(cls.h, 1.0 - lam, 1.0) * g(y),
-        )
-    if sense == "h_alpha_m":
-        m = cls.m
-        ha = evaluate_h(cls.h, lam, cls.alpha)
-        return g(lam * x + m * (1.0 - lam) * y), ha * g(x) + m * (1.0 - ha) * g(y)
-    raise ValueError(f"unknown sense {sense!r}")
+# One row per sense. Every sense reads
+#   lhs = g(lam*x + c*y),  rhs = wx*g(x) + wy*g(Y),
+# and a row holds c(p, lam), wx(p, lam) and wy(p, lam, wx) for the class p,
+# whether Y is y/m (else y), and whether wx is evaluated after g at the
+# combination point (else before). Only h can fail in a weight, so the call
+# order follows each h sense's definition: h_plain evaluates h(lam) after the
+# combination point and h(1-lam) after g(x); h_alpha_m evaluates h^alpha(lam)
+# first. `m * (1.0 - w) * g(y)` groups as `(m * (1.0 - w)) * g(y)`, so folding
+# m into wy changes no bit.
+_COEFFICIENTS = {
+    "plain_convex": (lambda p, lam: 1.0 - lam, lambda p, lam: lam,
+                     lambda p, lam, wx: 1.0 - lam, False, False),
+    "s_second": (lambda p, lam: 1.0 - lam, lambda p, lam: lam ** p.s,
+                 lambda p, lam, wx: (1.0 - lam) ** p.s, False, False),
+    # mu = lam; nu chosen so mu^s + nu^s = 1
+    "s_first": (lambda p, lam: (1.0 - lam ** p.s) ** (1.0 / p.s), lambda p, lam: lam ** p.s,
+                lambda p, lam, wx: 1.0 - wx, False, False),
+    "alpha_m": (lambda p, lam: p.m * (1.0 - lam), lambda p, lam: lam ** p.alpha,
+                lambda p, lam, wx: p.m * (1.0 - wx), False, False),
+    "s_alpha_m_first": (lambda p, lam: 1.0 - lam, lambda p, lam: lam ** (p.alpha * p.s),
+                        lambda p, lam, wx: p.m * (1.0 - wx), True, False),
+    "s_alpha_m_second": (lambda p, lam: 1.0 - lam, lambda p, lam: lam ** (p.alpha * p.s),
+                         lambda p, lam, wx: p.m * (1.0 - lam ** p.alpha) ** p.s, True, False),
+    "h_plain": (lambda p, lam: 1.0 - lam, lambda p, lam: evaluate_h(p.h, lam, 1.0),
+                lambda p, lam, wx: evaluate_h(p.h, 1.0 - lam, 1.0), False, True),
+    "h_alpha_m": (lambda p, lam: p.m * (1.0 - lam), lambda p, lam: evaluate_h(p.h, lam, p.alpha),
+                  lambda p, lam, wx: p.m * (1.0 - wx), False, False),
+}
 
 
 def _grid_points(dom: DomainInterval, npts: int) -> list[float]:
@@ -255,10 +249,13 @@ def check_membership(
 
     Deterministic pass first: a 21 x 21 grid in (x, y) crossed with lam in
     {0.1, ..., 0.9} (endpoints 0 and 1 added for closed-interval senses).
-    Then `samples` seeded random triples (0 keeps the grid pass alone),
-    generated up-front so the outcome depends only on the seed. A found
-    witness is re-evaluated independently; no counterexample is ever
-    reported from a stale value.
+    The grid pass computes g at each grid point (and at y/m) and the
+    weights at each lam once, on first use, so only g at the combination
+    point is evaluated per triple. Then `samples` seeded random triples
+    (0 keeps the grid pass alone), each drawn just before it is checked, so
+    the outcome depends only on the seed. Within a triple, g and h are
+    called in the order of the sense's definition, so a failing evaluation
+    reports the same triple and message whichever values were cached.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples!r}")
@@ -270,9 +267,10 @@ def check_membership(
 
     gc = compile_fn(g)
     xs = _grid_points(dom, 21)
+    gxs = [None] * len(xs)  # g at the grid points, filled on first use
 
     if cls.sense in _NONNEG_SENSES:
-        for x in xs:
+        for i, x in enumerate(xs):
             try:
                 v = gc(x)
             except DomainError as exc:
@@ -282,63 +280,75 @@ def check_membership(
                     f"sense {cls.sense!r} requires a non-negative function; "
                     f"g({x!r}) = {v!r}"
                 )
+            gxs[i] = v
 
     lam_grid = [0.1 * k for k in range(1, 10)]
     if cls.sense not in _OPEN_SENSES:
         lam_grid = [0.0] + lam_grid + [1.0]
 
-    def sides(x: float, y: float, lam: float):
-        try:
-            return _sense_sides(cls, gc, x, y, lam)
-        except DomainError as exc:
-            raise PreconditionError(
-                f"domain too narrow for the combination or y/m argument "
-                f"(x={x!r}, y={y!r}, lam={lam!r}): {exc}"
-            ) from None
+    c_of, wx_of, wy_of, y_over_m, wx_late = _COEFFICIENTS[cls.sense]
+    m = cls.m
+    # c cannot fail, so it is computed up front; g at Y and the weights at
+    # each grid lam are filled on first use, in the sense's call order
+    gys = [None] * len(xs) if y_over_m else gxs
+    ys = [y / m for y in xs] if y_over_m else xs
+    cs = [c_of(cls, lam) for lam in lam_grid]
+    wxs = [None] * len(lam_grid)
+    wys = [None] * len(lam_grid)
 
     used = 0
-    found = None
-    for x in xs:
-        for y in xs:
-            for lam in lam_grid:
-                lhs, rhs = sides(x, y, lam)
-                used += 1
-                if lhs > rhs + tol:
-                    found = (x, y, lam)
-                    break
-            if found:
-                break
-        if found:
-            break
+    try:
+        for i, x in enumerate(xs):
+            for j, y in enumerate(xs):
+                for k, lam in enumerate(lam_grid):
+                    wx = wxs[k]
+                    if wx is None and not wx_late:
+                        wx = wxs[k] = wx_of(cls, lam)
+                    lhs = gc(lam * x + cs[k] * y)
+                    if wx is None:
+                        wx = wxs[k] = wx_of(cls, lam)
+                    gx = gxs[i]
+                    if gx is None:
+                        gx = gxs[i] = gc(x)
+                    wy = wys[k]
+                    if wy is None:
+                        wy = wys[k] = wy_of(cls, lam, wx)
+                    gy = gys[j]
+                    if gy is None:
+                        gy = gys[j] = gc(ys[j])
+                    rhs = wx * gx + wy * gy
+                    used += 1
+                    if lhs > rhs + tol:
+                        return MembershipReport("counterexample", used,
+                                                Witness(x, y, lam, lhs, rhs), seed, reading)
 
-    if found is None:
         rng = random.Random(seed)
-        lo, hi = dom.lo, dom.hi
-        triples = [
-            (rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(0.0, 1.0))
-            for _ in range(samples)
-        ]
-        for x, y, lam in triples:
+        uniform, lo, hi = rng.uniform, dom.lo, dom.hi
+        open_lam = cls.sense in _OPEN_SENSES
+        for _ in range(samples):
+            x, y, lam = uniform(lo, hi), uniform(lo, hi), uniform(0.0, 1.0)
             # keep a buffer so 1-lam cannot round to an endpoint of (0,1)
-            if cls.sense in _OPEN_SENSES and not (1e-12 < lam < 1.0 - 1e-12):
+            if open_lam and not (1e-12 < lam < 1.0 - 1e-12):
                 continue
-            lhs, rhs = sides(x, y, lam)
+            c = c_of(cls, lam)
+            if not wx_late:
+                wx = wx_of(cls, lam)
+            lhs = gc(lam * x + c * y)
+            if wx_late:
+                wx = wx_of(cls, lam)
+            gx = gc(x)
+            wy = wy_of(cls, lam, wx)
+            rhs = wx * gx + wy * gc(y / m if y_over_m else y)
             used += 1
             if lhs > rhs + tol:
-                found = (x, y, lam)
-                break
-
-    if found is None:
-        return MembershipReport("no-counterexample-found", used, None, seed, reading)
-
-    # independent re-evaluation of the candidate witness
-    x, y, lam = found
-    lhs, rhs = sides(x, y, lam)
-    if not (lhs > rhs + tol):
-        return MembershipReport("no-counterexample-found", used, None, seed, reading)
-    return MembershipReport(
-        "counterexample", used, Witness(x, y, lam, lhs, rhs), seed, reading
-    )
+                return MembershipReport("counterexample", used,
+                                        Witness(x, y, lam, lhs, rhs), seed, reading)
+    except DomainError as exc:
+        raise PreconditionError(
+            f"domain too narrow for the combination or y/m argument "
+            f"(x={x!r}, y={y!r}, lam={lam!r}): {exc}"
+        ) from None
+    return MembershipReport("no-counterexample-found", used, None, seed, reading)
 
 
 def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval, **search):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import random
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from hhcheck import build_suite
-from hhcheck.cli import emit_report, run
+from hhcheck.cli import _build_parser, emit_report, run
 
 CSV_HEADER = "case_id,rule,params,lhs,rhs,margin,verdict"
 
@@ -183,6 +184,21 @@ class TestDeterminism:
         assert code == 2
 
 
+class TestGoldenBytes:
+    """`verify --format json` stdout is pinned byte for byte. A change that
+    moves any of these hashes changes a record and must say which."""
+
+    @pytest.mark.parametrize("seed,sha256", [
+        (0, "e200509b0e1cb0d55db5281c81f826b03780586fb16d2c124ffded9caff7e03b"),
+        (42, "89691eef25bbe8e72d4583ef3ac041c9a6f6d859b82c5c359acd728a92938a1a"),
+    ], ids=("seed0", "seed42"))
+    def test_verify_json_sha256(self, capsys, monkeypatch, seed, sha256):
+        monkeypatch.delenv("HHC_SEED", raising=False)
+        code, out, _ = _run(capsys, "verify", "--format", "json", "--seed", str(seed))
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 class TestVerifySubcommand:
     def test_verify_report_matches_library(self, capsys):
         _, out, _ = _run(capsys, "verify", "--format", "json", "--seed", "42")
@@ -241,6 +257,22 @@ class TestSubcommandDetails:
             "--h", "t^0.5", "--a", "0", "--b", "1",
         )
         assert code == 1
+
+    def test_check_class_and_bound_share_class_flags(self):
+        flags = ["--f", "x^2", "--a", "0.5", "--b", "2", "--h", "expr:t^2",
+                 "--alpha", "0.25", "--m", "0.75", "--s", "0.5"]
+        parser = _build_parser()
+        cc = vars(parser.parse_args(["check-class", "--sense", "h_alpha_m", *flags]))
+        bd = vars(parser.parse_args(["bound", "--rule", "T2", "--p", "2", *flags]))
+        for name in ("f", "a", "b", "h", "alpha", "m", "s"):
+            assert cc[name] == bd[name]
+        # and the same defaults when the optional ones are left out
+        required = flags[:6]
+        cc = vars(parser.parse_args(["check-class", "--sense", "convex", *required]))
+        bd = vars(parser.parse_args(["bound", "--rule", "T1", *required]))
+        assert {k: cc[k] for k in ("h", "alpha", "m", "s")} == \
+            {k: bd[k] for k in ("h", "alpha", "m", "s")} == \
+            {"h": "t", "alpha": 1.0, "m": 1.0, "s": 1.0}
 
     def test_bound_variant_flag(self, capsys):
         _, out_p, _ = _run(capsys, "bound", "--rule", "T1", "--f", "x^2",

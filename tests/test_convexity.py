@@ -1,7 +1,10 @@
 """Membership checking for the eight convexity senses."""
 
+import random
+import tracemalloc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hhcheck import (
     Add,
@@ -16,9 +19,19 @@ from hhcheck import (
     SENSES,
     Var,
     check_membership,
+    compile_fn,
     evaluate,
     evaluate_h,
     parse,
+)
+from hhcheck.convexity import (
+    SENSE_PARAMS,
+    MembershipReport,
+    Witness,
+    _NONNEG_DOMAIN_SENSES,
+    _NONNEG_SENSES,
+    _OPEN_SENSES,
+    _grid_points,
 )
 
 
@@ -127,6 +140,14 @@ class TestPlainConvex:
         g = parse("x^0.5")
         mix = evaluate(g, w.lam * w.x + (1 - w.lam) * w.y)
         assert mix == pytest.approx(w.lhs, rel=1e-12)
+
+    def test_exact_tie_is_not_a_counterexample(self):
+        # for g(x) = x both sides are the same float expression, on the grid
+        # and on every random triple
+        rep = check_membership(parse("x"), ConvexityClass("plain_convex"), POS,
+                               samples=300, tol=0.0)
+        assert rep.ok
+        assert rep.samples_used == 21 * 21 * 11 + 300
 
     def test_log_like_concave_rejected(self):
         rep = check_membership(parse("ln(x+1)"), ConvexityClass("plain_convex"), POS)
@@ -289,3 +310,216 @@ def test_property_nonneg_quadratics_are_convex(a, b, c):
         node, ConvexityClass("plain_convex"), DomainInterval(-2.0, 2.0), samples=150
     )
     assert rep.ok
+
+
+def test_samples_are_drawn_lazily():
+    # a member function checks every sample; none of them may be held at once
+    g, cls = parse("x^2"), ConvexityClass("plain_convex")
+    tracemalloc.start()
+    try:
+        rep = check_membership(g, cls, POS, samples=50_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.samples_used == 21 * 21 * 11 + 50_000
+    assert peak < 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the membership search as one function per triple, each triple
+# evaluated from scratch (eight branches, grid pass, then every random triple
+# drawn up-front). check_membership caches grid values and draws lazily; it
+# must agree with this bit for bit, failures included.
+
+def _oracle_sense_sides(cls, g, x, y, lam):
+    sense = cls.sense
+    if sense == "plain_convex":
+        return g(lam * x + (1.0 - lam) * y), lam * g(x) + (1.0 - lam) * g(y)
+    if sense == "s_second":
+        s = cls.s
+        return g(lam * x + (1.0 - lam) * y), lam ** s * g(x) + (1.0 - lam) ** s * g(y)
+    if sense == "s_first":
+        s = cls.s
+        mus = lam ** s
+        nu = (1.0 - mus) ** (1.0 / s)
+        return g(lam * x + nu * y), mus * g(x) + (1.0 - mus) * g(y)
+    if sense == "alpha_m":
+        a, m = cls.alpha, cls.m
+        w = lam ** a
+        return g(lam * x + m * (1.0 - lam) * y), w * g(x) + m * (1.0 - w) * g(y)
+    if sense == "s_alpha_m_first":
+        a, m, s = cls.alpha, cls.m, cls.s
+        w = lam ** (a * s)
+        return g(lam * x + (1.0 - lam) * y), w * g(x) + m * (1.0 - w) * g(y / m)
+    if sense == "s_alpha_m_second":
+        a, m, s = cls.alpha, cls.m, cls.s
+        w = lam ** (a * s)
+        wm = (1.0 - lam ** a) ** s
+        return g(lam * x + (1.0 - lam) * y), w * g(x) + m * wm * g(y / m)
+    if sense == "h_plain":
+        return (
+            g(lam * x + (1.0 - lam) * y),
+            evaluate_h(cls.h, lam, 1.0) * g(x) + evaluate_h(cls.h, 1.0 - lam, 1.0) * g(y),
+        )
+    if sense == "h_alpha_m":
+        m = cls.m
+        ha = evaluate_h(cls.h, lam, cls.alpha)
+        return g(lam * x + m * (1.0 - lam) * y), ha * g(x) + m * (1.0 - ha) * g(y)
+    raise ValueError(f"unknown sense {sense!r}")
+
+
+def _oracle_membership(g, cls, dom, samples, seed, tol):
+    reading = "mu^(alpha*s)" if cls.sense.startswith("s_alpha_m") else None
+    if cls.sense in _NONNEG_DOMAIN_SENSES and dom.lo < 0.0:
+        raise PreconditionError(
+            f"sense {cls.sense!r} is defined on [0,inf); domain starts at {dom.lo!r}"
+        )
+    gc = compile_fn(g)
+    xs = _grid_points(dom, 21)
+    if cls.sense in _NONNEG_SENSES:
+        for x in xs:
+            try:
+                v = gc(x)
+            except DomainError as exc:
+                raise PreconditionError(f"g not evaluable at {x!r}: {exc}") from None
+            if v < 0.0:
+                raise PreconditionError(
+                    f"sense {cls.sense!r} requires a non-negative function; "
+                    f"g({x!r}) = {v!r}"
+                )
+    lam_grid = [0.1 * k for k in range(1, 10)]
+    if cls.sense not in _OPEN_SENSES:
+        lam_grid = [0.0] + lam_grid + [1.0]
+    rng = random.Random(seed)
+    drawn = [(rng.uniform(dom.lo, dom.hi), rng.uniform(dom.lo, dom.hi), rng.uniform(0.0, 1.0))
+             for _ in range(samples)]
+    triples = [(x, y, lam) for x in xs for y in xs for lam in lam_grid] + [
+        (x, y, lam) for x, y, lam in drawn
+        if cls.sense not in _OPEN_SENSES or 1e-12 < lam < 1.0 - 1e-12
+    ]
+    for used, (x, y, lam) in enumerate(triples, 1):
+        try:
+            lhs, rhs = _oracle_sense_sides(cls, gc, x, y, lam)
+        except DomainError as exc:
+            raise PreconditionError(
+                f"domain too narrow for the combination or y/m argument "
+                f"(x={x!r}, y={y!r}, lam={lam!r}): {exc}"
+            ) from None
+        if lhs > rhs + tol:
+            return MembershipReport("counterexample", used, Witness(x, y, lam, lhs, rhs),
+                                    seed, reading)
+    return MembershipReport("no-counterexample-found", len(triples), None, seed, reading)
+
+
+def _outcome(search):
+    """A comparable outcome: floats as hex, so -0.0 and 0.0 differ."""
+    try:
+        rep = search()
+    except (DomainError, PreconditionError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    w = rep.witness
+    where = None if w is None else tuple(float(v).hex() for v in (w.x, w.y, w.lam, w.lhs, w.rhs))
+    return (rep.verdict, rep.samples_used, where, rep.seed, rep.exponent_reading)
+
+
+# members and non-members that are non-negative on [0, inf), as the h and
+# s-(alpha,m) senses require
+_ORACLE_NONNEG = ("x^2", "exp(x)", "2", "x", "x^0.5", "abs(x-0.3)", "1e6*x", "x^2+1",
+                  "exp(-x)", "(x+1)^0.5", "4-x^2", "x^3")
+# negative-valued functions, and functions undefined on part of a domain (at
+# a grid point, or only between grid points)
+_ORACLE_OTHER = ("-x", "-x^2", "-1-x^2", "ln(x)", "-ln(x)", "ln(x-0.9)", "x-1", "1/(x-0.5)",
+                 "((x-0.525)^2-0.0001)^0.5", "x^3-x")
+# custom h: positive, negative near the ends of (0,1), undefined near 0.1, unbounded
+_ORACLE_H_TEXTS = ("t*(2-t)", "t-0.05", "0.95-t", "ln(t-0.09)+5", "1/(t-0.93)^2", "t-0.5")
+
+
+@st.composite
+def _classes(draw, sense):
+    unit = st.floats(min_value=0.05, max_value=1.0)
+    params = {}
+    for name in SENSE_PARAMS[sense]:
+        if name == "h":
+            kind = draw(st.sampled_from(("identity", "power", "constant_one", "reciprocal",
+                                         "custom")))
+            if kind == "power":
+                params["h"] = HFunction.power(draw(unit))
+            elif kind == "custom":
+                params["h"] = HFunction.custom(parse(draw(st.sampled_from(_ORACLE_H_TEXTS)),
+                                                     var="t"))
+            else:
+                params["h"] = HFunction(kind)
+        elif name == "alpha":
+            params["alpha"] = draw(st.one_of(st.just(0.0), st.just(1.0), unit))
+        else:
+            params[name] = draw(st.one_of(st.just(1.0), unit))
+    return ConvexityClass(sense, **params)
+
+
+@st.composite
+def _functions(draw):
+    text = draw(st.one_of(st.sampled_from(_ORACLE_NONNEG), st.sampled_from(_ORACLE_OTHER),
+                          st.builds(
+        "{:.3g}*x^2+{:.3g}*x+{:.3g}".format,
+        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+    )))
+    return parse(text)
+
+
+@st.composite
+def _domains(draw):
+    lo = draw(st.sampled_from((0.0, 0.0, 0.3, 1.0, -1.0)))
+    width = draw(st.sampled_from((0.5, 1.0, 2.0, 2.5)))
+    return DomainInterval(lo, lo + width, open_lo=draw(st.booleans()),
+                          open_hi=draw(st.booleans()))
+
+
+_HOLE = "((x-0.527)^2-0.0000036)^0.5"  # undefined on (0.5251, 0.5289), between grid values
+_HOLES = "2+" + "+".join(f"0*((x-{c:.4f})^2-0.0000036)^0.5" for c in
+                         [0.0275 + 0.1 * k for k in range(10)])
+_H_LOW = "2*t-0.09"  # at least t on the lam grid, negative below 0.045
+
+
+@pytest.mark.parametrize("g,cls,dom,seed", [
+    # random pass: g(x) and h(1-lam) both fail at the first failing triple
+    (_HOLE, ConvexityClass("h_plain", h=HFunction.custom(parse(_H_LOW, var="t"))),
+     DomainInterval(0.0, 1.0), 297),
+    # random pass: g(lam*x + (1-lam)*y) and h(lam) both fail
+    (_HOLE, ConvexityClass("h_plain", h=HFunction.custom(parse(_H_LOW, var="t"))),
+     DomainInterval(0.0, 1.0), 306),
+    # random pass: h^alpha(lam) and g(lam*x + m*(1-lam)*y) both fail
+    (_HOLES, ConvexityClass("h_alpha_m", h=HFunction.custom(parse(_H_LOW, var="t"))),
+     DomainInterval(0.0, 1.0), 159),
+    # grid pass: h^alpha(0.1) and g at the first combination point both fail
+    ("ln(x-0.9)+5", ConvexityClass("h_alpha_m", h=HFunction.custom(parse("t-0.5", var="t")),
+                                   m=0.5), DomainInterval(1.0, 2.0), 0),
+], ids=("h_plain-gx-before-h1mlam", "h_plain-comb-before-hlam",
+        "h_alpha_m-hlam-before-comb", "h_alpha_m-grid-hlam-before-comb"))
+def test_failure_order_matches_oracle(g, cls, dom, seed):
+    g = parse(g)
+    new = _outcome(lambda: check_membership(g, cls, dom, samples=2000, seed=seed))
+    assert new[0] == "raised"
+    assert new == _outcome(lambda: _oracle_membership(g, cls, dom, 2000, seed, 1e-9))
+
+
+@pytest.mark.parametrize("sense", SENSES)
+@settings(max_examples=40)
+@given(
+    data=st.data(),
+    g=_functions(),
+    dom=_domains(),
+    samples=st.integers(min_value=0, max_value=120),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+    tol=st.sampled_from((1e-9, 0.0, 1e-3)),
+)
+def test_property_search_matches_oracle(sense, data, g, dom, samples, seed, tol):
+    cls = data.draw(_classes(sense))
+    new = _outcome(lambda: check_membership(g, cls, dom, samples=samples, seed=seed, tol=tol))
+    old = _outcome(lambda: _oracle_membership(g, cls, dom, samples, seed, tol))
+    assert new == old
+    if new[0] == "counterexample":
+        # the witness holds up under the tree-walking evaluator too
+        x, y, lam, lhs, rhs = (float.fromhex(v) for v in new[2])
+        again = _oracle_sense_sides(cls, lambda v: evaluate(g, v), x, y, lam)
+        assert again == (lhs, rhs)
+        assert lhs > rhs + tol
