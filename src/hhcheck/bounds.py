@@ -122,9 +122,10 @@ def hh_chain(f: Node, a: float, b: float, tol: float = 1e-12):
     """(f((a+b)/2), integral mean, (f(a)+f(b))/2); convex f orders them."""
     if not (a < b):
         raise ValueError(f"need a < b, got ({a!r}, {b!r})")
-    left = evaluate(f, 0.5 * (a + b))
+    fc = compile_fn(f)
+    left = fc(0.5 * (a + b))
     mid = _mean_integral(f, a, b, tol)
-    right = 0.5 * (evaluate(f, a) + evaluate(f, b))
+    right = 0.5 * (fc(a) + fc(b))
     return left, mid, right
 
 
@@ -167,7 +168,8 @@ def lemma2_residual(f: Node, a: float, b: float, tol: float = 1e-12) -> float:
     if not (a < b):
         raise ValueError(f"need a < b, got ({a!r}, {b!r})")
     fpp = compile_fn(differentiate(f, 2))
-    lhs = 0.5 * (evaluate(f, a) + evaluate(f, b)) - _mean_integral(f, a, b, tol)
+    fc = compile_fn(f)
+    lhs = 0.5 * (fc(a) + fc(b)) - _mean_integral(f, a, b, tol)
 
     def integrand(t: float) -> float:
         return t * (1.0 - t) * fpp(t * a + (1.0 - t) * b)

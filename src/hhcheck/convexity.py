@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError
 from .expr import DomainInterval, Node, compile_fn, evaluate
@@ -113,8 +113,13 @@ class HFunction:
         return str(self.expr)
 
 
-def evaluate_h(h: HFunction, t: float, alpha: float) -> float:
-    """Return h(t)^alpha for t in (0,1); alpha = 0 gives 1 by convention."""
+def evaluate_h(h: HFunction, t: float, alpha: float,
+               hfn: Optional[Callable[[float], float]] = None) -> float:
+    """Return h(t)^alpha for t in (0,1); alpha = 0 gives 1 by convention.
+
+    A caller that evaluates a custom h many times passes
+    hfn = compile_fn(h.expr), compiled once.
+    """
     if not (0.0 < t < 1.0):
         raise DomainError(f"h is evaluated on (0,1) only, got t={t!r}")
     if h.kind == "identity":
@@ -126,7 +131,7 @@ def evaluate_h(h: HFunction, t: float, alpha: float) -> float:
     elif h.kind == "reciprocal":
         hv = 1.0 / t
     else:
-        hv = evaluate(h.expr, t)
+        hv = evaluate(h.expr, t) if hfn is None else hfn(t)
     if hv < 0.0:
         raise PreconditionError(f"h({t!r}) = {hv!r} is negative; h must be non-negative")
     if alpha == 0.0:
@@ -218,11 +223,22 @@ _COEFFICIENTS = {
                         lambda p, lam, wx: p.m * (1.0 - wx), True, False),
     "s_alpha_m_second": (lambda p, lam: 1.0 - lam, lambda p, lam: lam ** (p.alpha * p.s),
                          lambda p, lam, wx: p.m * (1.0 - lam ** p.alpha) ** p.s, True, False),
-    "h_plain": (lambda p, lam: 1.0 - lam, lambda p, lam: evaluate_h(p.h, lam, 1.0),
-                lambda p, lam, wx: evaluate_h(p.h, 1.0 - lam, 1.0), False, True),
-    "h_alpha_m": (lambda p, lam: p.m * (1.0 - lam), lambda p, lam: evaluate_h(p.h, lam, p.alpha),
+    "h_plain": (lambda p, lam: 1.0 - lam, lambda p, lam: evaluate_h(p.h, lam, 1.0, p.hfn),
+                lambda p, lam, wx: evaluate_h(p.h, 1.0 - lam, 1.0, p.hfn), False, True),
+    "h_alpha_m": (lambda p, lam: p.m * (1.0 - lam),
+                  lambda p, lam: evaluate_h(p.h, lam, p.alpha, p.hfn),
                   lambda p, lam, wx: p.m * (1.0 - wx), False, False),
 }
+
+
+class _Params(NamedTuple):
+    """The class parameters the table reads, with a custom h compiled once."""
+
+    alpha: float
+    m: float
+    s: float
+    h: HFunction
+    hfn: Optional[Callable[[float], float]]
 
 
 def _grid_points(dom: DomainInterval, npts: int) -> list[float]:
@@ -288,11 +304,13 @@ def check_membership(
 
     c_of, wx_of, wy_of, y_over_m, wx_late = _COEFFICIENTS[cls.sense]
     m = cls.m
+    hfn = compile_fn(cls.h.expr) if cls.h.kind == "custom" else None
+    p = _Params(cls.alpha, m, cls.s, cls.h, hfn)
     # c cannot fail, so it is computed up front; g at Y and the weights at
     # each grid lam are filled on first use, in the sense's call order
     gys = [None] * len(xs) if y_over_m else gxs
     ys = [y / m for y in xs] if y_over_m else xs
-    cs = [c_of(cls, lam) for lam in lam_grid]
+    cs = [c_of(p, lam) for lam in lam_grid]
     wxs = [None] * len(lam_grid)
     wys = [None] * len(lam_grid)
 
@@ -303,16 +321,16 @@ def check_membership(
                 for k, lam in enumerate(lam_grid):
                     wx = wxs[k]
                     if wx is None and not wx_late:
-                        wx = wxs[k] = wx_of(cls, lam)
+                        wx = wxs[k] = wx_of(p, lam)
                     lhs = gc(lam * x + cs[k] * y)
                     if wx is None:
-                        wx = wxs[k] = wx_of(cls, lam)
+                        wx = wxs[k] = wx_of(p, lam)
                     gx = gxs[i]
                     if gx is None:
                         gx = gxs[i] = gc(x)
                     wy = wys[k]
                     if wy is None:
-                        wy = wys[k] = wy_of(cls, lam, wx)
+                        wy = wys[k] = wy_of(p, lam, wx)
                     gy = gys[j]
                     if gy is None:
                         gy = gys[j] = gc(ys[j])
@@ -330,14 +348,14 @@ def check_membership(
             # keep a buffer so 1-lam cannot round to an endpoint of (0,1)
             if open_lam and not (1e-12 < lam < 1.0 - 1e-12):
                 continue
-            c = c_of(cls, lam)
+            c = c_of(p, lam)
             if not wx_late:
-                wx = wx_of(cls, lam)
+                wx = wx_of(p, lam)
             lhs = gc(lam * x + c * y)
             if wx_late:
-                wx = wx_of(cls, lam)
+                wx = wx_of(p, lam)
             gx = gc(x)
-            wy = wy_of(cls, lam, wx)
+            wy = wy_of(p, lam, wx)
             rhs = wx * gx + wy * gc(y / m if y_over_m else y)
             used += 1
             if lhs > rhs + tol:

@@ -1,15 +1,21 @@
-"""One-variable expression AST: parsing, evaluation, exact differentiation.
+"""One-variable expression AST: parsing, compiled evaluation, exact
+differentiation.
 
 The node set is deliberately small: constants, the variable, + - * / ^,
 exp, ln, abs and unary negation. Everything downstream feeds on |f'| and
 |f''| evaluated pointwise, so derivatives are symbolic (no finite-difference
-noise) and evaluation either returns a finite float or raises DomainError.
+noise). Evaluation goes through one code generator: compile_fn turns a tree
+into straight-line Python, with one exec'd factory per tree shape in a
+bounded cache. For a tree with finite constants (the parser admits no
+other) the result returns a finite float or raises DomainError, for every x
+including non-finite ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 from .errors import DomainError, ParseError
@@ -104,6 +110,9 @@ class DomainInterval:
     open_hi: bool = False
 
     def __post_init__(self):
+        for name, v in (("lo", self.lo), ("hi", self.hi)):
+            if not math.isfinite(v):
+                raise ValueError(f"interval endpoint {name} must be finite, got {v!r}")
         if not (self.lo < self.hi):
             raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -126,137 +135,104 @@ def _pow(b: float, e: float) -> float:
     raise DomainError(f"negative base {b!r} with non-integer or negative exponent {e!r}")
 
 
-def _check(v: float) -> float:
-    if not math.isfinite(v):
-        raise DomainError("non-finite intermediate value")
+# One code generator serves every evaluation. A tree is compiled to
+# straight-line source for its shape (the operators and where x sits); its
+# constants become the parameters c0, c1, ... of a factory, so trees that
+# differ only in their constants share one exec'd factory. No user text
+# reaches the source: constants are bound as values and variable names are
+# never emitted. Each value is computed in post-order, and every + - * / ^
+# result is checked for finiteness.
+
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+_INDENT = "\n            "
+_TEMPLATE = """\
+def make({params}):
+    def fn(x):
+        try:
+            x = float(x)
+            if not isfinite(x): raise DomainError(f'non-finite argument {{x!r}}'){body}
+        except ZeroDivisionError:
+            raise DomainError('division by zero') from None
+        except OverflowError:
+            raise DomainError('overflow') from None
+        except DomainError:
+            raise
+        except ValueError as exc:
+            raise DomainError(str(exc)) from None
+    return fn
+"""
+
+
+def _emit(node: Node, lines: list, consts: list) -> str:
+    """Append the statements computing node to lines and return the operand
+    that holds its value. abs and negation cannot fail, so they are inlined
+    into their parent's statement instead of getting one of their own."""
+    kind = type(node)
+    if kind is Const:
+        consts.append(node.value)
+        return f"c{len(consts) - 1}"
+    if kind is Var:
+        return "x"
+    if kind is Abs:
+        return f"abs({_emit(node.arg, lines, consts)})"
+    if kind is Neg:
+        return f"(-{_emit(node.arg, lines, consts)})"
+    if kind is Pow:
+        value = "_pow({}, {})".format(_emit(node.base, lines, consts),
+                                      _emit(node.exponent, lines, consts))
+    elif kind in _BINARY:
+        value = "{} {} {}".format(_emit(node.left, lines, consts), _BINARY[kind],
+                                  _emit(node.right, lines, consts))
+    elif kind is Exp:
+        value = f"exp({_emit(node.arg, lines, consts)})"
+    elif kind is Ln:
+        value = _emit(node.arg, lines, consts)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    v = f"v{len(lines)}"  # unique: each temporary appends at least one line
+    lines.append(f"{v} = {value}")
+    if kind is Ln:
+        lines.append(f"if {v} <= 0.0: raise DomainError(f'ln of non-positive value {{{v}!r}}')")
+        lines.append(f"{v} = log({v})")
+    elif kind is not Exp:
+        lines.append(f"if not isfinite({v}): raise DomainError('non-finite intermediate value')")
     return v
 
 
-def evaluate(node: Node, x: float) -> float:
-    """Evaluate at x. Returns a finite float or raises DomainError."""
-    try:
-        return _eval(node, float(x))
-    except ZeroDivisionError:
-        raise DomainError("division by zero") from None
-    except OverflowError:
-        raise DomainError("overflow") from None
-    except ValueError as exc:
-        if isinstance(exc, DomainError):
-            raise
-        raise DomainError(str(exc)) from None
+@lru_cache(maxsize=256)
+def _factory(body: str, nconsts: int) -> Callable:
+    params = ", ".join(f"c{i}" for i in range(nconsts))
+    namespace = {"DomainError": DomainError, "_pow": _pow, "exp": math.exp, "log": math.log,
+                 "isfinite": math.isfinite}
+    exec(_TEMPLATE.format(params=params, body=body), namespace)
+    return namespace["make"]
 
 
-def _eval(node: Node, x: float) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Add):
-        return _check(_eval(node.left, x) + _eval(node.right, x))
-    if isinstance(node, Sub):
-        return _check(_eval(node.left, x) - _eval(node.right, x))
-    if isinstance(node, Mul):
-        return _check(_eval(node.left, x) * _eval(node.right, x))
-    if isinstance(node, Div):
-        return _check(_eval(node.left, x) / _eval(node.right, x))
-    if isinstance(node, Pow):
-        return _check(_pow(_eval(node.base, x), _eval(node.exponent, x)))
-    if isinstance(node, Exp):
-        return _check(math.exp(_eval(node.arg, x)))
-    if isinstance(node, Ln):
-        v = _eval(node.arg, x)
-        if v <= 0.0:
-            raise DomainError(f"ln of non-positive value {v!r}")
-        return _check(math.log(v))
-    if isinstance(node, Abs):
-        return abs(_eval(node.arg, x))
-    if isinstance(node, Neg):
-        return -_eval(node.arg, x)
-    raise TypeError(f"not an expression node: {node!r}")
+def _generate(node: Node) -> Callable[[float], float]:
+    lines, consts = [], []
+    lines.append(f"return {_emit(node, lines, consts)}")
+    return _factory(_INDENT + _INDENT.join(lines), len(consts))(*consts)
 
 
 def compile_fn(node: Node) -> Callable[[float], float]:
-    """Compile to a closure with the same semantics as evaluate().
+    """Compile to a function of x that returns a finite float or raises
+    DomainError, also for a non-finite x (given finite constants).
 
-    Used on hot paths (the integrator calls integrands thousands of times);
-    closure composition avoids re-walking the tree per call.
+    The integrator and the membership search call one function thousands of
+    times, so compile once and call the result; trees of one shape share a
+    cached factory, so a fresh tree costs a walk, not an exec.
     """
-    inner = _compile(node)
-
-    def fn(x: float) -> float:
-        try:
-            return inner(float(x))
-        except ZeroDivisionError:
-            raise DomainError("division by zero") from None
-        except OverflowError:
-            raise DomainError("overflow") from None
-        except ValueError as exc:
-            if isinstance(exc, DomainError):
-                raise
-            raise DomainError(str(exc)) from None
-
-    return fn
+    return _generate(node)
 
 
-def _compile(node: Node) -> Callable[[float], float]:
-    isfinite = math.isfinite
-    if isinstance(node, Const):
-        v = node.value
-        return lambda x: v
-    if isinstance(node, Var):
-        return lambda x: x
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        lf = _compile(node.left)
-        rf = _compile(node.right)
-        if isinstance(node, Add):
-            op = lambda x: lf(x) + rf(x)
-        elif isinstance(node, Sub):
-            op = lambda x: lf(x) - rf(x)
-        elif isinstance(node, Mul):
-            op = lambda x: lf(x) * rf(x)
-        else:
-            op = lambda x: lf(x) / rf(x)
-
-        def guarded(x: float, op=op) -> float:
-            v = op(x)
-            if not isfinite(v):
-                raise DomainError("non-finite intermediate value")
-            return v
-
-        return guarded
-    if isinstance(node, Pow):
-        bf = _compile(node.base)
-        ef = _compile(node.exponent)
-
-        def powfn(x: float) -> float:
-            v = _pow(bf(x), ef(x))
-            if not isfinite(v):
-                raise DomainError("non-finite intermediate value")
-            return v
-
-        return powfn
-    if isinstance(node, Exp):
-        af = _compile(node.arg)
-        exp = math.exp
-        return lambda x: exp(af(x))
-    if isinstance(node, Ln):
-        af = _compile(node.arg)
-        log = math.log
-
-        def lnfn(x: float) -> float:
-            v = af(x)
-            if v <= 0.0:
-                raise DomainError(f"ln of non-positive value {v!r}")
-            return log(v)
-
-        return lnfn
-    if isinstance(node, Abs):
-        af = _compile(node.arg)
-        return lambda x: abs(af(x))
-    if isinstance(node, Neg):
-        af = _compile(node.arg)
-        return lambda x: -af(x)
-    raise TypeError(f"not an expression node: {node!r}")
+def evaluate(node: Node, x: float) -> float:
+    """Evaluate at x: compile_fn(node)(x). Returns a finite float or raises
+    DomainError. Each call compiles the tree anew; a caller that evaluates
+    one tree at many points should call compile_fn once instead."""
+    # _generate, not compile_fn: a tracer that rebinds compile_fn then
+    # counts one evaluate() call as one evaluation, not as two
+    return _generate(node)(x)
 
 
 # ---------------------------------------------------------------------------

@@ -214,16 +214,17 @@ def kernel_moment(
             value = 1.0 / (w + 1.0) - (1.0 / q) / (w + 2.0)
         return KernelMoment(kind, value, "closed-form", 0.0)
 
+    hfn = compile_fn(h.expr) if h.kind == "custom" else None
     if kind == "M0":
-        integrand = lambda t: evaluate_h(h, t, alpha)
+        integrand = lambda t: evaluate_h(h, t, alpha, hfn)
     elif kind == "M1":
-        integrand = lambda t: (1.0 - t) * evaluate_h(h, t, alpha)
+        integrand = lambda t: (1.0 - t) * evaluate_h(h, t, alpha, hfn)
     elif kind == "M2":
-        integrand = lambda t: t * (1.0 - t) * evaluate_h(h, t, alpha)
+        integrand = lambda t: t * (1.0 - t) * evaluate_h(h, t, alpha, hfn)
     elif kind == "C2":
-        integrand = lambda t: (1.0 - t / q) * evaluate_h(h, t, alpha / q)
+        integrand = lambda t: (1.0 - t / q) * evaluate_h(h, t, alpha / q, hfn)
     else:
-        integrand = lambda t: t ** (1.0 / q) * (1.0 - t / q) * evaluate_h(h, t, alpha / q)
+        integrand = lambda t: t ** (1.0 / q) * (1.0 - t / q) * evaluate_h(h, t, alpha / q, hfn)
 
     res = integrate_adaptive(integrand, 0.0, 1.0, tol=tol)
     if not res.converged:

@@ -110,6 +110,14 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err and "offset 0" in err
 
+    def test_non_finite_endpoint_exits_two(self, capsys):
+        code, out, err = _run(
+            capsys, "check-class", "--f=x^2", "--sense", "convex", "--a", "0", "--b", "inf",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: interval endpoint hi must be finite, got inf\n"
+
     def test_negative_samples_exits_two(self, capsys):
         code, _, err = _run(
             capsys, "check-class", "--f", "x^2", "--sense", "convex",
@@ -200,7 +208,9 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("seed,sha256", [
         (0, "e200509b0e1cb0d55db5281c81f826b03780586fb16d2c124ffded9caff7e03b"),
         (42, "89691eef25bbe8e72d4583ef3ac041c9a6f6d859b82c5c359acd728a92938a1a"),
-    ], ids=("seed0", "seed42"))
+        (1, "d26a47944becc74abe0926a4e905e4107e7edd3fb82a21620b6ced18dcc8e198"),
+        (12345, "3ef9d5065b174b653bfb37915353e179cca7ea351b9fb1b41c43d43775f251f1"),
+    ], ids=("seed0", "seed42", "seed1", "seed12345"))
     def test_verify_json_sha256(self, capsys, monkeypatch, seed, sha256):
         monkeypatch.delenv("HHC_SEED", raising=False)
         code, out, _ = _run(capsys, "verify", "--format", "json", "--seed", str(seed))
@@ -414,6 +424,7 @@ class TestEntryPoints:
         cmd = [sys.executable, "-m", "hhcheck", "verify", "--format", "json", "--seed", "42"]
         p1 = subprocess.run(cmd, capture_output=True, timeout=120)
         p2 = subprocess.run(cmd, capture_output=True, timeout=120)
+        assert p1.stdout.startswith(b"{")
         assert p1.stdout == p2.stdout
         assert p1.returncode == p2.returncode == 1
 

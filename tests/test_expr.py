@@ -3,19 +3,23 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import hhcheck.expr
 from hhcheck import (
     Abs,
     Add,
     Const,
+    Div,
     DomainError,
+    DomainInterval,
     Exp,
     Ln,
     Mul,
     Neg,
     ParseError,
     Pow,
+    Sub,
     Var,
     compile_fn,
     differentiate,
@@ -23,6 +27,7 @@ from hhcheck import (
     parse,
     to_text,
 )
+from hhcheck.expr import _pow
 
 
 class TestParse:
@@ -124,13 +129,199 @@ class TestEvaluate:
             assert fn(x) == evaluate(node, x)
 
     def test_overflow_is_domain_error_or_inf(self):
-        # exp of a huge argument must not crash with an unhandled exception
+        # exp of a huge argument is a DomainError, never inf or OverflowError
         node = parse("exp(x)")
-        try:
-            v = evaluate(node, 1e6)
-            assert math.isinf(v)
-        except (DomainError, OverflowError):
-            pass
+        with pytest.raises(DomainError, match="overflow"):
+            evaluate(node, 1e6)
+        with pytest.raises(DomainError, match="overflow"):
+            compile_fn(node)(1e6)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=("inf", "-inf", "nan"))
+    @pytest.mark.parametrize("text", ["exp(x)", "x", "abs(x)", "2"])
+    def test_non_finite_argument_is_domain_error(self, text, x):
+        node = parse(text)
+        with pytest.raises(DomainError, match="non-finite argument"):
+            evaluate(node, x)
+        with pytest.raises(DomainError, match="non-finite argument"):
+            compile_fn(node)(x)
+
+
+class TestDomainInterval:
+    @pytest.mark.parametrize("lo,hi,name", [
+        (0.0, math.inf, "hi"), (-math.inf, 1.0, "lo"), (math.nan, 1.0, "lo"), (0.0, math.nan, "hi"),
+    ])
+    def test_non_finite_endpoint_rejected(self, lo, hi, name):
+        with pytest.raises(ValueError, match=f"interval endpoint {name} must be finite"):
+            DomainInterval(lo, hi)
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            DomainInterval(1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The tree-walking evaluator that compile_fn replaced, kept as a test-only
+# reference: compile_fn must agree with it bit for bit on finite x, and fail
+# with the same exception type and message.
+
+def _check(v):
+    if not math.isfinite(v):
+        raise DomainError("non-finite intermediate value")
+    return v
+
+
+def _ref_evaluate(node, x):
+    try:
+        return _ref_eval(node, float(x))
+    except ZeroDivisionError:
+        raise DomainError("division by zero") from None
+    except OverflowError:
+        raise DomainError("overflow") from None
+    except ValueError as exc:
+        if isinstance(exc, DomainError):
+            raise
+        raise DomainError(str(exc)) from None
+
+
+def _ref_eval(node, x):
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Add):
+        return _check(_ref_eval(node.left, x) + _ref_eval(node.right, x))
+    if isinstance(node, Sub):
+        return _check(_ref_eval(node.left, x) - _ref_eval(node.right, x))
+    if isinstance(node, Mul):
+        return _check(_ref_eval(node.left, x) * _ref_eval(node.right, x))
+    if isinstance(node, Div):
+        return _check(_ref_eval(node.left, x) / _ref_eval(node.right, x))
+    if isinstance(node, Pow):
+        return _check(_pow(_ref_eval(node.base, x), _ref_eval(node.exponent, x)))
+    if isinstance(node, Exp):
+        return _check(math.exp(_ref_eval(node.arg, x)))
+    if isinstance(node, Ln):
+        v = _ref_eval(node.arg, x)
+        if v <= 0.0:
+            raise DomainError(f"ln of non-positive value {v!r}")
+        return _check(math.log(v))
+    if isinstance(node, Abs):
+        return abs(_ref_eval(node.arg, x))
+    if isinstance(node, Neg):
+        return -_ref_eval(node.arg, x)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _outcome(fn, x):
+    """float.hex of the value, or the exception type and message."""
+    try:
+        return fn(x).hex()
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+
+
+# Constants that reach the edge cases: signed zeros, negative bases with
+# integer and non-integer exponents, ln of values <= 0, division by zero,
+# exp overflow (800) and products that overflow (1e300).
+_CONSTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, 0.5, -0.5, 2.5, 800.0, 1e300, -1e-300]),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+_LEAVES = st.one_of(st.builds(Const, _CONSTS), st.just(Var("x")))
+
+
+def _extend(children):
+    binary = st.sampled_from([Add, Sub, Mul, Div, Pow])
+    unary = st.sampled_from([Exp, Ln, Abs, Neg])
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b), binary, children, children),
+        st.builds(lambda op, a: op(a), unary, children),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=12)
+_XS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.0, 0.5, -0.5, 710.0, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+# Each edge case the strategy is meant to reach, pinned as an explicit example.
+_X = Var("x")
+_EDGE_CASES = [
+    # all eleven node types in one tree, away from every edge
+    (Sub(Add(Mul(Const(2.0), _X), Div(Ln(Abs(_X)), Exp(Neg(_X)))), Pow(_X, Const(2.0))),
+     [0.5, -1.5, 3.0]),
+    (Mul(Const(-0.0), _X), [1.0, -1.0, 0.0]),
+    (Ln(Sub(_X, Const(1.0))), [1.0, 0.5]),  # ln of 0.0 and of a negative value
+    (Ln(_X), [-0.0]),
+    (Div(Const(1.0), _X), [0.0, -0.0]),
+    (Exp(_X), [800.0]),
+    (Pow(_X, Const(0.5)), [-4.0]),  # negative base, non-integer exponent
+    (Pow(_X, Const(3.0)), [-2.0]),  # negative base, integer exponent
+    (Pow(_X, Const(-1.0)), [0.0, -2.0]),
+    (Mul(_X, _X), [1e200]),  # overflow to inf
+    # both operands fail: post-order reports the left one (the base)
+    (Add(Ln(_X), Div(Const(1.0), _X)), [0.0]),
+    (Pow(Ln(_X), Div(Const(1.0), _X)), [0.0]),
+]
+
+
+def _with_edge_cases(test):
+    for node, xs in _EDGE_CASES:
+        test = example(node=node, xs=xs)(test)
+    return test
+
+
+class TestGeneratedEvaluator:
+    @_with_edge_cases
+    @settings(max_examples=400, deadline=None)
+    @given(node=_TREES, xs=st.lists(_XS, min_size=1, max_size=4))
+    def test_matches_reference_evaluator(self, node, xs):
+        fn = compile_fn(node)
+        for x in xs:
+            expected = _outcome(lambda v: _ref_evaluate(node, v), x)
+            assert _outcome(fn, x) == expected
+            assert _outcome(lambda v: evaluate(node, v), x) == expected
+
+    @pytest.mark.parametrize("a,b", [(0.0, -0.0), (1.0, 2.0)])
+    def test_same_shape_different_constants(self, a, b):
+        fa = compile_fn(Mul(Const(a), Var("x")))
+        fb = compile_fn(Mul(Const(b), Var("x")))
+        # one exec'd factory serves both shapes, each with its own constants
+        assert fa.__code__ is fb.__code__
+        assert fa(1.0).hex() == a.hex()
+        assert fb(1.0).hex() == b.hex()
+
+    def test_where_x_sits_is_part_of_the_shape(self):
+        fa = compile_fn(Sub(Var("x"), Const(1.0)))
+        fb = compile_fn(Sub(Const(1.0), Var("x")))
+        assert fa.__code__ is not fb.__code__
+        assert (fa(3.0), fb(3.0)) == (2.0, -2.0)
+
+    def test_variable_name_is_not_emitted(self):
+        f = compile_fn(parse("t*(1-t)", var="t"))
+        g = compile_fn(parse("x*(1-x)"))
+        assert f.__code__ is g.__code__
+        assert f(0.25) == g(0.25) == 0.1875
+
+    def test_factory_cache_stays_bounded(self):
+        factory = hhcheck.expr._factory
+        size = factory.cache_info().maxsize
+        assert size is not None
+        first = None
+        for i in range(size + 20):
+            # a distinct shape per i: the bits of i choose abs or negation
+            node = Var("x")
+            for bit in range(10):
+                node = Abs(node) if (i >> bit) & 1 else Neg(node)
+            fn = compile_fn(node)
+            first = first or fn
+            assert factory.cache_info().currsize <= size
+        assert factory.cache_info().currsize == size
+        # a function whose factory was evicted keeps working: i = 0 is ten
+        # negations of x
+        assert first(-2.0) == -2.0
 
 
 def _numeric_derivative(fn, x, eps=1e-6):
