@@ -34,9 +34,9 @@ from functools import lru_cache
 from typing import Callable, Mapping, Optional
 
 from .convexity import ConvexityClass, MembershipReport, hypothesis_membership
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
 from .expr import Abs, Const, DomainInterval, Node, Pow, compile_fn, differentiate, evaluate
-from .kernels import HolderPair, beta, integrate_adaptive, kernel_moment
+from .kernels import HolderPair, beta, integral, kernel_moment
 
 __all__ = [
     "RULE_IDS", "FIRST_DERIVATIVE_RULES", "SECOND_DERIVATIVE_RULES",
@@ -62,6 +62,7 @@ EMPIRICAL_RULES = frozenset({"C2", "C3", "C4"})
 
 _NOTE_SECOND = "requires twice-differentiable f; the membership hypothesis applies to |f''|"
 _NOTE_EMPIRICAL = "no dominance guarantee for this rule; verdict recorded empirically"
+_IDENTITY_SIDE = "identity-side integral over [0,1]"
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,7 @@ class BoundReport:
 @lru_cache(maxsize=4096)
 def _mean_integral(f: Node, a: float, b: float, tol: float) -> float:
     """(1/(b-a)) * integral of f over [a,b] via the reference integrator."""
-    res = integrate_adaptive(f, a, b, tol=tol)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"reference integral over [{a:g}, {b:g}] did not converge "
-            f"(estimate {res.abs_error_estimate:.3e})"
-        )
-    return res.value / (b - a)
+    return integral(f, a, b, tol, f"reference integral over [{a:g}, {b:g}]").value / (b - a)
 
 
 def hh_chain(f: Node, a: float, b: float, tol: float = 1e-12):
@@ -127,16 +122,6 @@ def hh_chain(f: Node, a: float, b: float, tol: float = 1e-12):
     mid = _mean_integral(f, a, b, tol)
     right = 0.5 * (fc(a) + fc(b))
     return left, mid, right
-
-
-def _line_integral(fn, tol: float) -> float:
-    res = integrate_adaptive(fn, 0.0, 1.0, tol=tol)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"identity-side integral over [0,1] did not converge "
-            f"(estimate {res.abs_error_estimate:.3e})"
-        )
-    return res.value
 
 
 def lemma1_residual(f: Node, a: float, b: float, tol: float = 1e-12) -> float:
@@ -156,7 +141,7 @@ def lemma1_residual(f: Node, a: float, b: float, tol: float = 1e-12) -> float:
         w = 1.0 - t
         return w * (fp(t * a + w * c) - fp(t * b + w * c))
 
-    rhs = 0.25 * (b - a) * _line_integral(integrand, tol)
+    rhs = 0.25 * (b - a) * integral(integrand, 0.0, 1.0, tol, _IDENTITY_SIDE).value
     return abs(lhs - rhs)
 
 
@@ -174,7 +159,7 @@ def lemma2_residual(f: Node, a: float, b: float, tol: float = 1e-12) -> float:
     def integrand(t: float) -> float:
         return t * (1.0 - t) * fpp(t * a + (1.0 - t) * b)
 
-    rhs = 0.5 * (b - a) ** 2 * _line_integral(integrand, tol)
+    rhs = 0.5 * (b - a) ** 2 * integral(integrand, 0.0, 1.0, tol, _IDENTITY_SIDE).value
     return abs(lhs - rhs)
 
 
@@ -375,23 +360,19 @@ def verify(
     tol: float = 1e-9,
     samples: int = 2000,
     seed: int = 0,
-    membership: Optional[MembershipReport] = None,
     variant: str = "printed",
 ) -> BoundReport:
     """Membership check on the rule's hypothesis function, then the bound.
 
-    A precomputed `membership` (for the same hypothesis function and a
-    covering domain) skips the search. A precondition failure downgrades the
-    report to hypothesis_verified=False instead of raising.
+    The check goes through `hypothesis_membership`, which runs one search
+    per distinct (function, class, domain, samples, seed, tol) and shares its
+    report between calls, so verify takes no precomputed membership. A
+    precondition failure downgrades the report to hypothesis_verified=False
+    instead of raising.
     """
-    extra = ()
-    if membership is None:
-        membership, failure = hypothesis_membership(
-            hypothesis_function(inst), inst.cls, hypothesis_domain(inst),
-            samples=samples, seed=seed, tol=tol,
-        )
-        if failure:
-            extra = (failure,)
+    membership, failure = hypothesis_membership(
+        hypothesis_function(inst), inst.cls, hypothesis_domain(inst), samples, seed, tol)
+    extra = (failure,) if failure else ()
     if membership is not None and not membership.ok:
         extra = ("hypothesis membership counterexample found",)
 

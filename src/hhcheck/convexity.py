@@ -19,12 +19,15 @@ random sampling. All eight inequalities share one form, lhs = g(lam*x + c*y)
 and rhs = wx*g(x) + wy*g(Y), with the coefficients (c, wx, wy) and Y (y or
 y/m) read from one table. The grid pass computes g at each grid point and the
 coefficients at each lam once; random triples are drawn one at a time.
+The bound rules and the quadrature check their hypotheses through
+hypothesis_membership, which runs one search per distinct hypothesis.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError
@@ -369,11 +372,21 @@ def check_membership(
     return MembershipReport("no-counterexample-found", used, None, seed, reading)
 
 
-def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval, **search):
-    """check_membership(g, cls, dom, **search) for a rule's hypothesis, as
-    (report, None); a failed precondition gives (None, reason) instead of
-    raising, so the hypothesis is reported unverified."""
+@lru_cache(maxsize=256)
+def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
+                          samples: int, seed: int, tol: float):
+    """check_membership(g, cls, dom, samples, seed, tol) for a rule's
+    hypothesis, as (report, None); a failed precondition gives (None, reason)
+    instead of raising, so the hypothesis is reported unverified.
+
+    Every argument is a frozen value and the search is deterministic in them,
+    so one search serves every rule and quadrature that assumes the same
+    hypothesis; the result is cached, and reports are shared, not copied.
+    The cache keys keyword and positional calls apart, so callers pass all
+    six positionally. check_membership itself is not cached, so check-class
+    always searches.
+    """
     try:
-        return check_membership(g, cls, dom, **search), None
+        return check_membership(g, cls, dom, samples, seed, tol), None
     except PreconditionError as exc:
         return None, f"membership precondition failed: {exc}"

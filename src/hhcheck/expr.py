@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable
 
 from .errors import DomainError, ParseError
 
@@ -238,15 +238,17 @@ def evaluate(node: Node, x: float) -> float:
 # ---------------------------------------------------------------------------
 # Smart constructors with constant folding. Used by differentiate() so
 # derivative trees stay small; the parser builds raw nodes instead so that
-# parse(to_text(e)) round-trips structurally.
+# parse(to_text(e)) round-trips structurally. A fold whose value is not
+# finite is not made: the node stays, and raises DomainError when evaluated,
+# so a tree built from finite constants keeps only finite ones.
 
 def _const(v: float) -> Const:
     return Const(float(v))
 
 
 def add(a: Node, b: Node) -> Node:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value + b.value)
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value + b.value):
+        return _const(v)
     if isinstance(a, Const) and a.value == 0.0:
         return b
     if isinstance(b, Const) and b.value == 0.0:
@@ -255,8 +257,8 @@ def add(a: Node, b: Node) -> Node:
 
 
 def sub(a: Node, b: Node) -> Node:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value - b.value)
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value - b.value):
+        return _const(v)
     if isinstance(b, Const) and b.value == 0.0:
         return a
     if isinstance(a, Const) and a.value == 0.0:
@@ -265,8 +267,8 @@ def sub(a: Node, b: Node) -> Node:
 
 
 def mul(a: Node, b: Node) -> Node:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value * b.value)
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value * b.value):
+        return _const(v)
     if isinstance(a, Const):
         if a.value == 0.0:
             return _const(0.0)
@@ -289,7 +291,7 @@ def div(a: Node, b: Node) -> Node:
 
 
 def neg(a: Node) -> Node:
-    if isinstance(a, Const):
+    if isinstance(a, Const) and math.isfinite(a.value):
         return _const(-a.value)
     if isinstance(a, Neg):
         return a.arg
@@ -304,8 +306,9 @@ def pow_(a: Node, b: Node) -> Node:
             return a
         if isinstance(a, Const):
             try:
-                return _const(_pow(a.value, b.value))
-            except DomainError:
+                if math.isfinite(v := _pow(a.value, b.value)):
+                    return _const(v)
+            except (DomainError, OverflowError):
                 pass
     if isinstance(a, Const) and a.value == 1.0:
         return _const(1.0)
@@ -579,5 +582,3 @@ def to_text(node: Node) -> str:
         return f"abs({to_text(node.arg)})"
     raise TypeError(f"not an expression node: {node!r}")
 
-
-ExprLike = Union[Node, Callable[[float], float]]

@@ -23,7 +23,7 @@ from .expr import Node, compile_fn
 
 __all__ = [
     "beta", "HolderPair", "IntegralResult", "KernelMoment",
-    "integrate_adaptive", "kernel_moment", "KERNEL_KINDS",
+    "integrate_adaptive", "integral", "kernel_moment", "KERNEL_KINDS",
 ]
 
 KERNEL_KINDS = ("M0", "M1", "M2", "C2", "C4")
@@ -153,6 +153,19 @@ def integrate_adaptive(
     return IntegralResult(total, err_total, panels, converged)
 
 
+def integral(f: Union[Node, Callable[[float], float]], a: float, b: float, tol: float,
+             what: str) -> IntegralResult:
+    """integrate_adaptive(f, a, b, tol) that converged; otherwise raise
+    NonConvergenceError naming `what`, the estimate and the panel count."""
+    res = integrate_adaptive(f, a, b, tol=tol)
+    if not res.converged:
+        raise NonConvergenceError(
+            f"{what} did not converge "
+            f"(estimate {res.abs_error_estimate:.3e} after {res.subdivisions} panels)"
+        )
+    return res
+
+
 @dataclass(frozen=True)
 class KernelMoment:
     kind: str
@@ -226,10 +239,6 @@ def kernel_moment(
     else:
         integrand = lambda t: t ** (1.0 / q) * (1.0 - t / q) * evaluate_h(h, t, alpha / q, hfn)
 
-    res = integrate_adaptive(integrand, 0.0, 1.0, tol=tol)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"kernel {kind} for h={h.describe()} alpha={alpha:g} did not converge "
-            f"(estimate {res.abs_error_estimate:.3e} after {res.subdivisions} panels)"
-        )
+    res = integral(integrand, 0.0, 1.0, tol,
+                   f"kernel {kind} for h={h.describe()} alpha={alpha:g}")
     return KernelMoment(kind, res.value, "adaptive", res.abs_error_estimate)

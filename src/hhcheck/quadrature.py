@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .convexity import ConvexityClass, MembershipReport, hypothesis_membership
-from .errors import NonConvergenceError
 from .expr import Abs, DomainInterval, Node, compile_fn, differentiate
-from .kernels import beta, integrate_adaptive
+from .kernels import beta, integral
 
 __all__ = [
     "Partition", "uniform_partition", "midpoint_rule", "trapezoid_rule",
@@ -157,14 +156,16 @@ def certified_integrate(
     quad_tol: float = 1e-12,
     seed: int = 0,
     samples: int = 2000,
-    membership: Optional[MembershipReport] = None,
     check_hypothesis: bool = True,
 ) -> QuadratureReport:
     """Run one composite rule, measure its true error, compare to the bound.
 
     Either n (uniform panels) or an explicit points list fixes the partition.
     The hypothesis membership check (|f'| convex for midpoint, |f''|
-    (alpha,m)-convex for trapezoid) can be skipped or supplied precomputed.
+    (alpha,m)-convex for trapezoid) can be skipped with
+    check_hypothesis=False; it takes no precomputed membership, because
+    `hypothesis_membership` already shares one search between calls that
+    assume the same hypothesis.
     """
     if rule not in ("midpoint", "trapezoid"):
         raise ValueError(f"unknown rule {rule!r}")
@@ -177,12 +178,7 @@ def certified_integrate(
             raise ValueError("give either n or explicit points")
         K = uniform_partition(a, b, n)
 
-    res = integrate_adaptive(f, a, b, tol=quad_tol)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"reference integral over [{a:g}, {b:g}] did not converge"
-        )
-    reference = res.value
+    reference = integral(f, a, b, quad_tol, f"reference integral over [{a:g}, {b:g}]").value
 
     if rule == "midpoint":
         value = midpoint_rule(f, K)
@@ -200,12 +196,9 @@ def certified_integrate(
         bm = b / m
         dom = DomainInterval(min(a, bm), max(b, bm))
 
-    verified = note = None
-    if membership is not None:
-        verified = membership.ok
-    elif check_hypothesis:
-        membership, note = hypothesis_membership(hyp, cls, dom, samples=samples, seed=seed,
-                                                 tol=tol)
+    membership = verified = note = None
+    if check_hypothesis:
+        membership, note = hypothesis_membership(hyp, cls, dom, samples, seed, tol)
         verified = membership is not None and membership.ok
 
     signed_residual = reference - value

@@ -27,11 +27,10 @@ from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .bounds import (
-    BoundInstance, FIRST_DERIVATIVE_RULES, HOLDER_RULES, RULE_IDS,
-    hypothesis_domain, hypothesis_function, lemma1_residual, lemma2_residual,
+    BoundInstance, HOLDER_RULES, RULE_IDS, lemma1_residual, lemma2_residual,
     verify as verify_bound,
 )
-from .convexity import ConvexityClass, hypothesis_membership
+from .convexity import ConvexityClass
 from .expr import parse
 from .kernels import HolderPair
 from .means import (
@@ -203,25 +202,11 @@ def _bound_section(em: Emitter, rng: random.Random, seed: int, tol: float):
     for name, f in CATALOG:
         a = rng.uniform(0.1, 1.5)
         b = a + rng.uniform(0.4, 1.5)
-        memberships = {}
-
-        def hoisted(inst):
-            # one search per hypothesis function: |f'|, |f''| or their q-th powers
-            order = 1 if inst.rule_id in FIRST_DERIVATIVE_RULES else 2
-            key = (order, inst.hp.q if inst.hp is not None else None)
-            if key not in memberships:
-                memberships[key], _ = hypothesis_membership(
-                    hypothesis_function(inst), inst.cls, hypothesis_domain(inst),
-                    samples=_MEMBERSHIP_SAMPLES, seed=seed, tol=tol,
-                )
-            return memberships[key]
-
         for rule in RULE_IDS:
             holder = (HolderPair.from_p(p) for p in _P_GRID) if rule in HOLDER_RULES else (None,)
             for hp in holder:
                 inst = BoundInstance(rule, f, a, b, cls, hp)
-                rep = verify_bound(inst, tol=tol, seed=seed, samples=_MEMBERSHIP_SAMPLES,
-                                   membership=hoisted(inst))
+                rep = verify_bound(inst, tol=tol, seed=seed, samples=_MEMBERSHIP_SAMPLES)
                 em.add("bound", *bound_row(name, inst, rep))
 
 
@@ -245,19 +230,16 @@ def _means_section(em: Emitter, rng: random.Random, tol: float):
 
 
 def _quad_section(em: Emitter, seed: int, tol: float):
-    # P5 shares one membership search per function, P6 one per (function, alpha)
-    groups = [(name, f, [{"rule": "midpoint", "variant": v} for v in ("statement", "proofline")])
-              for name, f in QUAD_FUNCTIONS]
-    groups += [(name, f, [{"rule": "trapezoid", "alpha": alpha, "m": 1.0}])
-               for name, f in QUAD_FUNCTIONS for alpha in (0.0, 0.5, 1.0)]
-    for name, f, runs in groups:
-        mem = None
-        for kw in runs:
-            for n in (1, 4, 16):
-                rep = certified_integrate(f, 0.0, 1.0, n=n, p=2.0, tol=tol, seed=seed,
-                                          samples=_MEMBERSHIP_SAMPLES, membership=mem, **kw)
-                mem = rep.membership or mem
-                em.add("quad", *quad_row(name, rep))
+    # every P5 row, then every P6 row; each family runs function by function
+    p5 = [{"rule": "midpoint", "variant": v} for v in ("statement", "proofline")]
+    p6 = [{"rule": "trapezoid", "alpha": alpha, "m": 1.0} for alpha in (0.0, 0.5, 1.0)]
+    for family in (p5, p6):
+        for name, f in QUAD_FUNCTIONS:
+            for kw in family:
+                for n in (1, 4, 16):
+                    rep = certified_integrate(f, 0.0, 1.0, n=n, p=2.0, tol=tol, seed=seed,
+                                              samples=_MEMBERSHIP_SAMPLES, **kw)
+                    em.add("quad", *quad_row(name, rep))
 
 
 def build_suite(seed: int = 42, tol: float = 1e-9) -> SuiteReport:

@@ -26,6 +26,7 @@ from hhcheck import (
     trapezoid_deviation,
     verify,
 )
+from hhcheck.convexity import hypothesis_membership
 
 BASELINE = ConvexityClass("h_alpha_m")  # h = t, alpha = 1, m = 1
 SQ = parse("x^2")
@@ -323,15 +324,13 @@ class TestVerify:
         assert math.isfinite(rep.rhs)
 
     def test_membership_reuse(self):
-        from hhcheck import check_membership
-
+        hypothesis_membership.cache_clear()
         inst = BoundInstance("T4", SQ, 0.0, 1.0, BASELINE)
-        hoisted = check_membership(
-            hypothesis_function(inst), BASELINE, hypothesis_domain(inst), samples=200
-        )
-        rep = verify(inst, membership=hoisted)
-        assert rep.membership is hoisted
-        assert rep.hypothesis_verified is True
+        first = verify(inst, samples=200)
+        second = verify(inst, samples=200)
+        assert second.membership is first.membership
+        assert first.hypothesis_verified is True
+        assert second.hypothesis_verified is True
 
     def test_empirical_note_attached(self):
         inst = BoundInstance("C4", SQ, 0.0, 1.0, BASELINE, hp=HolderPair.from_p(2.0))

@@ -20,6 +20,7 @@ import pytest
 import hhcheck
 from hhcheck import build_suite
 from hhcheck.cli import _build_parser, emit_report, run
+from hhcheck.convexity import hypothesis_membership
 
 CSV_HEADER = "case_id,rule,params,lhs,rhs,margin,verdict"
 
@@ -126,6 +127,15 @@ class TestExitCodes:
         assert code == 2
         assert "samples" in err
 
+    def test_constant_out_of_float_range_exits_two(self, capsys):
+        # 10^400 overflows when evaluated; differentiating it must not
+        code, out, err = _run(
+            capsys, "bound", "--rule", "T4", "--f", "10^400+x^2", "--a", "0", "--b", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: overflow\n"
+
     def test_hypothesis_unverified_still_exits_zero(self, capsys):
         # nothing flagged: unverified hypotheses do not fail the run
         code, out, _ = _run(
@@ -216,6 +226,17 @@ class TestGoldenBytes:
         code, out, _ = _run(capsys, "verify", "--format", "json", "--seed", str(seed))
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+    def test_verify_json_same_with_warm_membership_cache(self, capsys, monkeypatch):
+        monkeypatch.delenv("HHC_SEED", raising=False)
+        hypothesis_membership.cache_clear()
+        cold = _run(capsys, "verify", "--format", "json", "--seed", "42")
+        searches = hypothesis_membership.cache_info().misses
+        assert searches == 48
+        warm = _run(capsys, "verify", "--format", "json", "--seed", "42")
+        assert hypothesis_membership.cache_info().misses == searches
+        assert warm == cold
 
 
 class TestVerifySubcommand:

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hhcheck.convexity as convexity
 from hhcheck import (
     Add,
     Const,
@@ -18,6 +19,7 @@ from hhcheck import (
     PreconditionError,
     SENSES,
     Var,
+    build_suite,
     check_membership,
     compile_fn,
     evaluate,
@@ -32,6 +34,7 @@ from hhcheck.convexity import (
     _NONNEG_SENSES,
     _OPEN_SENSES,
     _grid_points,
+    hypothesis_membership,
 )
 
 
@@ -294,6 +297,68 @@ class TestSamples:
         rep = check_membership(parse("x^2"), ConvexityClass("plain_convex"), POS, samples=0)
         assert rep.ok
         assert rep.samples_used == 21 * 21 * 11
+
+
+def _count_searches(monkeypatch) -> list:
+    """Record the arguments of every check_membership call from here on."""
+    calls, real = [], convexity.check_membership
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(convexity, "check_membership", counting)
+    return calls
+
+
+class TestHypothesisCache:
+    """hypothesis_membership runs one search per distinct argument tuple. Its
+    cache lives as long as the process, so every test starts it cold."""
+
+    BASE = (parse("x^2"), ConvexityClass("plain_convex"), POS, 200, 0, 1e-9)
+
+    def test_build_suite_searches_each_hypothesis_once(self, monkeypatch):
+        hypothesis_membership.cache_clear()
+        calls = _count_searches(monkeypatch)
+        build_suite(42)
+        # |f'| and |f''| of exp(x) are one function on one domain
+        assert len(calls) == 48
+        assert len(set(calls)) == 48
+
+    def test_repeated_call_shares_the_report(self, monkeypatch):
+        hypothesis_membership.cache_clear()
+        calls = _count_searches(monkeypatch)
+        first = hypothesis_membership(*self.BASE)
+        assert hypothesis_membership(*self.BASE) is first
+        assert first[0].ok and first[1] is None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("index,value", [
+        (0, parse("x^4")),
+        (1, ConvexityClass("s_second", s=0.5)),
+        (2, DomainInterval(0.0, 3.0)),
+        (3, 201),
+        (4, 1),
+        (5, 1e-8),
+    ], ids=("g", "class", "domain", "samples", "seed", "tol"))
+    def test_any_changed_argument_runs_a_new_search(self, monkeypatch, index, value):
+        hypothesis_membership.cache_clear()
+        calls = _count_searches(monkeypatch)
+        changed = list(self.BASE)
+        changed[index] = value
+        base_result = hypothesis_membership(*self.BASE)
+        changed_result = hypothesis_membership(*changed)
+        assert changed_result is not base_result
+        assert calls == [self.BASE, tuple(changed)]
+
+    def test_precondition_failure_is_shared_too(self, monkeypatch):
+        hypothesis_membership.cache_clear()
+        calls = _count_searches(monkeypatch)
+        args = (parse("x - 1"), ConvexityClass("h_plain"), POS, 50, 0, 1e-9)
+        first = hypothesis_membership(*args)
+        assert first[0] is None and "non-negative" in first[1]
+        assert hypothesis_membership(*args) is first
+        assert len(calls) == 1
 
 
 @given(

@@ -17,6 +17,7 @@ from hhcheck import (
     Ln,
     Mul,
     Neg,
+    Node,
     ParseError,
     Pow,
     Sub,
@@ -27,7 +28,7 @@ from hhcheck import (
     parse,
     to_text,
 )
-from hhcheck.expr import _pow
+from hhcheck.expr import _pow, add, mul, neg, pow_, sub
 
 
 class TestParse:
@@ -386,6 +387,52 @@ class TestDifferentiate:
         node = Add(Mul(Const(a), Pow(Var("x"), Const(2.0))), Mul(Const(b), Var("x")))
         d = compile_fn(differentiate(node))
         assert d(x) == pytest.approx(2.0 * a * x + b, rel=1e-9, abs=1e-9)
+
+
+def _constants(node):
+    if isinstance(node, Const):
+        return [node.value]
+    return [v for child in vars(node).values() if isinstance(child, Node)
+            for v in _constants(child)]
+
+
+class TestFiniteFolding:
+    """Folding two finite constants never leaves a non-finite one behind: a
+    result out of the float range keeps the unfolded node, which raises
+    DomainError when evaluated, like the parsed expression itself."""
+
+    def test_overflowing_power_is_not_folded(self):
+        assert differentiate(parse("10^400")) == Const(0.0)
+        d = differentiate(parse("x*10^400"))
+        assert d == Pow(Const(10.0), Const(400.0))
+        with pytest.raises(DomainError, match="overflow"):
+            evaluate(d, 1.0)
+
+    def test_overflowing_product_is_not_folded(self):
+        d = differentiate(parse("(1e300*x)^2"), 2)
+        assert all(math.isfinite(v) for v in _constants(d))
+        assert str(d) == "2e+300*1e+300"
+        with pytest.raises(DomainError, match="non-finite"):
+            evaluate(d, 1.0)
+
+    @pytest.mark.parametrize("build,args,kind", [
+        (add, (1e308, 1e308), Add),
+        (sub, (-1e308, 1e308), Sub),
+        (mul, (1e200, 1e200), Mul),
+        (pow_, (10.0, 400.0), Pow),
+        (pow_, (-10.0, 401.0), Pow),
+    ])
+    def test_constructors_keep_the_unfolded_node(self, build, args, kind):
+        node = build(*map(Const, args))
+        assert node == kind(*map(Const, args))
+
+    def test_negating_a_non_finite_constant_is_not_folded(self):
+        assert neg(Const(math.inf)) == Neg(Const(math.inf))
+
+    def test_finite_results_still_fold(self):
+        assert mul(Const(1e200), Const(1e100)) == Const(1e300)
+        assert pow_(Const(2.0), Const(10.0)) == Const(1024.0)
+        assert differentiate(parse("3*x^2"), 2) == Const(6.0)
 
 
 class TestToText:

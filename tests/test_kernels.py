@@ -16,6 +16,7 @@ from hhcheck import (
     kernel_moment,
     parse,
 )
+from hhcheck.kernels import integral
 
 
 class TestBeta:
@@ -123,6 +124,22 @@ class TestIntegrateAdaptive:
 IDENTITY = HFunction.identity()
 SQRT_T = HFunction.power(0.5)
 ONE = HFunction.one()
+
+
+class TestIntegral:
+    def test_converged_result_is_returned(self):
+        f = parse("x^2")
+        assert integral(f, 0.0, 1.0, 1e-12, "x^2") == integrate_adaptive(f, 0.0, 1.0, tol=1e-12)
+
+    def test_nonconvergence_names_what_estimate_and_panels(self):
+        pattern = r"^probe did not converge \(estimate \S+ after \d+ panels\)$"
+        with pytest.raises(NonConvergenceError, match=pattern):
+            integral(lambda t: 1.0 / t, 0.0, 1.0, 1e-12, "probe")
+
+    def test_every_caller_reports_through_it(self):
+        with pytest.raises(NonConvergenceError, match=r"^kernel M0 for h=1/t alpha=1 did not"
+                                                      r" converge .* panels\)$"):
+            kernel_moment("M0", HFunction.reciprocal(), 1.0)
 
 
 class TestKernelMoments:

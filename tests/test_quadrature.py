@@ -5,13 +5,9 @@ import math
 import pytest
 
 from hhcheck import (
-    ConvexityClass,
     Partition,
     QUAD_FUNCTIONS,
     certified_integrate,
-    check_membership,
-    DomainInterval,
-    differentiate,
     error_bound_midpoint,
     error_bound_trapezoid,
     integrate_adaptive,
@@ -19,8 +15,8 @@ from hhcheck import (
     parse,
     trapezoid_rule,
     uniform_partition,
-    Abs,
 )
+from hhcheck.convexity import hypothesis_membership
 
 SQ = parse("x^2")
 EXP = parse("exp(x)")
@@ -200,15 +196,12 @@ class TestCertifiedIntegrate:
         assert math.isfinite(rep.apriori_bound)
 
     def test_membership_reuse(self):
-        g = Abs(differentiate(EXP))
-        hoisted = check_membership(
-            g, ConvexityClass("plain_convex"), DomainInterval(0.0, 1.0), samples=200
-        )
-        rep = certified_integrate(
-            EXP, 0.0, 1.0, n=2, rule="midpoint", membership=hoisted
-        )
-        assert rep.membership is hoisted
-        assert rep.hypothesis_verified is True
+        hypothesis_membership.cache_clear()
+        first = certified_integrate(EXP, 0.0, 1.0, n=2, rule="midpoint", samples=200)
+        second = certified_integrate(EXP, 0.0, 1.0, n=8, rule="midpoint", samples=200)
+        assert second.membership is first.membership
+        assert first.hypothesis_verified is True
+        assert second.hypothesis_verified is True
 
     def test_check_hypothesis_off(self):
         rep = certified_integrate(SQ, 0.0, 1.0, n=1, check_hypothesis=False)
