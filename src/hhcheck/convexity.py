@@ -17,8 +17,11 @@ that is a precondition failure, not a counterexample. Membership is only
 semi-decidable, so the check is a deterministic grid pass followed by seeded
 random sampling. All eight inequalities share one form, lhs = g(lam*x + c*y)
 and rhs = wx*g(x) + wy*g(Y), with the coefficients (c, wx, wy) and Y (y or
-y/m) read from one table. The grid pass computes g at each grid point and the
-coefficients at each lam once; random triples are drawn one at a time.
+y/m) read from one table. The grid pass is eager: g at each grid point and
+at each Y, the coefficients at each lam and g at each distinct combination
+point are computed once. Only a search that this pass finds failing runs the
+grid again in definition order, for the exact witness or error. Random
+triples are drawn one at a time.
 The bound rules and the quadrature check their hypotheses through
 hypothesis_membership, which runs one search per distinct hypothesis.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError
@@ -114,6 +118,8 @@ class HFunction:
         if self.kind == "reciprocal":
             return "1/t"
         return str(self.expr)
+
+    __str__ = describe  # so a message can format h lazily
 
 
 def evaluate_h(h: HFunction, t: float, alpha: float,
@@ -256,6 +262,37 @@ def _grid_points(dom: DomainInterval, npts: int) -> list[float]:
     return pts
 
 
+def _grid_clean(gc, xs, ys, lams, c_of, wx_of, wy_of, p, tol) -> bool:
+    """True when no grid triple is a counterexample and no evaluation fails.
+    The operands of the ordered pass, computed eagerly and grouped as it
+    groups them; g at a combination point z is memoized unless z == 0.0,
+    because a dict key merges 0.0 and -0.0."""
+    try:
+        gxs = [gc(x) for x in xs]
+        gys = gxs if ys is xs else [gc(y) for y in ys]
+        memo = {}
+        get = memo.get
+        for lam in lams:
+            c, wx = c_of(p, lam), wx_of(p, lam)
+            wy = wy_of(p, lam, wx)
+            cys = [c * y for y in xs]
+            wgys = [wy * gy for gy in gys]
+            for x, gx in zip(xs, gxs):
+                lx, wgx = lam * x, wx * gx
+                for cy, wgy in zip(cys, wgys):
+                    z = lx + cy
+                    v = get(z)
+                    if v is None:
+                        v = gc(z)
+                        if z != 0.0:
+                            memo[z] = v
+                    if v > wgx + wgy + tol:
+                        return False
+    except (DomainError, PreconditionError, ArithmeticError):
+        return False
+    return True
+
+
 def check_membership(
     g: Node,
     cls: ConvexityClass,
@@ -268,13 +305,15 @@ def check_membership(
 
     Deterministic pass first: a 21 x 21 grid in (x, y) crossed with lam in
     {0.1, ..., 0.9} (endpoints 0 and 1 added for closed-interval senses).
-    The grid pass computes g at each grid point (and at y/m) and the
-    weights at each lam once, on first use, so only g at the combination
-    point is evaluated per triple. Then `samples` seeded random triples
-    (0 keeps the grid pass alone), each drawn just before it is checked, so
-    the outcome depends only on the seed. Within a triple, g and h are
-    called in the order of the sense's definition, so a failing evaluation
-    reports the same triple and message whichever values were cached.
+    The grid pass is eager: g at each grid point and at y/m, the weights at
+    each lam and g at each distinct combination point (held in a memo keyed
+    by the float) are computed once, in no set order. When that finds a
+    counterexample or an evaluation fails, the grid runs again triple by
+    triple in definition order, so the witness, samples_used and the error
+    message are those of the first failing triple. Then `samples` seeded
+    random triples (0 keeps the grid pass alone), each drawn just before it
+    is checked, so the outcome depends only on the seed. Within a triple, g
+    and h are called in the order of the sense's definition.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples!r}")
@@ -286,10 +325,8 @@ def check_membership(
 
     gc = compile_fn(g)
     xs = _grid_points(dom, 21)
-    gxs = [None] * len(xs)  # g at the grid points, filled on first use
-
     if cls.sense in _NONNEG_SENSES:
-        for i, x in enumerate(xs):
+        for x in xs:
             try:
                 v = gc(x)
             except DomainError as exc:
@@ -299,7 +336,6 @@ def check_membership(
                     f"sense {cls.sense!r} requires a non-negative function; "
                     f"g({x!r}) = {v!r}"
                 )
-            gxs[i] = v
 
     lam_grid = [0.1 * k for k in range(1, 10)]
     if cls.sense not in _OPEN_SENSES:
@@ -309,48 +345,26 @@ def check_membership(
     m = cls.m
     hfn = compile_fn(cls.h.expr) if cls.h.kind == "custom" else None
     p = _Params(cls.alpha, m, cls.s, cls.h, hfn)
-    # c cannot fail, so it is computed up front; g at Y and the weights at
-    # each grid lam are filled on first use, in the sense's call order
-    gys = [None] * len(xs) if y_over_m else gxs
-    ys = [y / m for y in xs] if y_over_m else xs
-    cs = [c_of(p, lam) for lam in lam_grid]
-    wxs = [None] * len(lam_grid)
-    wys = [None] * len(lam_grid)
 
-    used = 0
+    # a clean grid counts as checked; after a hit or a failure there, the
+    # grid triples run again in definition order, ahead of the random ones
+    ngrid = len(xs) * len(xs) * len(lam_grid)
+    used = ngrid if _grid_clean(gc, xs, [y / m for y in xs] if y_over_m else xs, lam_grid,
+                                c_of, wx_of, wy_of, p, tol) else 0
+    ngrid -= used
+    ordered = product(xs, xs, lam_grid)
     try:
-        for i, x in enumerate(xs):
-            for j, y in enumerate(xs):
-                for k, lam in enumerate(lam_grid):
-                    wx = wxs[k]
-                    if wx is None and not wx_late:
-                        wx = wxs[k] = wx_of(p, lam)
-                    lhs = gc(lam * x + cs[k] * y)
-                    if wx is None:
-                        wx = wxs[k] = wx_of(p, lam)
-                    gx = gxs[i]
-                    if gx is None:
-                        gx = gxs[i] = gc(x)
-                    wy = wys[k]
-                    if wy is None:
-                        wy = wys[k] = wy_of(p, lam, wx)
-                    gy = gys[j]
-                    if gy is None:
-                        gy = gys[j] = gc(ys[j])
-                    rhs = wx * gx + wy * gy
-                    used += 1
-                    if lhs > rhs + tol:
-                        return MembershipReport("counterexample", used,
-                                                Witness(x, y, lam, lhs, rhs), seed, reading)
-
         rng = random.Random(seed)
         uniform, lo, hi = rng.uniform, dom.lo, dom.hi
         open_lam = cls.sense in _OPEN_SENSES
-        for _ in range(samples):
-            x, y, lam = uniform(lo, hi), uniform(lo, hi), uniform(0.0, 1.0)
-            # keep a buffer so 1-lam cannot round to an endpoint of (0,1)
-            if open_lam and not (1e-12 < lam < 1.0 - 1e-12):
-                continue
+        for k in range(ngrid + samples):
+            if k < ngrid:
+                x, y, lam = next(ordered)
+            else:
+                x, y, lam = uniform(lo, hi), uniform(lo, hi), uniform(0.0, 1.0)
+                # keep a buffer so 1-lam cannot round to an endpoint of (0,1)
+                if open_lam and not (1e-12 < lam < 1.0 - 1e-12):
+                    continue
             c = c_of(p, lam)
             if not wx_late:
                 wx = wx_of(p, lam)

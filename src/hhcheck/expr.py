@@ -318,11 +318,14 @@ def pow_(a: Node, b: Node) -> Node:
 # ---------------------------------------------------------------------------
 # Differentiation.
 
+@lru_cache(maxsize=256)
 def differentiate(node: Node, order: int = 1) -> Node:
     """Exact symbolic derivative of the requested order (1 or 2).
 
     abs differentiates to arg'/|arg| * arg, which evaluates to sign(arg)*arg'
-    away from zero and raises DomainError exactly at a kink.
+    away from zero and raises DomainError exactly at a kink. Trees are
+    frozen, so equal calls share one result from a bounded cache; it keys
+    differentiate(f) and differentiate(f, 1) apart.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")

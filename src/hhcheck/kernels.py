@@ -154,13 +154,14 @@ def integrate_adaptive(
 
 
 def integral(f: Union[Node, Callable[[float], float]], a: float, b: float, tol: float,
-             what: str) -> IntegralResult:
+             what: str, *args) -> IntegralResult:
     """integrate_adaptive(f, a, b, tol) that converged; otherwise raise
-    NonConvergenceError naming `what`, the estimate and the panel count."""
+    NonConvergenceError naming what.format(*args), the estimate and the panel
+    count. The name is formatted only on failure."""
     res = integrate_adaptive(f, a, b, tol=tol)
     if not res.converged:
         raise NonConvergenceError(
-            f"{what} did not converge "
+            f"{what.format(*args)} did not converge "
             f"(estimate {res.abs_error_estimate:.3e} after {res.subdivisions} panels)"
         )
     return res
@@ -239,6 +240,5 @@ def kernel_moment(
     else:
         integrand = lambda t: t ** (1.0 / q) * (1.0 - t / q) * evaluate_h(h, t, alpha / q, hfn)
 
-    res = integral(integrand, 0.0, 1.0, tol,
-                   f"kernel {kind} for h={h.describe()} alpha={alpha:g}")
+    res = integral(integrand, 0.0, 1.0, tol, "kernel {} for h={} alpha={:g}", kind, h, alpha)
     return KernelMoment(kind, res.value, "adaptive", res.abs_error_estimate)

@@ -1,5 +1,6 @@
 """Membership checking for the eight convexity senses."""
 
+import math
 import random
 import tracemalloc
 
@@ -588,3 +589,118 @@ def test_property_search_matches_oracle(sense, data, g, dom, samples, seed, tol)
         again = _oracle_sense_sides(cls, lambda v: evaluate(g, v), x, y, lam)
         assert again == (lhs, rhs)
         assert lhs > rhs + tol
+
+
+# ---------------------------------------------------------------------------
+# The clean grid pass scans lam-major with a memo, so it meets hits and
+# failures in another order than the definition; whatever it meets, the
+# outcome must still be the oracle's.
+
+def _lam_major_first_hit(g, cls, dom, tol=1e-9):
+    gc, xs = compile_fn(g), _grid_points(dom, 21)
+    lams = [0.1 * k for k in range(1, 10)]
+    if cls.sense not in _OPEN_SENSES:
+        lams = [0.0] + lams + [1.0]
+    for lam in lams:
+        for x in xs:
+            for y in xs:
+                lhs, rhs = _oracle_sense_sides(cls, gc, x, y, lam)
+                if lhs > rhs + tol:
+                    return x, y, lam
+    return None
+
+
+def _both_outcomes(g, cls, dom, samples=50, seed=0):
+    return (_outcome(lambda: check_membership(g, cls, dom, samples=samples, seed=seed)),
+            _outcome(lambda: _oracle_membership(g, cls, dom, samples, seed, 1e-9)))
+
+
+class TestGridPassOrder:
+    def test_witness_is_the_first_hit_in_definition_order(self):
+        g, cls, dom = parse("x^2-0.3*abs(x-1.3)"), ConvexityClass("plain_convex"), \
+            DomainInterval(0.1, 2.0)
+        new, old = _both_outcomes(g, cls, dom)
+        assert new == old and new[0] == "counterexample"
+        witness = tuple(float.fromhex(v) for v in new[2][:3])
+        lam_major = _lam_major_first_hit(g, cls, dom)
+        assert lam_major is not None and lam_major != witness
+        assert new[1] < 21 * 21 * 11
+
+    def test_negative_h_at_a_later_lam_after_a_hit_is_a_report(self):
+        h = HFunction.custom(parse("0.85-t", var="t"))
+        with pytest.raises(PreconditionError, match="negative"):
+            evaluate_h(h, 0.9, 1.0)
+        cls = ConvexityClass("h_alpha_m", h=h, m=0.5)
+        new, old = _both_outcomes(parse("x^2+1"), cls, DomainInterval(0.0, 2.0))
+        assert new == old and new[0] == "counterexample"
+
+    def test_g_undefined_at_one_combination_point(self):
+        # 0.05 is not a grid point; lam-major meets it first at (0.5, 0, 0.1),
+        # definition order at (0, 0.1, 0.5)
+        g, dom = parse("x^2+0*ln(abs(x-0.05))"), DomainInterval(0.0, 2.0)
+        assert 0.05 not in _grid_points(dom, 21)
+        assert 0.1 * 0.5 + 0.9 * 0.0 == 0.5 * 0.0 + 0.5 * 0.1 == 0.05
+        new, old = _both_outcomes(g, ConvexityClass("plain_convex"), dom)
+        assert new == old
+        assert new[:2] == ("raised", "PreconditionError")
+        assert "(x=0.0, y=0.1, lam=0.5)" in new[2]
+
+    def test_failing_g_comes_before_a_negative_h_weight(self):
+        # h_plain calls g at the combination point before h(1-lam) = h(0.9),
+        # which is negative; the clean pass computes the weights first
+        z = 0.1 * 0.3 + 0.9 * 0.3
+        dom = DomainInterval(0.3, 2.3)
+        assert z not in _grid_points(dom, 21)
+        cls = ConvexityClass("h_plain", h=HFunction.custom(parse("0.85-t", var="t")))
+        new, old = _both_outcomes(parse(f"x^2+0*ln(abs(x-{z!r}))"), cls, dom)
+        assert new == old
+        assert new[:2] == ("raised", "PreconditionError")
+        assert "domain too narrow" in new[2] and "lam=0.1)" in new[2]
+
+    def test_tolerance_is_added_after_the_sum(self):
+        # for this linear g, (wx*gx + wy*gy) + tol and wx*gx + (wy*gy + tol)
+        # round to different sides of the lhs at some grid triple
+        g, dom = parse("1e6*x+1e7"), DomainInterval(0.0, 25.0)
+        new, old = _both_outcomes(g, ConvexityClass("plain_convex"), dom, samples=0)
+        assert new == old
+
+    @pytest.mark.parametrize("lo", [-1.0, -5e-323], ids=("unit", "subnormal"))
+    @pytest.mark.parametrize("text", ["x", "-x", "x^2", "x^3", "abs(x)", "-abs(x)"])
+    def test_symmetric_domain_through_zero(self, lo, text):
+        dom = DomainInterval(lo, -lo)
+        xs = _grid_points(dom, 21)
+        zeros = [0.5 * x + 0.5 * y for x in xs for y in xs if 0.5 * x + 0.5 * y == 0.0]
+        assert zeros
+        if lo == -5e-323:
+            # two half-ulp products round to -0.0, so the sum is -0.0
+            assert any(math.copysign(1.0, z) < 0.0 for z in zeros)
+        new, old = _both_outcomes(parse(text), ConvexityClass("plain_convex"), dom)
+        assert new == old
+
+
+def test_build_suite_membership_work(monkeypatch):
+    """A machine-independent guard on the membership search: calls of the
+    compiled g and h, and triples checked (sum of samples_used), for one
+    suite with a cold hypothesis cache."""
+    hypothesis_membership.cache_clear()
+    evals, triples = [0], [0]
+    real_compile, real_check = convexity.compile_fn, convexity.check_membership
+
+    def counting_compile(node):
+        fn = real_compile(node)
+
+        def counted(x):
+            evals[0] += 1
+            return fn(x)
+        return counted
+
+    def summing_check(*args, **kwargs):
+        rep = real_check(*args, **kwargs)
+        triples[0] += rep.samples_used
+        return rep
+
+    monkeypatch.setattr(convexity, "compile_fn", counting_compile)
+    monkeypatch.setattr(convexity, "check_membership", summing_check)
+    build_suite(42)
+    assert evals[0] <= 100_000  # 248,674 when each grid triple called g
+    assert triples[0] == 203_742

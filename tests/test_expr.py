@@ -22,12 +22,14 @@ from hhcheck import (
     Pow,
     Sub,
     Var,
+    build_suite,
     compile_fn,
     differentiate,
     evaluate,
     parse,
     to_text,
 )
+from hhcheck.convexity import hypothesis_membership
 from hhcheck.expr import _pow, add, mul, neg, pow_, sub
 
 
@@ -357,6 +359,21 @@ class TestDifferentiate:
         assert d2(2.0) == pytest.approx(48.0, rel=1e-12)
         d2 = compile_fn(differentiate(parse("exp(2*x)"), 2))
         assert d2(0.5) == pytest.approx(4.0 * math.e, rel=1e-12)
+
+    def test_equal_calls_share_one_derivative(self):
+        f = parse("x^3*exp(x)")
+        first, second = differentiate(f, 2), differentiate(parse("x^3*exp(x)"), 2)
+        assert first is second
+        assert differentiate(f, 1) is not first
+        assert differentiate(f, 1) == differentiate(f)
+
+    def test_build_suite_differentiates_each_function_and_order_once(self):
+        hypothesis_membership.cache_clear()
+        differentiate.cache_clear()
+        build_suite(42)
+        info = differentiate.cache_info()
+        # 380 calls for 17 distinct (tree, order) pairs
+        assert info.misses <= 20 and info.hits > 300
 
     def test_derivative_order_validation(self):
         with pytest.raises(ValueError):

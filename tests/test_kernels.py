@@ -141,6 +141,21 @@ class TestIntegral:
                                                       r" converge .* panels\)$"):
             kernel_moment("M0", HFunction.reciprocal(), 1.0)
 
+    def test_name_is_formatted_only_on_failure(self, monkeypatch):
+        def unexpected(self):
+            raise AssertionError("the name was formatted for a converged integral")
+
+        h = HFunction.custom(parse("t^2", var="t"))
+        monkeypatch.setattr(HFunction, "describe", unexpected)
+        monkeypatch.setattr(HFunction, "__str__", unexpected)
+        mom = kernel_moment("M0", h, 0.5)
+        assert mom.method == "adaptive" and mom.value == pytest.approx(0.5)
+
+    def test_h_formats_as_its_description(self):
+        for h in (HFunction.identity(), HFunction.power(0.5), HFunction.reciprocal(),
+                  HFunction.custom(parse("t*(2-t)", var="t"))):
+            assert f"{h}" == str(h) == h.describe()
+
 
 class TestKernelMoments:
     def test_kinds_exported(self):
