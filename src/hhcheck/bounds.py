@@ -108,23 +108,23 @@ class BoundReport:
 
 
 @lru_cache(maxsize=4096)
-def _mean_integral(f: Node, a: float, b: float, tol: float) -> float:
+def _mean_integral(f: Node, a: float, b: float) -> float:
     """(1/(b-a)) * integral of f over [a,b] via the reference integrator."""
-    return integral(f, a, b, tol, f"reference integral over [{a:g}, {b:g}]").value / (b - a)
+    return integral(f, a, b, f"reference integral over [{a:g}, {b:g}]").value / (b - a)
 
 
-def hh_chain(f: Node, a: float, b: float, tol: float = 1e-12):
+def hh_chain(f: Node, a: float, b: float):
     """(f((a+b)/2), integral mean, (f(a)+f(b))/2); convex f orders them."""
     if not (a < b):
         raise ValueError(f"need a < b, got ({a!r}, {b!r})")
     fc = compile_fn(f)
     left = fc(0.5 * (a + b))
-    mid = _mean_integral(f, a, b, tol)
+    mid = _mean_integral(f, a, b)
     right = 0.5 * (fc(a) + fc(b))
     return left, mid, right
 
 
-def lemma1_residual(f: Node, a: float, b: float, tol: float = 1e-12) -> float:
+def lemma1_residual(f: Node, a: float, b: float) -> float:
     """|LHS - RHS| of the midpoint identity
 
     f((a+b)/2) - mean = ((b-a)/4) int_0^1 (1-t)[f'(ta+(1-t)c) - f'(tb+(1-t)c)] dt
@@ -135,17 +135,17 @@ def lemma1_residual(f: Node, a: float, b: float, tol: float = 1e-12) -> float:
         raise ValueError(f"need a < b, got ({a!r}, {b!r})")
     fp = compile_fn(differentiate(f))
     c = 0.5 * (a + b)
-    lhs = evaluate(f, c) - _mean_integral(f, a, b, tol)
+    lhs = evaluate(f, c) - _mean_integral(f, a, b)
 
     def integrand(t: float) -> float:
         w = 1.0 - t
         return w * (fp(t * a + w * c) - fp(t * b + w * c))
 
-    rhs = 0.25 * (b - a) * integral(integrand, 0.0, 1.0, tol, _IDENTITY_SIDE).value
+    rhs = 0.25 * (b - a) * integral(integrand, 0.0, 1.0, _IDENTITY_SIDE).value
     return abs(lhs - rhs)
 
 
-def lemma2_residual(f: Node, a: float, b: float, tol: float = 1e-12) -> float:
+def lemma2_residual(f: Node, a: float, b: float) -> float:
     """|LHS - RHS| of the trapezoid identity
 
     (f(a)+f(b))/2 - mean = ((b-a)^2/2) int_0^1 t(1-t) f''(ta+(1-t)b) dt.
@@ -154,24 +154,24 @@ def lemma2_residual(f: Node, a: float, b: float, tol: float = 1e-12) -> float:
         raise ValueError(f"need a < b, got ({a!r}, {b!r})")
     fpp = compile_fn(differentiate(f, 2))
     fc = compile_fn(f)
-    lhs = 0.5 * (fc(a) + fc(b)) - _mean_integral(f, a, b, tol)
+    lhs = 0.5 * (fc(a) + fc(b)) - _mean_integral(f, a, b)
 
     def integrand(t: float) -> float:
         return t * (1.0 - t) * fpp(t * a + (1.0 - t) * b)
 
-    rhs = 0.5 * (b - a) ** 2 * integral(integrand, 0.0, 1.0, tol, _IDENTITY_SIDE).value
+    rhs = 0.5 * (b - a) ** 2 * integral(integrand, 0.0, 1.0, _IDENTITY_SIDE).value
     return abs(lhs - rhs)
 
 
-def midpoint_deviation(f: Node, a: float, b: float, tol: float = 1e-12) -> float:
+def midpoint_deviation(f: Node, a: float, b: float) -> float:
     """|f((a+b)/2) - integral mean|."""
-    left, mid, _ = hh_chain(f, a, b, tol)
+    left, mid, _ = hh_chain(f, a, b)
     return abs(left - mid)
 
 
-def trapezoid_deviation(f: Node, a: float, b: float, tol: float = 1e-12) -> float:
+def trapezoid_deviation(f: Node, a: float, b: float) -> float:
     """|(f(a)+f(b))/2 - integral mean|."""
-    _, mid, right = hh_chain(f, a, b, tol)
+    _, mid, right = hh_chain(f, a, b)
     return abs(right - mid)
 
 
@@ -270,7 +270,7 @@ _T1_TIGHT = replace(_RULES["T1"], k=1.0, w=2.0,
                     note="tight variant in use; rhs uses the sharper bracket")
 
 
-def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float, quad_tol: float,
+def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float,
                    variant: Optional[str] = None) -> BoundReport:
     a, b, hp = inst.a, inst.b, inst.hp
     h, alpha, m = inst.cls.h, inst.cls.alpha, inst.cls.m
@@ -287,10 +287,8 @@ def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float, quad_tol: float
     if q is not None:
         comp["q"] = q
     comp.update(zip(names, values))
-    mom = kernel_moment(
-        rule.kernel, h, alpha / q if rule.alpha_over_q else alpha,
-        hp=hp if rule.kernel in ("C2", "C4") else None, tol=quad_tol,
-    ).value
+    mom = kernel_moment(rule.kernel, h, alpha / q if rule.alpha_over_q else alpha,
+                        hp=hp if rule.kernel in ("C2", "C4") else None).value
     comp[f"moment_{rule.kernel}" + ("_alpha_over_q" if rule.alpha_over_q else "")] = mom
     bpp = None
     if rule.beta:
@@ -307,7 +305,7 @@ def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float, quad_tol: float
     rhs = comp["prefactor"] * sum(brackets)
 
     deviation = midpoint_deviation if rule.order == 1 else trapezoid_deviation
-    lhs = deviation(inst.f, a, b, quad_tol)
+    lhs = deviation(inst.f, a, b)
     margin = rhs - lhs
     notes = (_NOTE_SECOND,) if rule.order == 2 else ()
     if inst.rule_id in EMPIRICAL_RULES:
@@ -321,12 +319,8 @@ def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float, quad_tol: float
                        notes=notes)
 
 
-def bound_first_derivative(
-    inst: BoundInstance,
-    variant: str = "printed",
-    tol: float = 1e-9,
-    quad_tol: float = 1e-12,
-) -> BoundReport:
+def bound_first_derivative(inst: BoundInstance, variant: str = "printed",
+                           tol: float = 1e-9) -> BoundReport:
     """Evaluate one of T1, T2, C1, T3, C2 without the membership check.
 
     `variant` selects between the standard T1 bracket ("printed") and the
@@ -341,18 +335,14 @@ def bound_first_derivative(
     if variant == "tight" and rule != "T1":
         raise ValueError("the tight variant exists only for T1")
     row = _T1_TIGHT if variant == "tight" else _RULES[rule]
-    return _evaluate_rule(inst, row, tol, quad_tol, variant if rule == "T1" else None)
+    return _evaluate_rule(inst, row, tol, variant if rule == "T1" else None)
 
 
-def bound_second_derivative(
-    inst: BoundInstance,
-    tol: float = 1e-9,
-    quad_tol: float = 1e-12,
-) -> BoundReport:
+def bound_second_derivative(inst: BoundInstance, tol: float = 1e-9) -> BoundReport:
     """Evaluate one of T4, T5, C3, T6, C4 without the membership check."""
     if inst.rule_id not in SECOND_DERIVATIVE_RULES:
         raise ValueError(f"{inst.rule_id} is not a second-derivative rule")
-    return _evaluate_rule(inst, _RULES[inst.rule_id], tol, quad_tol)
+    return _evaluate_rule(inst, _RULES[inst.rule_id], tol)
 
 
 def verify(

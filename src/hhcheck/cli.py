@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -95,9 +96,16 @@ def _report(seed: int, section: str, rows) -> SuiteReport:
     return SuiteReport.from_cases(seed, em.cases)
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_common(sp, with_samples: bool = True):
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=finite_float, default=1e-9)
     sp.add_argument("--format", choices=_FORMATS, default="table")
     if with_samples:
         sp.add_argument("--samples", type=int, default=2000)

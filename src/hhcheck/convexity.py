@@ -262,13 +262,14 @@ def _grid_points(dom: DomainInterval, npts: int) -> list[float]:
     return pts
 
 
-def _grid_clean(gc, xs, ys, lams, c_of, wx_of, wy_of, p, tol) -> bool:
+def _grid_clean(gc, xs, gxs, ys, lams, c_of, wx_of, wy_of, p, tol) -> bool:
     """True when no grid triple is a counterexample and no evaluation fails.
-    The operands of the ordered pass, computed eagerly and grouped as it
-    groups them; g at a combination point z is memoized unless z == 0.0,
-    because a dict key merges 0.0 and -0.0."""
+    The operands of the ordered pass (gxs = g on xs, or None), computed
+    eagerly and grouped as it groups them; g at a combination point z is
+    memoized unless z == 0.0, because a dict key merges 0.0 and -0.0."""
     try:
-        gxs = [gc(x) for x in xs]
+        if gxs is None:
+            gxs = [gc(x) for x in xs]
         gys = gxs if ys is xs else [gc(y) for y in ys]
         memo = {}
         get = memo.get
@@ -325,7 +326,9 @@ def check_membership(
 
     gc = compile_fn(g)
     xs = _grid_points(dom, 21)
+    gxs = None  # g on xs, kept from the non-negativity check for the grid pass
     if cls.sense in _NONNEG_SENSES:
+        gxs = []
         for x in xs:
             try:
                 v = gc(x)
@@ -336,6 +339,7 @@ def check_membership(
                     f"sense {cls.sense!r} requires a non-negative function; "
                     f"g({x!r}) = {v!r}"
                 )
+            gxs.append(v)
 
     lam_grid = [0.1 * k for k in range(1, 10)]
     if cls.sense not in _OPEN_SENSES:
@@ -349,8 +353,8 @@ def check_membership(
     # a clean grid counts as checked; after a hit or a failure there, the
     # grid triples run again in definition order, ahead of the random ones
     ngrid = len(xs) * len(xs) * len(lam_grid)
-    used = ngrid if _grid_clean(gc, xs, [y / m for y in xs] if y_over_m else xs, lam_grid,
-                                c_of, wx_of, wy_of, p, tol) else 0
+    used = ngrid if _grid_clean(gc, xs, gxs, [y / m for y in xs] if y_over_m else xs,
+                                lam_grid, c_of, wx_of, wy_of, p, tol) else 0
     ngrid -= used
     ordered = product(xs, xs, lam_grid)
     try:

@@ -22,7 +22,7 @@ from .errors import DomainError, NonConvergenceError
 from .expr import Node, compile_fn
 
 __all__ = [
-    "beta", "HolderPair", "IntegralResult", "KernelMoment",
+    "beta", "check_holder_exponent", "HolderPair", "IntegralResult", "KernelMoment",
     "integrate_adaptive", "integral", "kernel_moment", "KERNEL_KINDS",
 ]
 
@@ -37,24 +37,29 @@ def beta(x: float, y: float) -> float:
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
+def check_holder_exponent(p: float) -> float:
+    """p as a float; a Holder exponent must be finite and exceed 1."""
+    p = float(p)
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"p must be finite and exceed 1, got {p!r}")
+    return p
+
+
 @dataclass(frozen=True)
 class HolderPair:
-    """Conjugate exponents with 1/p + 1/q = 1, built from p > 1."""
+    """Conjugate exponents with 1/p + 1/q = 1, built from a finite p > 1."""
 
     p: float
     q: float
 
     def __post_init__(self):
-        if not (self.p > 1.0):
-            raise ValueError(f"p must exceed 1, got {self.p!r}")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
+        check_holder_exponent(self.p)
+        if not (abs(1.0 / self.p + 1.0 / self.q - 1.0) <= 1e-12):  # False for q = nan
             raise ValueError(f"(p={self.p!r}, q={self.q!r}) are not conjugate")
 
     @classmethod
     def from_p(cls, p: float) -> "HolderPair":
-        p = float(p)
-        if not (p > 1.0):
-            raise ValueError(f"p must exceed 1, got {p!r}")
+        p = check_holder_exponent(p)
         return cls(p, p / (p - 1.0))
 
 
@@ -102,13 +107,13 @@ def _g7k15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
     return k15, abs(k15 - g7)
 
 
-def integrate_adaptive(
-    f: Union[Node, Callable[[float], float]],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    max_depth: int = 60,
-) -> IntegralResult:
+# the reference integrator's accuracy; integrate_adaptive alone reads these
+_TOL = 1e-12
+_MAX_DEPTH = 60
+
+
+def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
+                       b: float) -> IntegralResult:
     """Adaptive bisection with a Gauss-Kronrod 7/15 pair per panel.
 
     The integrand is first pushed through the quintic change of variable
@@ -116,8 +121,9 @@ def integrate_adaptive(
     order at both endpoints. All quadrature nodes stay strictly inside the
     interval, so endpoint singularities of integrable type are tamed and the
     endpoints themselves are never evaluated. The error estimate per panel
-    is |K15 - G7|; the converged flag is honest: it is set only when the
-    accumulated estimate meets tol and no panel exhausted max_depth.
+    is |K15 - G7|, accepted at 1e-12 times the panel's width in u or at depth
+    60; the converged flag is honest: it is set only when the accumulated
+    estimate meets 1e-12 and no panel stopped at depth 60.
     """
     if not (a < b):
         raise ValueError(f"integration requires a < b, got ({a!r}, {b!r})")
@@ -139,26 +145,26 @@ def integrate_adaptive(
         lo, hi, depth = stack.pop()
         val, err = _g7k15(g, lo, hi)
         panels += 1
-        budget = tol * (hi - lo)
-        if err <= budget or depth >= max_depth:
+        budget = _TOL * (hi - lo)
+        if err <= budget or depth >= _MAX_DEPTH:
             total += val
             err_total += err
-            if err > budget and depth >= max_depth:
+            if err > budget:
                 depth_exhausted = True
         else:
             mid = 0.5 * (lo + hi)
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
-    converged = (not depth_exhausted) and err_total <= tol
+    converged = (not depth_exhausted) and err_total <= _TOL
     return IntegralResult(total, err_total, panels, converged)
 
 
-def integral(f: Union[Node, Callable[[float], float]], a: float, b: float, tol: float,
+def integral(f: Union[Node, Callable[[float], float]], a: float, b: float,
              what: str, *args) -> IntegralResult:
-    """integrate_adaptive(f, a, b, tol) that converged; otherwise raise
+    """integrate_adaptive(f, a, b) that converged; otherwise raise
     NonConvergenceError naming what.format(*args), the estimate and the panel
     count. The name is formatted only on failure."""
-    res = integrate_adaptive(f, a, b, tol=tol)
+    res = integrate_adaptive(f, a, b)
     if not res.converged:
         raise NonConvergenceError(
             f"{what.format(*args)} did not converge "
@@ -186,13 +192,8 @@ def _power_exponent(h: HFunction, alpha: float) -> float | None:
     return None
 
 
-def kernel_moment(
-    kind: str,
-    h: HFunction,
-    alpha: float,
-    hp: HolderPair | None = None,
-    tol: float = 1e-12,
-) -> KernelMoment:
+def kernel_moment(kind: str, h: HFunction, alpha: float,
+                  hp: HolderPair | None = None) -> KernelMoment:
     """One of the five kernel moments for the weight h^alpha.
 
     C2 and C4 need the Holder pair (they involve 1/q). Closed forms are used
@@ -240,5 +241,5 @@ def kernel_moment(
     else:
         integrand = lambda t: t ** (1.0 / q) * (1.0 - t / q) * evaluate_h(h, t, alpha / q, hfn)
 
-    res = integral(integrand, 0.0, 1.0, tol, "kernel {} for h={} alpha={:g}", kind, h, alpha)
+    res = integral(integrand, 0.0, 1.0, "kernel {} for h={} alpha={:g}", kind, h, alpha)
     return KernelMoment(kind, res.value, "adaptive", res.abs_error_estimate)

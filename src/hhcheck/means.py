@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .kernels import beta
+from .kernels import beta, check_holder_exponent
 
 __all__ = [
     "MEAN_TAGS", "MEAN_CHAIN", "MeanKind", "mean", "lp_kind", "check_mean_chain",
@@ -124,8 +124,7 @@ class PropositionInstance:
             raise ValueError(f"unknown proposition {self.id!r}")
         if not (0.0 < self.a < self.b):
             raise ValueError(f"need 0 < a < b, got ({self.a!r}, {self.b!r})")
-        if not (self.p > 1.0):
-            raise ValueError(f"p must exceed 1, got {self.p!r}")
+        check_holder_exponent(self.p)
         if self.id == "P4":
             if self.n is None:
                 raise ValueError("P4 needs the integer exponent n")

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .convexity import ConvexityClass, MembershipReport, hypothesis_membership
 from .expr import Abs, DomainInterval, Node, compile_fn, differentiate
-from .kernels import beta, integral
+from .kernels import beta, check_holder_exponent, integral
 
 __all__ = [
     "Partition", "uniform_partition", "midpoint_rule", "trapezoid_rule",
@@ -91,8 +91,7 @@ def trapezoid_rule(f: Node, K: Partition) -> float:
 
 def error_bound_midpoint(f: Node, K: Partition, p: float, variant: str = "statement") -> float:
     """A priori bound on the composite midpoint error; needs |f'| convex."""
-    if not (p > 1.0):
-        raise ValueError(f"p must exceed 1, got {p!r}")
+    check_holder_exponent(p)
     if variant not in ("statement", "proofline"):
         raise ValueError(f"unknown variant {variant!r}")
     fp = compile_fn(differentiate(f))
@@ -110,8 +109,7 @@ def error_bound_midpoint(f: Node, K: Partition, p: float, variant: str = "statem
 def error_bound_trapezoid(f: Node, K: Partition, alpha: float, m: float, p: float) -> float:
     """A priori bound on the composite trapezoid error; needs |f''|
     (alpha,m)-convex."""
-    if not (p > 1.0):
-        raise ValueError(f"p must exceed 1, got {p!r}")
+    check_holder_exponent(p)
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0,1], got {alpha!r}")
     if not (0.0 < m <= 1.0):
@@ -153,7 +151,6 @@ def certified_integrate(
     variant: str = "statement",
     points: Optional[Sequence[float]] = None,
     tol: float = 1e-9,
-    quad_tol: float = 1e-12,
     seed: int = 0,
     samples: int = 2000,
     check_hypothesis: bool = True,
@@ -178,7 +175,7 @@ def certified_integrate(
             raise ValueError("give either n or explicit points")
         K = uniform_partition(a, b, n)
 
-    reference = integral(f, a, b, quad_tol, f"reference integral over [{a:g}, {b:g}]").value
+    reference = integral(f, a, b, f"reference integral over [{a:g}, {b:g}]").value
 
     if rule == "midpoint":
         value = midpoint_rule(f, K)

@@ -1,14 +1,16 @@
-"""The benchmark's tracer still finds every name it wraps.
+"""The benchmark's tracer and workloads still fit the library.
 
 perfbench/tracer.py wraps hhcheck functions from outside the package by
-rebinding module attributes, so a refactor that renames or drops one of
-them breaks the benchmark. These tests load the tracer by path and fail
-first.
+rebinding module attributes, and perfbench/workloads.py calls library
+functions directly, so a refactor that renames or drops one of them, or
+changes a call shape they use, breaks the benchmark. These tests load both
+files by path and fail first.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,15 +18,26 @@ import pytest
 import hhcheck
 from hhcheck.convexity import hypothesis_membership
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_span_target_is_callable(tracer):
@@ -62,3 +75,19 @@ def test_installed_tracer_counts_searches_and_uninstalls(tracer):
     # the second verify reuses the first one's search
     assert tr.calls["convexity.check_membership"] == 1
     assert tr.counts["convexity.triples"] == 21 * 21 * 9  # grid pass, lam in (0,1)
+
+
+def test_rule_sweep_ops_run_and_check(workloads):
+    w = workloads.RuleSweep(7, str(ROOT))
+    specs = [w.next_input() for _ in range(16)]
+    # the ops cover the adaptive kernel path and both composite rules
+    assert {s["h"][0] for s in specs} >= {"t", "expr"}
+    assert {s["quad"] for s in specs} == {"midpoint", "trapezoid"}
+    for spec in specs:
+        assert w.check(spec, w.run(spec)) == 13  # ten rules, L1, L2, one quadrature
+
+
+def test_verify_suite_op_runs_and_checks(workloads):
+    w = workloads.VerifySuite(7, str(ROOT))
+    seed = w.next_input()
+    assert w.check(seed, w.run(seed)) == 318

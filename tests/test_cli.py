@@ -136,6 +136,32 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: overflow\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--rule", "T2", "--f", "x^2", "--a", "0", "--b", "1", "--p", "inf"),
+        ("quad", "--rule", "midpoint", "--f", "x^2", "--a", "0", "--b", "1", "--n", "4",
+         "--p", "inf"),
+        ("quad", "--rule", "trapezoid", "--f", "x^2", "--a", "0", "--b", "1", "--n", "4",
+         "--p", "nan"),
+        ("prop", "--id", "P2", "--a", "1", "--b", "2", "--p", "inf"),
+    ])
+    def test_non_finite_p_exits_two(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: p must be finite and exceed 1, got ")
+
+    @pytest.mark.parametrize("argv", [
+        ("prop", "--id", "P4", "--a", "1", "--b", "2", "--p", "2", "--n", "3", "--tol", "inf"),
+        ("check-class", "--sense", "convex", "--f=-x^2", "--a", "0", "--b", "1", "--tol", "nan"),
+        ("check-class", "--sense", "convex", "--f=-x^2", "--a", "0", "--b", "1", "--tol", "inf"),
+        ("verify", "--tol=-inf"),
+    ])
+    def test_non_finite_tol_exits_two(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: argument --tol: must be finite, got " in err
+
     def test_hypothesis_unverified_still_exits_zero(self, capsys):
         # nothing flagged: unverified hypotheses do not fail the run
         code, out, _ = _run(

@@ -678,6 +678,35 @@ class TestGridPassOrder:
         assert new == old
 
 
+def test_non_negative_sense_evaluates_each_grid_point_once(monkeypatch):
+    """The non-negativity check's values of g on the grid feed the grid
+    pass, so a clean h_alpha_m search with no random triples calls g once per
+    grid point, plus once per distinct non-zero combination point (a grid
+    point that is also a combination point counts under both)."""
+    # with m = 0.1 on [10, 11] only one grid point is a combination point
+    g, dom = parse("x^2"), DomainInterval(10.0, 11.0)
+    cls = ConvexityClass("h_alpha_m", alpha=1.0, m=0.1)
+    args = []
+    real_compile = convexity.compile_fn
+
+    def recording_compile(node):
+        fn = real_compile(node)
+
+        def recorded(x):
+            args.append(x)
+            return fn(x)
+        return recorded
+
+    monkeypatch.setattr(convexity, "compile_fn", recording_compile)
+    rep = check_membership(g, cls, dom, samples=0)
+    xs = _grid_points(dom, 21)
+    lams = [0.1 * k for k in range(1, 10)]
+    zs = {lam * x + cls.m * (1.0 - lam) * y for lam in lams for x in xs for y in xs} - {0.0}
+    assert rep.ok and rep.samples_used == 21 * 21 * 9
+    assert all(args.count(x) == 1 + (x in zs) for x in xs)
+    assert len(args) == len(xs) + len(zs)
+
+
 def test_build_suite_membership_work(monkeypatch):
     """A machine-independent guard on the membership search: calls of the
     compiled g and h, and triples checked (sum of samples_used), for one

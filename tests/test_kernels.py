@@ -1,10 +1,12 @@
 """Beta function, adaptive integrator, Holder pairs, and kernel moments."""
 
+import inspect
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hhcheck
 from hhcheck import (
     DomainError,
     HFunction,
@@ -16,7 +18,8 @@ from hhcheck import (
     kernel_moment,
     parse,
 )
-from hhcheck.kernels import integral
+from hhcheck.bounds import _evaluate_rule, _mean_integral
+from hhcheck.kernels import check_holder_exponent, integral
 
 
 class TestBeta:
@@ -71,6 +74,23 @@ class TestHolderPair:
         hp = HolderPair(3.0, 1.5)
         assert hp.p == 3.0
 
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_p_must_be_finite(self, p):
+        with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+            check_holder_exponent(p)
+        with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+            HolderPair.from_p(p)
+        with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+            HolderPair(p, 1.0)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -2.0])
+    def test_non_conjugate_q_rejected(self, q):
+        with pytest.raises(ValueError, match="not conjugate"):
+            HolderPair(2.0, q)
+
+    def test_check_returns_the_float(self):
+        assert check_holder_exponent(3) == 3.0 and type(check_holder_exponent(3)) is float
+
 
 class TestIntegrateAdaptive:
     def test_polynomial_exactness(self):
@@ -109,7 +129,7 @@ class TestIntegrateAdaptive:
         assert not r.converged
 
     def test_error_estimate_is_honest(self):
-        r = integrate_adaptive(parse("exp(x)"), 0.0, 1.0, tol=1e-12)
+        r = integrate_adaptive(parse("exp(x)"), 0.0, 1.0)
         assert abs(r.value - (math.e - 1.0)) <= max(r.abs_error_estimate, 1e-13)
 
     def test_reversed_limits_rejected(self):
@@ -129,12 +149,12 @@ ONE = HFunction.one()
 class TestIntegral:
     def test_converged_result_is_returned(self):
         f = parse("x^2")
-        assert integral(f, 0.0, 1.0, 1e-12, "x^2") == integrate_adaptive(f, 0.0, 1.0, tol=1e-12)
+        assert integral(f, 0.0, 1.0, "x^2") == integrate_adaptive(f, 0.0, 1.0)
 
     def test_nonconvergence_names_what_estimate_and_panels(self):
         pattern = r"^probe did not converge \(estimate \S+ after \d+ panels\)$"
         with pytest.raises(NonConvergenceError, match=pattern):
-            integral(lambda t: 1.0 / t, 0.0, 1.0, 1e-12, "probe")
+            integral(lambda t: 1.0 / t, 0.0, 1.0, "probe")
 
     def test_every_caller_reports_through_it(self):
         with pytest.raises(NonConvergenceError, match=r"^kernel M0 for h=1/t alpha=1 did not"
@@ -150,6 +170,19 @@ class TestIntegral:
         monkeypatch.setattr(HFunction, "__str__", unexpected)
         mom = kernel_moment("M0", h, 0.5)
         assert mom.method == "adaptive" and mom.value == pytest.approx(0.5)
+
+    def test_accuracy_is_no_parameter(self):
+        # integrate_adaptive alone reads the integrator's accuracy; a verdict
+        # tolerance named tol stays where a function has one
+        assert list(inspect.signature(integrate_adaptive).parameters) == ["f", "a", "b"]
+        for fn in (integrate_adaptive, integral, kernel_moment, _mean_integral.__wrapped__,
+                   hhcheck.hh_chain, hhcheck.lemma1_residual, hhcheck.lemma2_residual,
+                   hhcheck.midpoint_deviation, hhcheck.trapezoid_deviation):
+            assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+        for fn in (_evaluate_rule, hhcheck.bound_first_derivative,
+                   hhcheck.bound_second_derivative, hhcheck.certified_integrate):
+            params = inspect.signature(fn).parameters
+            assert "tol" in params and "quad_tol" not in params, fn.__name__
 
     def test_h_formats_as_its_description(self):
         for h in (HFunction.identity(), HFunction.power(0.5), HFunction.reciprocal(),

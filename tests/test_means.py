@@ -233,6 +233,11 @@ class TestPropositionValidation:
         with pytest.raises(ValueError):
             PropositionInstance("P1", 1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_p_must_be_finite(self, p):
+        with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+            PropositionInstance("P2", 1.0, 2.0, p)
+
     def test_interval_must_be_positive_increasing(self):
         with pytest.raises(ValueError):
             PropositionInstance("P1", 2.0, 1.0, 2.0)

@@ -155,6 +155,14 @@ class TestErrorBoundTrapezoid:
         with pytest.raises(ValueError):
             error_bound_trapezoid(SQ, K, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_p_must_be_finite(self, p):
+        K = uniform_partition(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+            error_bound_trapezoid(SQ, K, 1.0, 1.0, p)
+        with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+            error_bound_midpoint(SQ, K, p)
+
 
 class TestCertifiedIntegrate:
     def test_midpoint_report_square(self):
