@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Mapping, Optional
 
-from .convexity import ConvexityClass, MembershipReport, hypothesis_membership
+from .convexity import ConvexityClass, MembershipReport, hypothesis_membership, within
 from .errors import DomainError
 from .expr import Abs, Const, DomainInterval, Node, Pow, compile_fn, differentiate, evaluate
 from .kernels import HolderPair, beta, integral, kernel_moment
@@ -101,7 +101,6 @@ class BoundReport:
     margin: float  # rhs - lhs
     holds: bool
     components: Mapping[str, float]
-    params: Mapping[str, object]
     membership: Optional[MembershipReport] = None
     hypothesis_verified: Optional[bool] = None  # None until verify() runs the check
     notes: tuple = ()
@@ -207,22 +206,6 @@ def _root_q(inner: float, q: float, rule: str) -> float:
     return inner ** (1.0 / q)
 
 
-def _base_params(inst: BoundInstance) -> dict:
-    params = {
-        "f": str(inst.f),
-        "a": inst.a,
-        "b": inst.b,
-        "sense": inst.cls.sense,
-        "h": inst.cls.h.describe(),
-        "alpha": inst.cls.alpha,
-        "m": inst.cls.m,
-    }
-    if inst.hp is not None:
-        params["p"] = inst.hp.p
-        params["q"] = inst.hp.q
-    return params
-
-
 @dataclass(frozen=True)
 class _Rule:
     """One deviation rule as data. With ends E = (D(a), D(b)) for order 1 or
@@ -270,8 +253,7 @@ _T1_TIGHT = replace(_RULES["T1"], k=1.0, w=2.0,
                     note="tight variant in use; rhs uses the sharper bracket")
 
 
-def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float,
-                   variant: Optional[str] = None) -> BoundReport:
+def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float) -> BoundReport:
     a, b, hp = inst.a, inst.b, inst.hp
     h, alpha, m = inst.cls.h, inst.cls.alpha, inst.cls.m
     p, q = (hp.p, hp.q) if hp is not None else (None, None)
@@ -306,16 +288,12 @@ def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float,
 
     deviation = midpoint_deviation if rule.order == 1 else trapezoid_deviation
     lhs = deviation(inst.f, a, b)
-    margin = rhs - lhs
     notes = (_NOTE_SECOND,) if rule.order == 2 else ()
     if inst.rule_id in EMPIRICAL_RULES:
         notes += (_NOTE_EMPIRICAL,)
     if rule.note:
         notes += (rule.note,)
-    params = _base_params(inst)
-    if variant is not None:
-        params["variant"] = variant
-    return BoundReport(inst.rule_id, lhs, rhs, margin, margin >= -tol, comp, params,
+    return BoundReport(inst.rule_id, lhs, rhs, rhs - lhs, within(lhs, rhs, tol), comp,
                        notes=notes)
 
 
@@ -335,7 +313,7 @@ def bound_first_derivative(inst: BoundInstance, variant: str = "printed",
     if variant == "tight" and rule != "T1":
         raise ValueError("the tight variant exists only for T1")
     row = _T1_TIGHT if variant == "tight" else _RULES[rule]
-    return _evaluate_rule(inst, row, tol, variant if rule == "T1" else None)
+    return _evaluate_rule(inst, row, tol)
 
 
 def bound_second_derivative(inst: BoundInstance, tol: float = 1e-9) -> BoundReport:

@@ -192,7 +192,7 @@ def _cmd_check_class(args, seed: int) -> SuiteReport:
     ps = format_params(f=args.f, a=args.a, b=args.b, **{"class": cls.describe()},
                        samples_used=rep.samples_used, seed=rep.seed, **where)
     lhs, rhs = (0.0, 0.0) if w is None else (w.lhs, w.rhs)
-    return _report(seed, "class", [("membership", ps, lhs, rhs, verdict(w is None))])
+    return _report(seed, "class", [("membership", ps, lhs, rhs, verdict(rep.ok))])
 
 
 def _cmd_bound(args, seed: int) -> SuiteReport:

@@ -24,6 +24,9 @@ grid again in definition order, for the exact witness or error. Random
 triples are drawn one at a time.
 The bound rules and the quadrature check their hypotheses through
 hypothesis_membership, which runs one search per distinct hypothesis.
+
+Every record verdict (bounds, quadrature, lemma rows, means) is decided by
+`within`, with an absolute slack (the verdict tol) or `relative_slack`.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .expr import DomainInterval, Node, compile_fn, evaluate
 __all__ = [
     "HFunction", "ConvexityClass", "MembershipReport", "Witness",
     "evaluate_h", "check_membership", "hypothesis_membership", "SENSES", "SENSE_PARAMS",
+    "within", "relative_slack",
 ]
 
 # the parameters each sense reads, in display order; the others must stay
@@ -64,6 +68,23 @@ _NONNEG_SENSES = frozenset({"h_plain", "h_alpha_m", "s_alpha_m_first", "s_alpha_
 _NONNEG_DOMAIN_SENSES = frozenset(
     {"alpha_m", "s_first", "s_second", "s_alpha_m_first", "s_alpha_m_second"}
 )
+
+
+def within(lhs: float, rhs: float, slack: float) -> bool:
+    """The verdict test: lhs <= rhs + slack; a NaN on either side fails it.
+
+    The membership search's two inner loops (`_grid_clean`, and the ordered
+    and random triples of `check_membership`) write their counterexample
+    test lhs > rhs + tol inline instead: a suite runs it ~225k times, and
+    there a function call costs more than the comparison itself.
+    """
+    return lhs <= rhs + slack
+
+
+def relative_slack(*values: float) -> float:
+    """1e-12 relative to the largest |value|, and never below 1e-12."""
+    return 1e-12 * max(1.0, *(abs(v) for v in values))
+
 
 _H_KINDS = ("identity", "power", "constant_one", "reciprocal", "custom")
 
@@ -287,7 +308,7 @@ def _grid_clean(gc, xs, gxs, ys, lams, c_of, wx_of, wy_of, p, tol) -> bool:
                         v = gc(z)
                         if z != 0.0:
                             memo[z] = v
-                    if v > wgx + wgy + tol:
+                    if v > wgx + wgy + tol:  # not within(); see its docstring
                         return False
     except (DomainError, PreconditionError, ArithmeticError):
         return False
@@ -350,11 +371,12 @@ def check_membership(
     hfn = compile_fn(cls.h.expr) if cls.h.kind == "custom" else None
     p = _Params(cls.alpha, m, cls.s, cls.h, hfn)
 
+    # at m = 1, y/m is y bit for bit, so passing xs itself lets the pass reuse gxs
+    ys = [y / m for y in xs] if y_over_m and m != 1.0 else xs
     # a clean grid counts as checked; after a hit or a failure there, the
     # grid triples run again in definition order, ahead of the random ones
     ngrid = len(xs) * len(xs) * len(lam_grid)
-    used = ngrid if _grid_clean(gc, xs, gxs, [y / m for y in xs] if y_over_m else xs,
-                                lam_grid, c_of, wx_of, wy_of, p, tol) else 0
+    used = ngrid if _grid_clean(gc, xs, gxs, ys, lam_grid, c_of, wx_of, wy_of, p, tol) else 0
     ngrid -= used
     ordered = product(xs, xs, lam_grid)
     try:
@@ -379,7 +401,7 @@ def check_membership(
             wy = wy_of(p, lam, wx)
             rhs = wx * gx + wy * gc(y / m if y_over_m else y)
             used += 1
-            if lhs > rhs + tol:
+            if lhs > rhs + tol:  # not within(); see its docstring
                 return MembershipReport("counterexample", used,
                                         Witness(x, y, lam, lhs, rhs), seed, reading)
     except DomainError as exc:

@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .convexity import relative_slack, within
 from .errors import DomainError
 from .kernels import beta, check_holder_exponent
 
 __all__ = [
     "MEAN_TAGS", "MEAN_CHAIN", "MeanKind", "mean", "lp_kind", "check_mean_chain",
-    "lp_monotonicity_check", "PROPOSITION_IDS", "PropositionInstance",
+    "lp_worst_decrease", "lp_monotonicity_check", "PROPOSITION_IDS", "PropositionInstance",
     "VerificationOutcome", "proposition_check",
 ]
 
@@ -87,28 +88,29 @@ def lp_kind(p: float) -> MeanKind:
     return MeanKind("Lp", p)
 
 
-def _slack(*values: float) -> float:
-    return 1e-12 * max(1.0, *(abs(v) for v in values))
-
-
 def check_mean_chain(a: float, b: float):
-    """((H, G, L, I, A), chain holds with 1e-12 relative slack)."""
+    """((H, G, L, I, A), chain holds with 1e-12 slack relative to A)."""
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got ({a!r}, {b!r})")
     vals = tuple(mean(MeanKind(t), a, b) for t in MEAN_CHAIN)
-    eps = _slack(*vals)
-    holds = all(vals[i] <= vals[i + 1] + eps for i in range(len(vals) - 1))
-    return vals, holds
+    eps = relative_slack(vals[-1])
+    return vals, all(within(u, v, eps) for u, v in zip(vals, vals[1:]))
 
 
-def lp_monotonicity_check(a: float, b: float, p_grid) -> bool:
-    """True when p -> L_p is non-decreasing along the sorted grid, where -1
-    and 0 stand for L and I (see lp_kind)."""
+def lp_worst_decrease(a: float, b: float, p_grid):
+    """(largest decrease of p -> L_p along the sorted grid, its 1e-12
+    relative slack), where -1 and 0 stand for L and I (see lp_kind)."""
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got ({a!r}, {b!r})")
     vals = [mean(lp_kind(p), a, b) for p in sorted(p_grid)]
-    eps = _slack(*vals)
-    return all(vals[i] <= vals[i + 1] + eps for i in range(len(vals) - 1))
+    worst = max((u - v for u, v in zip(vals, vals[1:])), default=0.0)
+    return worst, relative_slack(*vals)
+
+
+def lp_monotonicity_check(a: float, b: float, p_grid) -> bool:
+    """True when p -> L_p is non-decreasing along the sorted grid."""
+    worst, eps = lp_worst_decrease(a, b, p_grid)
+    return within(worst, 0.0, eps)
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,6 @@ class PropositionInstance:
 @dataclass(frozen=True)
 class VerificationOutcome:
     id: str
-    params: dict
     lhs: float
     rhs: float
     holds: bool
@@ -165,7 +166,6 @@ def proposition_check(inst: PropositionInstance, tol: float = 1e-9) -> Verificat
     a, b, p = inst.a, inst.b, inst.p
     d = b - a
     log_ratio = math.log1p(d / a)  # ln b - ln a
-    params = {"a": a, "b": b, "p": p}
     extras: dict = {}
     note = None
 
@@ -179,7 +179,7 @@ def proposition_check(inst: PropositionInstance, tol: float = 1e-9) -> Verificat
         rhs = _safe_exp(d / (3.0 * 2.0 ** ((2.0 * p + 1.0) / p)) * inv)
         alt = _safe_exp(d / 3.2 ** ((2.0 * p + 1.0) / p) * inv)
         extras["alt_rhs"] = alt
-        extras["alt_holds"] = lhs <= alt + tol
+        extras["alt_holds"] = within(lhs, alt, tol)
         note = "constant read as 3*2^((2p+1)/p); decimal-base 3.2 alternate in extras"
     elif inst.id == "P3":
         lhs = abs(1.0 / mean(MeanKind("H"), a, b) - 1.0 / mean(MeanKind("L"), a, b))
@@ -189,7 +189,6 @@ def proposition_check(inst: PropositionInstance, tol: float = 1e-9) -> Verificat
         )
     else:  # P4
         n = inst.n
-        params["n"] = n
         lhs = abs(
             mean(MeanKind("A"), float(a) ** n, float(b) ** n)
             - mean(MeanKind("Lp", p), a, b) ** p
@@ -199,11 +198,11 @@ def proposition_check(inst: PropositionInstance, tol: float = 1e-9) -> Verificat
         rhs = scale / (2.0 * 6.0 ** ((p + 1.0) / p)) * amp
         alt = scale / 2.6 ** ((p + 1.0) / p) * amp
         extras["alt_rhs"] = alt
-        extras["alt_holds"] = lhs <= alt + tol
+        extras["alt_holds"] = within(lhs, alt, tol)
         note = "constant read as 2*6^((p+1)/p); decimal-base 2.6 alternate in extras"
 
-    holds = lhs <= rhs + tol
+    holds = within(lhs, rhs, tol)
     if not holds:
         fail_note = "inequality fails as stated at these parameters"
         note = fail_note if note is None else f"{note}; {fail_note}"
-    return VerificationOutcome(inst.id, params, lhs, rhs, holds, extras, note)
+    return VerificationOutcome(inst.id, lhs, rhs, holds, extras, note)

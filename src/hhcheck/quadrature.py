@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .convexity import ConvexityClass, MembershipReport, hypothesis_membership
+from .convexity import ConvexityClass, MembershipReport, hypothesis_membership, within
 from .expr import Abs, DomainInterval, Node, compile_fn, differentiate
 from .kernels import beta, check_holder_exponent, integral
 
@@ -216,7 +216,7 @@ def certified_integrate(
         true_error=true_error,
         apriori_bound=bound,
         bound_source=source,
-        holds=true_error <= bound + tol,
+        holds=within(true_error, bound, tol),
         hypothesis_verified=verified,
         membership=membership,
         params=params,

@@ -30,11 +30,11 @@ from .bounds import (
     BoundInstance, HOLDER_RULES, RULE_IDS, lemma1_residual, lemma2_residual,
     verify as verify_bound,
 )
-from .convexity import ConvexityClass
+from .convexity import ConvexityClass, relative_slack, within
 from .expr import parse
 from .kernels import HolderPair
 from .means import (
-    MEAN_CHAIN, PropositionInstance, check_mean_chain, lp_kind, mean, proposition_check,
+    MEAN_CHAIN, PropositionInstance, check_mean_chain, lp_worst_decrease, proposition_check,
 )
 from .quadrature import certified_integrate
 
@@ -158,20 +158,17 @@ def quad_row(label: str, report, **extra) -> tuple:
 def mean_chain_rows(a: float, b: float) -> list:
     """One row per link of H <= G <= L <= I <= A at (a, b)."""
     vals, _ = check_mean_chain(a, b)
-    eps = 1e-12 * max(1.0, vals[-1])
+    eps = relative_slack(vals[-1])  # as check_mean_chain
     links = zip(MEAN_CHAIN, vals, MEAN_CHAIN[1:], vals[1:])
     return [("chain", format_params(a=a, b=b, left=left, right=right), u, v,
-             verdict(u <= v + eps)) for left, u, right, v in links]
+             verdict(within(u, v, eps))) for left, u, right, v in links]
 
 
 def lp_monotone_row(a: float, b: float, grid) -> tuple:
     """The largest decrease of p -> L_p along the sorted grid, against 0."""
-    grid = sorted(grid)
-    vals = [mean(lp_kind(p), a, b) for p in grid]
-    worst = max((u - v for u, v in zip(vals, vals[1:])), default=0.0)
-    eps = 1e-12 * max(1.0, *vals)
-    ps = format_params(a=a, b=b, grid="|".join(_fmt(p) for p in grid))
-    return ("Lp-monotone", ps, worst, 0.0, verdict(worst <= eps))
+    worst, eps = lp_worst_decrease(a, b, grid)
+    ps = format_params(a=a, b=b, grid="|".join(_fmt(p) for p in sorted(grid)))
+    return ("Lp-monotone", ps, worst, 0.0, verdict(within(worst, 0.0, eps)))
 
 
 def proposition_rows(inst: PropositionInstance, tol: float) -> list:
@@ -192,9 +189,9 @@ def _lemma_section(em: Emitter, rng: random.Random, tol: float):
             b = a + rng.uniform(0.4, 1.5)
             ps = format_params(f=name, a=a, b=b)
             r1 = lemma1_residual(f, a, b)
-            em.add("lemma", "L1", ps, r1, tol, verdict(r1 <= tol))
+            em.add("lemma", "L1", ps, r1, tol, verdict(within(r1, 0.0, tol)))
             r2 = lemma2_residual(f, a, b)
-            em.add("lemma", "L2", ps, r2, tol, verdict(r2 <= tol))
+            em.add("lemma", "L2", ps, r2, tol, verdict(within(r2, 0.0, tol)))
 
 
 def _bound_section(em: Emitter, rng: random.Random, seed: int, tol: float):

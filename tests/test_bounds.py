@@ -129,7 +129,7 @@ class TestRuleFixtures:
         rep = _run("T1", SQ, 0.0, 1.0, variant="tight")
         assert rep.rhs == pytest.approx(0.25, abs=1e-14)
         assert rep.holds
-        assert rep.params["variant"] == "tight"
+        assert any("tight variant in use" in n for n in rep.notes)
 
     def test_t1_exp_fixture(self):
         rep = _run("T1", EXP, 0.0, 1.0)

@@ -253,6 +253,14 @@ class TestGoldenBytes:
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    def test_verdict_column_sha256(self):
+        """The verdict of every record of build_suite at seeds 0-9, one per
+        line: a change to the verdict test or its slack that moves this hash
+        changes a verdict and must say which."""
+        verdicts = [c.verdict for seed in range(10) for c in build_suite(seed).cases]
+        assert len(verdicts) == 3180
+        digest = hashlib.sha256("".join(v + "\n" for v in verdicts).encode()).hexdigest()
+        assert digest == "2721ad1cb27b7aeeed0fe5d845d94fce2b090f3a2929b93447e25ac1d374bdfe"
 
     def test_verify_json_same_with_warm_membership_cache(self, capsys, monkeypatch):
         monkeypatch.delenv("HHC_SEED", raising=False)

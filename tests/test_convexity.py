@@ -36,6 +36,8 @@ from hhcheck.convexity import (
     _OPEN_SENSES,
     _grid_points,
     hypothesis_membership,
+    relative_slack,
+    within,
 )
 
 
@@ -678,14 +680,8 @@ class TestGridPassOrder:
         assert new == old
 
 
-def test_non_negative_sense_evaluates_each_grid_point_once(monkeypatch):
-    """The non-negativity check's values of g on the grid feed the grid
-    pass, so a clean h_alpha_m search with no random triples calls g once per
-    grid point, plus once per distinct non-zero combination point (a grid
-    point that is also a combination point counts under both)."""
-    # with m = 0.1 on [10, 11] only one grid point is a combination point
-    g, dom = parse("x^2"), DomainInterval(10.0, 11.0)
-    cls = ConvexityClass("h_alpha_m", alpha=1.0, m=0.1)
+def _record_g_calls(monkeypatch) -> list:
+    """The arguments of every call of a function the search compiles, in order."""
     args = []
     real_compile = convexity.compile_fn
 
@@ -698,6 +694,18 @@ def test_non_negative_sense_evaluates_each_grid_point_once(monkeypatch):
         return recorded
 
     monkeypatch.setattr(convexity, "compile_fn", recording_compile)
+    return args
+
+
+def test_non_negative_sense_evaluates_each_grid_point_once(monkeypatch):
+    """The non-negativity check's values of g on the grid feed the grid
+    pass, so a clean h_alpha_m search with no random triples calls g once per
+    grid point, plus once per distinct non-zero combination point (a grid
+    point that is also a combination point counts under both)."""
+    # with m = 0.1 on [10, 11] only one grid point is a combination point
+    g, dom = parse("x^2"), DomainInterval(10.0, 11.0)
+    cls = ConvexityClass("h_alpha_m", alpha=1.0, m=0.1)
+    args = _record_g_calls(monkeypatch)
     rep = check_membership(g, cls, dom, samples=0)
     xs = _grid_points(dom, 21)
     lams = [0.1 * k for k in range(1, 10)]
@@ -705,6 +713,23 @@ def test_non_negative_sense_evaluates_each_grid_point_once(monkeypatch):
     assert rep.ok and rep.samples_used == 21 * 21 * 9
     assert all(args.count(x) == 1 + (x in zs) for x in xs)
     assert len(args) == len(xs) + len(zs)
+
+
+@pytest.mark.parametrize("sense", ["s_alpha_m_first", "s_alpha_m_second"])
+def test_y_over_m_sense_at_m_one_evaluates_each_grid_point_once(monkeypatch, sense):
+    """At m = 1, y/m is y, so the grid pass reads g(y/m) from the values of
+    the non-negativity check: a clean search with no random triples calls g
+    once per grid point, plus once per distinct non-zero combination point."""
+    g, dom = parse("x^2"), DomainInterval(10.0, 11.0)
+    cls = ConvexityClass(sense)  # alpha = m = s = 1
+    args = _record_g_calls(monkeypatch)
+    rep = check_membership(g, cls, dom, samples=0)
+    xs = _grid_points(dom, 21)
+    lams = [0.0] + [0.1 * k for k in range(1, 10)] + [1.0]
+    zs = {lam * x + (1.0 - lam) * y for lam in lams for x in xs for y in xs} - {0.0}
+    assert rep.ok and rep.samples_used == 21 * 21 * 11
+    assert all(args.count(x) == 1 + (x in zs) for x in xs)
+    assert len(args) == len(xs) + len(zs) == 430
 
 
 def test_build_suite_membership_work(monkeypatch):
@@ -733,3 +758,31 @@ def test_build_suite_membership_work(monkeypatch):
     build_suite(42)
     assert evals[0] <= 100_000  # 248,674 when each grid triple called g
     assert triples[0] == 203_742
+
+
+class TestVerdictPolicy:
+    """`within` and `relative_slack` decide every record verdict."""
+
+    def test_within_holds_at_equality_with_zero_slack(self):
+        assert within(1.5, 1.5, 0.0)
+        assert within(0.0, -0.0, 0.0)
+        assert not within(math.nextafter(1.5, 2.0), 1.5, 0.0)
+
+    def test_within_counts_the_slack(self):
+        assert within(1.0 + 1e-10, 1.0, 1e-9)
+        assert not within(1.0 + 1e-8, 1.0, 1e-9)
+
+    @pytest.mark.parametrize("lhs,rhs", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_on_either_side_never_holds(self, lhs, rhs):
+        assert not within(lhs, rhs, 1e-9)
+        assert not within(lhs, rhs, math.inf)
+
+    @pytest.mark.parametrize("values", [(0.0,), (1.0,), (-1.0,), (0.5, -0.25, 1.0), (-1.0, 1.0)])
+    def test_relative_slack_is_absolute_on_the_unit_interval(self, values):
+        assert relative_slack(*values) == 1e-12
+
+    @pytest.mark.parametrize("values,largest", [
+        ((3.0,), 3.0), ((-250.0,), 250.0), ((2.0, -7.5, 4.0), 7.5), ((0.5, 1e6), 1e6),
+    ])
+    def test_relative_slack_scales_with_the_largest_magnitude(self, values, largest):
+        assert relative_slack(*values) == 1e-12 * largest
