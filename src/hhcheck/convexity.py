@@ -17,13 +17,19 @@ that is a precondition failure, not a counterexample. Membership is only
 semi-decidable, so the check is a deterministic grid pass followed by seeded
 random sampling. All eight inequalities share one form, lhs = g(lam*x + c*y)
 and rhs = wx*g(x) + wy*g(Y), with the coefficients (c, wx, wy) and Y (y or
-y/m) read from one table. The grid pass is eager: g at each grid point and
-at each Y, the coefficients at each lam and g at each distinct combination
-point are computed once. Only a search that this pass finds failing runs the
-grid again in definition order, for the exact witness or error. Random
-triples are drawn one at a time.
-The bound rules and the quadrature check their hypotheses through
-hypothesis_membership, which runs one search per distinct hypothesis.
+y/m) read from one table.
+
+Everything in a search but g and tol is shared: a plan per (class, domain,
+samples, seed), in a small cache, holds the grid weights, the distinct grid
+combination points with the index of each grid triple's point, and the first
+block of random draws with their weights, combination points and Y. A search
+evaluates g once at each grid point, each Y and each distinct combination
+point, then per block of random draws; later blocks come from the generator
+state after the first and are not kept. Only a search that finds a grid
+counterexample, or meets a failing evaluation or weight, runs again in
+definition order, for the exact witness or error. The bound rules and the
+quadrature check their hypotheses through hypothesis_membership, which runs
+one search per distinct hypothesis.
 
 Every record verdict (bounds, quadrature, lemma rows, means) is decided by
 `within`, with an absolute slack (the verdict tol) or `relative_slack`.
@@ -31,10 +37,14 @@ Every record verdict (bounds, quadrature, lemma rows, means) is decided by
 
 from __future__ import annotations
 
+import math
 import random
+import threading
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError
@@ -73,10 +83,10 @@ _NONNEG_DOMAIN_SENSES = frozenset(
 def within(lhs: float, rhs: float, slack: float) -> bool:
     """The verdict test: lhs <= rhs + slack; a NaN on either side fails it.
 
-    The membership search's two inner loops (`_grid_clean`, and the ordered
-    and random triples of `check_membership`) write their counterexample
-    test lhs > rhs + tol inline instead: a suite runs it ~225k times, and
-    there a function call costs more than the comparison itself.
+    The membership search's inner loops (`_grid_clean`, `_random_pass` and
+    the ordered pass of `check_membership`) write their counterexample test
+    lhs > rhs + tol inline instead: a suite runs it ~225k times, and there a
+    function call costs more than the comparison itself.
     """
     return lhs <= rhs + slack
 
@@ -283,36 +293,194 @@ def _grid_points(dom: DomainInterval, npts: int) -> list[float]:
     return pts
 
 
-def _grid_clean(gc, xs, gxs, ys, lams, c_of, wx_of, wy_of, p, tol) -> bool:
-    """True when no grid triple is a counterexample and no evaluation fails.
-    The operands of the ordered pass (gxs = g on xs, or None), computed
-    eagerly and grouped as it groups them; g at a combination point z is
-    memoized unless z == 0.0, because a dict key merges 0.0 and -0.0."""
+def _lam_grid(sense: str) -> list[float]:
+    lams = [0.1 * k for k in range(1, 10)]
+    return lams if sense in _OPEN_SENSES else [0.0] + lams + [1.0]
+
+
+def _params(cls: ConvexityClass) -> _Params:
+    hfn = compile_fn(cls.h.expr) if cls.h.kind == "custom" else None
+    return _Params(cls.alpha, cls.m, cls.s, cls.h, hfn)
+
+
+# what a failing g or weight raises; a search that meets one runs in
+# definition order, which raises the error of the first failing triple
+_FAILURES = (DomainError, PreconditionError, ArithmeticError)
+# random triples are drawn in blocks of this many; a suite search draws one
+_BLOCK = 500
+# plans are shared and built lazily, so a search extends one under this lock
+_PLAN_LOCK = threading.Lock()
+_UNDRAWN = object()  # a plan's first random block before any search drew it
+
+
+def _grid_rows(xs, lams, coefficients, p, points):
+    """Yield the grid one lam at a time, as (wx, wy, getter, end): the new
+    combination points lam*x + c*y of the lam are appended to points, and
+    getter maps g on points[:end] to g at its 441 points, x-major. Stops at
+    the first weight that fails."""
+    c_of, wx_of, wy_of = coefficients[:3]
+    slot = {}  # combination point -> index in points; never a zero, because
+    get = slot.get  # a dict key merges 0.0 and -0.0
+    for lam in lams:
+        try:
+            c, wx = c_of(p, lam), wx_of(p, lam)
+            wy = wy_of(p, lam, wx)
+        except _FAILURES:
+            return
+        cys = [c * y for y in xs]
+        idx = []
+        for x in xs:
+            lx = lam * x
+            for cy in cys:
+                z = lx + cy
+                i = get(z)
+                if i is None:
+                    i = len(points)
+                    points.append(z)
+                    if z != 0.0:
+                        slot[z] = i
+                idx.append(i)
+        yield wx, wy, itemgetter(*idx), len(points)
+
+
+def _draw_block(rng, n, dom, open_lam, coefficients, p):
+    """The next n random triples of rng, drawn as the ordered pass draws
+    them, less the open senses' lam outside (1e-12, 1-1e-12): the
+    sequences (x, y, lam, z, Y, wx, wy), or None when a weight fails."""
+    c_of, wx_of, wy_of, y_over_m, _ = coefficients
+    lo, span, rand = dom.lo, dom.hi - dom.lo, rng.random
+    u = [rand() for _ in range(3 * n)]
+    # random.uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit, and
+    # uniform(0.0, 1.0) is random()
+    xs, ys, lams = [lo + span * r for r in u[0::3]], [lo + span * r for r in u[1::3]], u[2::3]
+    if open_lam:
+        keep = [1e-12 < lam < 1.0 - 1e-12 for lam in lams]
+        xs, ys, lams = (list(compress(v, keep)) for v in (xs, ys, lams))
+    try:
+        wxs = [wx_of(p, lam) for lam in lams]
+        wys = [wy_of(p, lam, wx) for lam, wx in zip(lams, wxs)]
+        zs = [lam * x + c_of(p, lam) * y for x, y, lam in zip(xs, ys, lams)]
+    except _FAILURES:
+        return None
+    m = p.m
+    return xs, ys, lams, zs, [y / m for y in ys] if y_over_m and m != 1.0 else ys, wxs, wys
+
+
+class _Plan:
+    """Everything about a membership search that depends on neither g nor
+    tol, for one (class, domain, samples, seed). Searches build it lazily,
+    only as far as one of them has needed it, and share it.
+
+    lams    the grid, one _grid_rows entry per lam; nlams once built
+    points  the distinct combination points the entries index
+    """
+
+    __slots__ = ("nlams", "lams", "points", "_grid", "_args", "_first", "_state")
+
+    def __init__(self, cls: ConvexityClass, dom: DomainInterval, samples: int, seed: int):
+        xs, lams, p = _grid_points(dom, 21), _lam_grid(cls.sense), _params(cls)
+        coefficients = _COEFFICIENTS[cls.sense]
+        self.nlams, self.lams, self.points = len(lams), [], []
+        self._grid = _grid_rows(xs, lams, coefficients, p, self.points)
+        self._args = (dom, samples, seed, cls.sense in _OPEN_SENSES, coefficients, p)
+        self._first, self._state = _UNDRAWN, None
+
+    def grow(self, k: int):
+        """The grid entry of the k-th lam, built now; None when a weight
+        fails at or before it."""
+        with _PLAN_LOCK:
+            lams = self.lams
+            while len(lams) <= k:
+                entry = next(self._grid, None) if self._grid is not None else None
+                if entry is None:
+                    self._grid = None
+                    return None
+                lams.append(entry)
+            if len(lams) == self.nlams:
+                self._grid = None  # frees the dedupe dict
+                self.points = array("d", self.points)
+            return lams[k]
+
+    def blocks(self):
+        """The random triples block by block, each as _draw_block gives it:
+        the first block is drawn once and kept, in arrays; the others are
+        drawn from the generator state after it and not kept."""
+        dom, samples, seed, open_lam, coefficients, p = self._args
+        if not samples:
+            return
+        if self._first is _UNDRAWN:
+            with _PLAN_LOCK:
+                if self._first is _UNDRAWN:
+                    rng = random.Random(seed)
+                    first = _draw_block(rng, min(samples, _BLOCK), dom, open_lam, coefficients, p)
+                    self._state = rng.getstate() if samples > _BLOCK else None
+                    self._first = None if first is None else tuple(array("d", v) for v in first)
+        yield self._first
+        if samples > _BLOCK:
+            rng = random.Random()
+            rng.setstate(self._state)
+            for start in range(_BLOCK, samples, _BLOCK):
+                yield _draw_block(rng, min(_BLOCK, samples - start), dom, open_lam,
+                                  coefficients, p)
+
+
+@lru_cache(maxsize=3)  # the quad section cycles through three classes
+def _search_plan(cls, dom, samples, seed, lo_sign, hi_sign) -> _Plan:
+    """The shared plan for (cls, dom, samples, seed). The endpoint signs are
+    part of the key because DomainInterval(-0.0, 1.0) == DomainInterval(0.0,
+    1.0), while the grid point -0.0 is not 0.0."""
+    return _Plan(cls, dom, samples, seed)
+
+
+def _grid_clean(plan: _Plan, gc, xs, gxs, ys, tol) -> bool:
+    """True when no grid triple is a counterexample and no evaluation or
+    weight fails. g is evaluated once at each grid point (gxs = g on xs, or
+    None), at each Y and at each distinct combination point, row by row as
+    far as the scan goes; each test has the operands and grouping of the
+    ordered pass."""
+    lams = plan.lams
     try:
         if gxs is None:
             gxs = [gc(x) for x in xs]
         gys = gxs if ys is xs else [gc(y) for y in ys]
-        memo = {}
-        get = memo.get
-        for lam in lams:
-            c, wx = c_of(p, lam), wx_of(p, lam)
-            wy = wy_of(p, lam, wx)
-            cys = [c * y for y in xs]
+        gz = []
+        for k in range(plan.nlams):
+            entry = lams[k] if k < len(lams) else plan.grow(k)
+            if entry is None:
+                return False
+            wx, wy, get, end = entry
+            if len(gz) < end:
+                gz += map(gc, plan.points[len(gz):end])
             wgys = [wy * gy for gy in gys]
-            for x, gx in zip(xs, gxs):
-                lx, wgx = lam * x, wx * gx
-                for cy, wgy in zip(cys, wgys):
-                    z = lx + cy
-                    v = get(z)
-                    if v is None:
-                        v = gc(z)
-                        if z != 0.0:
-                            memo[z] = v
+            row = iter(get(gz))
+            for gx in gxs:
+                wgx = wx * gx
+                for wgy, v in zip(wgys, row):  # wgys first: zip stops before row
                     if v > wgx + wgy + tol:  # not within(); see its docstring
                         return False
-    except (DomainError, PreconditionError, ArithmeticError):
+    except _FAILURES:
         return False
     return True
+
+
+def _random_pass(plan: _Plan, gc, tol):
+    """(triples checked, the first counterexample or None) over the random
+    triples of the plan; None when an evaluation or a weight fails."""
+    used = 0
+    for block in plan.blocks():
+        if block is None:
+            return None
+        xs, ys, lams, zs, yargs, wxs, wys = block
+        try:
+            lhs, gxs, gys = list(map(gc, zs)), list(map(gc, xs)), list(map(gc, yargs))
+        except _FAILURES:
+            return None
+        for j, (v, wx, gx, wy, gy) in enumerate(zip(lhs, wxs, gxs, wys, gys)):
+            rhs = wx * gx + wy * gy
+            if v > rhs + tol:  # not within(); see its docstring
+                return used + j + 1, Witness(xs[j], ys[j], lams[j], v, rhs)
+        used += len(zs)
+    return used, None
 
 
 def check_membership(
@@ -327,15 +495,18 @@ def check_membership(
 
     Deterministic pass first: a 21 x 21 grid in (x, y) crossed with lam in
     {0.1, ..., 0.9} (endpoints 0 and 1 added for closed-interval senses).
-    The grid pass is eager: g at each grid point and at y/m, the weights at
-    each lam and g at each distinct combination point (held in a memo keyed
-    by the float) are computed once, in no set order. When that finds a
-    counterexample or an evaluation fails, the grid runs again triple by
+    Then `samples` seeded random triples (0 keeps the grid pass alone), so
+    the outcome depends only on the seed. Within a triple, g and h are
+    called in the order of the sense's definition.
+
+    The search reads the grid weights, the distinct combination points and
+    the first block of random draws from a plan shared by every search with
+    the same (class, domain, samples, seed). It evaluates g once at each
+    grid point, at y/m and at each distinct combination point, and per
+    block of random draws. When the grid holds a counterexample, or an
+    evaluation or a weight fails anywhere, the search runs again triple by
     triple in definition order, so the witness, samples_used and the error
-    message are those of the first failing triple. Then `samples` seeded
-    random triples (0 keeps the grid pass alone), each drawn just before it
-    is checked, so the outcome depends only on the seed. Within a triple, g
-    and h are called in the order of the sense's definition.
+    message are those of the first failing triple.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples!r}")
@@ -362,21 +533,25 @@ def check_membership(
                 )
             gxs.append(v)
 
-    lam_grid = [0.1 * k for k in range(1, 10)]
-    if cls.sense not in _OPEN_SENSES:
-        lam_grid = [0.0] + lam_grid + [1.0]
-
+    lam_grid = _lam_grid(cls.sense)
     c_of, wx_of, wy_of, y_over_m, wx_late = _COEFFICIENTS[cls.sense]
     m = cls.m
-    hfn = compile_fn(cls.h.expr) if cls.h.kind == "custom" else None
-    p = _Params(cls.alpha, m, cls.s, cls.h, hfn)
+    p = _params(cls)
 
     # at m = 1, y/m is y bit for bit, so passing xs itself lets the pass reuse gxs
     ys = [y / m for y in xs] if y_over_m and m != 1.0 else xs
-    # a clean grid counts as checked; after a hit or a failure there, the
-    # grid triples run again in definition order, ahead of the random ones
+    plan = _search_plan(cls, dom, samples, seed,
+                        math.copysign(1.0, dom.lo), math.copysign(1.0, dom.hi))
     ngrid = len(xs) * len(xs) * len(lam_grid)
-    used = ngrid if _grid_clean(gc, xs, gxs, ys, lam_grid, c_of, wx_of, wy_of, p, tol) else 0
+    used = 0
+    if _grid_clean(plan, gc, xs, gxs, ys, tol):
+        found = _random_pass(plan, gc, tol)
+        if found is not None:
+            n, w = found
+            return MembershipReport("no-counterexample-found" if w is None else "counterexample",
+                                    ngrid + n, w, seed, reading)
+        used = ngrid  # a clean grid counts as checked
+    # the ordered pass: the grid triples unless clean, then the random ones
     ngrid -= used
     ordered = product(xs, xs, lam_grid)
     try:
@@ -424,7 +599,8 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
     hypothesis; the result is cached, and reports are shared, not copied.
     The cache keys keyword and positional calls apart, so callers pass all
     six positionally. check_membership itself is not cached, so check-class
-    always searches.
+    always searches; only its grid and random draws come from the plan
+    cache, which serves every search with the same (cls, dom, samples, seed).
     """
     try:
         return check_membership(g, cls, dom, samples, seed, tol), None

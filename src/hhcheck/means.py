@@ -99,12 +99,16 @@ def check_mean_chain(a: float, b: float):
 
 def lp_worst_decrease(a: float, b: float, p_grid):
     """(largest decrease of p -> L_p along the sorted grid, its 1e-12
-    relative slack), where -1 and 0 stand for L and I (see lp_kind)."""
+    relative slack), where -1 and 0 stand for L and I (see lp_kind). A NaN
+    value or difference makes the decrease NaN, which `within` flags; max()
+    alone would drop every NaN after the first item."""
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got ({a!r}, {b!r})")
     vals = [mean(lp_kind(p), a, b) for p in sorted(p_grid)]
-    worst = max((u - v for u, v in zip(vals, vals[1:])), default=0.0)
-    return worst, relative_slack(*vals)
+    decreases = [u - v for u, v in zip(vals, vals[1:])]
+    if any(map(math.isnan, vals + decreases)):
+        return math.nan, relative_slack(*vals)
+    return max(decreases, default=0.0), relative_slack(*vals)
 
 
 def lp_monotonicity_check(a: float, b: float, p_grid) -> bool:

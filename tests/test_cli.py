@@ -410,6 +410,15 @@ class TestSinglePipeline:
         assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
         assert '"margin": -0.0' not in out
 
+    def test_means_nan_lp_value_flags_the_lp_row(self, capsys):
+        # L_0.5 .. L_5 are NaN at this pair; the row used to hold at -inf
+        code, out, _ = _run(capsys, "means", "--a", "1e-300", "--b", "1e300",
+                            "--format", "json")
+        row = json.loads(out)["cases"][-1]
+        assert code == 1
+        assert row["rule"] == "Lp-monotone" and row["verdict"] == "flagged"
+        assert math.isnan(row["lhs"]) and math.isnan(row["margin"])
+
     def test_means_and_prop_records_match_the_suite(self, capsys):
         suite = [c.as_dict() for c in build_suite(seed=42).cases if c.case_id.startswith("means-")]
         chain_pairs, lp_pairs, prop_pairs = _suite_means_pairs(42)

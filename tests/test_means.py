@@ -15,6 +15,7 @@ from hhcheck import (
     mean,
     proposition_check,
 )
+from hhcheck.means import lp_worst_decrease
 
 A = MeanKind("A")
 G = MeanKind("G")
@@ -164,6 +165,17 @@ class TestLpEdges:
         v = mean(LP(200.0), a, b)
         assert 1.9 < v < 2.0
         assert v > mean(LP(5.0), a, b)
+
+    def test_nan_value_flags_the_decrease(self):
+        # at (1e-300, 1e300) L is 0 and I is inf, and L_0.5 .. L_5 are NaN;
+        # max() over the differences would keep 0 - inf = -inf
+        grid = (-1.0, 0.0, 0.5, 1.0, 2.0, 5.0)
+        vals = [mean(L, 1e-300, 1e300), mean(I, 1e-300, 1e300)]
+        vals += [mean(LP(p), 1e-300, 1e300) for p in grid[2:]]
+        assert sum(map(math.isnan, vals)) == 4
+        worst, _ = lp_worst_decrease(1e-300, 1e300, grid)
+        assert math.isnan(worst)
+        assert not lp_monotonicity_check(1e-300, 1e300, grid)
 
 
 class TestPropositions:
