@@ -308,12 +308,16 @@ def bound_first_derivative(inst: BoundInstance, variant: str = "printed",
     rule = inst.rule_id
     if rule not in FIRST_DERIVATIVE_RULES:
         raise ValueError(f"{rule} is not a first-derivative rule")
+    _check_variant(rule, variant)
+    row = _T1_TIGHT if variant == "tight" else _RULES[rule]
+    return _evaluate_rule(inst, row, tol)
+
+
+def _check_variant(rule: str, variant: str):
     if variant not in ("printed", "tight"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "tight" and rule != "T1":
         raise ValueError("the tight variant exists only for T1")
-    row = _T1_TIGHT if variant == "tight" else _RULES[rule]
-    return _evaluate_rule(inst, row, tol)
 
 
 def bound_second_derivative(inst: BoundInstance, tol: float = 1e-9) -> BoundReport:
@@ -336,8 +340,10 @@ def verify(
     per distinct (function, class, domain, samples, seed, tol) and shares its
     report between calls, so verify takes no precomputed membership. A
     precondition failure downgrades the report to hypothesis_verified=False
-    instead of raising.
+    instead of raising. A variant other than "printed" is rejected, before
+    the search, for every rule but T1.
     """
+    _check_variant(inst.rule_id, variant)
     membership, failure = hypothesis_membership(
         hypothesis_function(inst), inst.cls, hypothesis_domain(inst), samples, seed, tol)
     extra = (failure,) if failure else ()

@@ -20,16 +20,19 @@ and rhs = wx*g(x) + wy*g(Y), with the coefficients (c, wx, wy) and Y (y or
 y/m) read from one table.
 
 Everything in a search but g and tol is shared: a plan per (class, domain,
-samples, seed), in a small cache, holds the grid weights, the distinct grid
-combination points with the index of each grid triple's point, and the first
-block of random draws with their weights, combination points and Y. A search
-evaluates g once at each grid point, each Y and each distinct combination
-point, then per block of random draws; later blocks come from the generator
-state after the first and are not kept. Only a search that finds a grid
-counterexample, or meets a failing evaluation or weight, runs again in
-definition order, for the exact witness or error. The bound rules and the
-quadrature check their hypotheses through hypothesis_membership, which runs
-one search per distinct hypothesis.
+samples, seed), built in one call and kept in a small cache, holds the grid
+weights, the distinct grid combination points with a getter per grid x, and
+the first block of random draws with the generator state after it. A search
+scans each block of triples, the grid and then each block of up to 500
+random draws, in definition order: x, then y, then lam on the grid, draw
+order after it. It evaluates g once at each grid point, each Y and each
+distinct combination point, one x row at a time, and once per random term.
+So the first hit of a block is the witness; it is replayed alone, calling
+g and h in the order of the sense's definition, and a block in which an
+evaluation or a weight fails is replayed whole, for the error of its first
+failing triple. The bound rules and the quadrature check their hypotheses
+through hypothesis_membership, which runs one search per distinct
+hypothesis.
 
 Every record verdict (bounds, quadrature, lemma rows, means) is decided by
 `within`, with an absolute slack (the verdict tol) or `relative_slack`.
@@ -39,12 +42,11 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import compress, product
-from operator import itemgetter
+from functools import lru_cache, partial
+from itertools import chain, compress, count, islice, product
+from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError
@@ -83,10 +85,10 @@ _NONNEG_DOMAIN_SENSES = frozenset(
 def within(lhs: float, rhs: float, slack: float) -> bool:
     """The verdict test: lhs <= rhs + slack; a NaN on either side fails it.
 
-    The membership search's inner loops (`_grid_clean`, `_random_pass` and
-    the ordered pass of `check_membership`) write their counterexample test
-    lhs > rhs + tol inline instead: a suite runs it ~225k times, and there a
-    function call costs more than the comparison itself.
+    The membership search writes its counterexample test lhs > rhs + tol
+    inline instead, once in its scan (`_first_hit`) and once in its replay
+    (`_replay`): a suite runs it ~204k times, and there a function call
+    costs more than the comparison itself.
     """
     return lhs <= rhs + slack
 
@@ -298,40 +300,83 @@ def _lam_grid(sense: str) -> list[float]:
     return lams if sense in _OPEN_SENSES else [0.0] + lams + [1.0]
 
 
-def _params(cls: ConvexityClass) -> _Params:
-    hfn = compile_fn(cls.h.expr) if cls.h.kind == "custom" else None
-    return _Params(cls.alpha, cls.m, cls.s, cls.h, hfn)
-
-
-# what a failing g or weight raises; a search that meets one runs in
-# definition order, which raises the error of the first failing triple
+# what a failing g or weight raises; a block in which one fails is replayed,
+# which raises the error of its first failing triple
 _FAILURES = (DomainError, PreconditionError, ArithmeticError)
 # random triples are drawn in blocks of this many; a suite search draws one
 _BLOCK = 500
-# plans are shared and built lazily, so a search extends one under this lock
-_PLAN_LOCK = threading.Lock()
-_UNDRAWN = object()  # a plan's first random block before any search drew it
 
 
-def _grid_rows(xs, lams, coefficients, p, points):
-    """Yield the grid one lam at a time, as (wx, wy, getter, end): the new
-    combination points lam*x + c*y of the lam are appended to points, and
-    getter maps g on points[:end] to g at its 441 points, x-major. Stops at
-    the first weight that fails."""
+def _draw_block(rng, n, dom, open_lam, coefficients, p):
+    """The next n random triples of rng, less the open senses' lam outside
+    (1e-12, 1-1e-12), as the sequences (x, y, lam, z, Y, wx, wy); the last
+    four are None when a weight fails."""
+    c_of, wx_of, wy_of, y_over_m, _ = coefficients
+    lo, span, rand = dom.lo, dom.hi - dom.lo, rng.random
+    u = [rand() for _ in range(3 * n)]
+    # a triple is uniform(lo, hi), uniform(lo, hi), uniform(0.0, 1.0), and
+    # uniform(a, b) is a + (b - a) * random(), bit for bit
+    xs, ys, lams = [lo + span * r for r in u[0::3]], [lo + span * r for r in u[1::3]], u[2::3]
+    if open_lam:
+        # keep a buffer so 1-lam cannot round to an endpoint of (0,1)
+        keep = [1e-12 < lam < 1.0 - 1e-12 for lam in lams]
+        xs, ys, lams = (list(compress(v, keep)) for v in (xs, ys, lams))
+    try:
+        wxs = [wx_of(p, lam) for lam in lams]
+        wys = [wy_of(p, lam, wx) for lam, wx in zip(lams, wxs)]
+        zs = [lam * x + c_of(p, lam) * y for x, y, lam in zip(xs, ys, lams)]
+    except _FAILURES:
+        return xs, ys, lams, None, None, None, None
+    return xs, ys, lams, zs, [y / p.m for y in ys] if y_over_m and p.m != 1.0 else ys, wxs, wys
+
+
+class _Plan(NamedTuple):
+    """Everything about a membership search that depends on neither g nor
+    tol, for one (class, domain, samples, seed); built in one call, shared.
+
+    wxs, wys  the grid weights, one per lam; None when one fails
+    points    the distinct grid combination points lam*x + c*y
+    rows      per grid x, (getter, end): getter maps g on points[:end] to g
+              at the combination points of the x row, y then lam
+    first     the first random block, as _draw_block gives it
+    state     the generator state after it; None when no block follows
+    draw      _draw_block for the later blocks, given rng and n
+    """
+
+    p: _Params
+    coefficients: tuple
+    lams: list
+    wxs: Optional[list]
+    wys: Optional[list]
+    points: array
+    rows: list
+    first: tuple
+    state: object
+    draw: Callable
+
+
+@lru_cache(maxsize=3)  # the quad section cycles through three classes
+def _search_plan(cls, dom, samples, seed, lo_sign, hi_sign) -> _Plan:
+    """The shared plan for (cls, dom, samples, seed), keyed with _signs(dom)."""
+    xs, lams = _grid_points(dom, 21), _lam_grid(cls.sense)
+    p = _Params(cls.alpha, cls.m, cls.s, cls.h,
+                compile_fn(cls.h.expr) if cls.h.kind == "custom" else None)
+    coefficients = _COEFFICIENTS[cls.sense]
     c_of, wx_of, wy_of = coefficients[:3]
-    slot = {}  # combination point -> index in points; never a zero, because
-    get = slot.get  # a dict key merges 0.0 and -0.0
-    for lam in lams:
-        try:
-            c, wx = c_of(p, lam), wx_of(p, lam)
-            wy = wy_of(p, lam, wx)
-        except _FAILURES:
-            return
-        cys = [c * y for y in xs]
-        idx = []
+    points, rows = [], []
+    try:
+        wxs = [wx_of(p, lam) for lam in lams]
+        wys = [wy_of(p, lam, wx) for lam, wx in zip(lams, wxs)]
+        cs = [c_of(p, lam) for lam in lams]
+    except _FAILURES:
+        wxs = wys = None  # the grid is replayed, so it needs no points
+    else:
+        cys = [c * y for y in xs for c in cs]
+        slot = {}  # combination point -> index in points; never a zero, because
+        get = slot.get  # a dict key merges 0.0 and -0.0
         for x in xs:
-            lx = lam * x
-            for cy in cys:
+            idx = []
+            for lx, cy in zip([lam * x for lam in lams] * len(xs), cys):
                 z = lx + cy
                 i = get(z)
                 if i is None:
@@ -340,147 +385,110 @@ def _grid_rows(xs, lams, coefficients, p, points):
                     if z != 0.0:
                         slot[z] = i
                 idx.append(i)
-        yield wx, wy, itemgetter(*idx), len(points)
+            rows.append((itemgetter(*idx), len(points)))
+    draw = partial(_draw_block, dom=dom, open_lam=cls.sense in _OPEN_SENSES,
+                   coefficients=coefficients, p=p)
+    rng = random.Random(seed)
+    first = draw(rng, min(samples, _BLOCK))
+    return _Plan(p, coefficients, lams, wxs, wys, array("d", points), rows, first,
+                 rng.getstate() if samples > _BLOCK else None, draw)
 
 
-def _draw_block(rng, n, dom, open_lam, coefficients, p):
-    """The next n random triples of rng, drawn as the ordered pass draws
-    them, less the open senses' lam outside (1e-12, 1-1e-12): the
-    sequences (x, y, lam, z, Y, wx, wy), or None when a weight fails."""
-    c_of, wx_of, wy_of, y_over_m, _ = coefficients
-    lo, span, rand = dom.lo, dom.hi - dom.lo, rng.random
-    u = [rand() for _ in range(3 * n)]
-    # random.uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit, and
-    # uniform(0.0, 1.0) is random()
-    xs, ys, lams = [lo + span * r for r in u[0::3]], [lo + span * r for r in u[1::3]], u[2::3]
-    if open_lam:
-        keep = [1e-12 < lam < 1.0 - 1e-12 for lam in lams]
-        xs, ys, lams = (list(compress(v, keep)) for v in (xs, ys, lams))
-    try:
-        wxs = [wx_of(p, lam) for lam in lams]
-        wys = [wy_of(p, lam, wx) for lam, wx in zip(lams, wxs)]
-        zs = [lam * x + c_of(p, lam) * y for x, y, lam in zip(xs, ys, lams)]
-    except _FAILURES:
-        return None
-    m = p.m
-    return xs, ys, lams, zs, [y / m for y in ys] if y_over_m and m != 1.0 else ys, wxs, wys
+def _signs(dom: DomainInterval) -> tuple[float, float]:
+    """The endpoint signs, which DomainInterval equality ignores (-0.0 == 0.0)."""
+    return math.copysign(1.0, dom.lo), math.copysign(1.0, dom.hi)
 
 
-class _Plan:
-    """Everything about a membership search that depends on neither g nor
-    tol, for one (class, domain, samples, seed). Searches build it lazily,
-    only as far as one of them has needed it, and share it.
-
-    lams    the grid, one _grid_rows entry per lam; nlams once built
-    points  the distinct combination points the entries index
-    """
-
-    __slots__ = ("nlams", "lams", "points", "_grid", "_args", "_first", "_state")
-
-    def __init__(self, cls: ConvexityClass, dom: DomainInterval, samples: int, seed: int):
-        xs, lams, p = _grid_points(dom, 21), _lam_grid(cls.sense), _params(cls)
-        coefficients = _COEFFICIENTS[cls.sense]
-        self.nlams, self.lams, self.points = len(lams), [], []
-        self._grid = _grid_rows(xs, lams, coefficients, p, self.points)
-        self._args = (dom, samples, seed, cls.sense in _OPEN_SENSES, coefficients, p)
-        self._first, self._state = _UNDRAWN, None
-
-    def grow(self, k: int):
-        """The grid entry of the k-th lam, built now; None when a weight
-        fails at or before it."""
-        with _PLAN_LOCK:
-            lams = self.lams
-            while len(lams) <= k:
-                entry = next(self._grid, None) if self._grid is not None else None
-                if entry is None:
-                    self._grid = None
-                    return None
-                lams.append(entry)
-            if len(lams) == self.nlams:
-                self._grid = None  # frees the dedupe dict
-                self.points = array("d", self.points)
-            return lams[k]
-
-    def blocks(self):
-        """The random triples block by block, each as _draw_block gives it:
-        the first block is drawn once and kept, in arrays; the others are
-        drawn from the generator state after it and not kept."""
-        dom, samples, seed, open_lam, coefficients, p = self._args
-        if not samples:
-            return
-        if self._first is _UNDRAWN:
-            with _PLAN_LOCK:
-                if self._first is _UNDRAWN:
-                    rng = random.Random(seed)
-                    first = _draw_block(rng, min(samples, _BLOCK), dom, open_lam, coefficients, p)
-                    self._state = rng.getstate() if samples > _BLOCK else None
-                    self._first = None if first is None else tuple(array("d", v) for v in first)
-        yield self._first
-        if samples > _BLOCK:
-            rng = random.Random()
-            rng.setstate(self._state)
-            for start in range(_BLOCK, samples, _BLOCK):
-                yield _draw_block(rng, min(_BLOCK, samples - start), dom, open_lam,
-                                  coefficients, p)
+def _first_hit(lhs, wgx, wgy, tol) -> Optional[int]:
+    """The index of the first triple with lhs > (wx*g(x) + wy*g(Y)) + tol,
+    given lhs, wx*g(x) and wy*g(Y) per triple; None when there is none."""
+    for i, v, a, b in zip(count(), lhs, wgx, wgy):
+        if v > a + b + tol:  # not within(); see its docstring
+            return i
+    return None
 
 
-@lru_cache(maxsize=3)  # the quad section cycles through three classes
-def _search_plan(cls, dom, samples, seed, lo_sign, hi_sign) -> _Plan:
-    """The shared plan for (cls, dom, samples, seed). The endpoint signs are
-    part of the key because DomainInterval(-0.0, 1.0) == DomainInterval(0.0,
-    1.0), while the grid point -0.0 is not 0.0."""
-    return _Plan(cls, dom, samples, seed)
+def _grid_hit(plan: _Plan, gc, xs, gxs, tol) -> Optional[int]:
+    """The index of the first grid triple that is a counterexample; None
+    for a clean grid. g is evaluated once at each grid point (gxs = g on
+    xs, or None), at each Y and at each distinct combination point, one x
+    row at a time, so a hit stops evaluating."""
+    m = plan.p.m
+    if gxs is None:
+        gxs = [gc(x) for x in xs]
+    # at m = 1, y/m is y bit for bit, so g at the Y is gxs
+    gys = [gc(y / m) for y in xs] if plan.coefficients[3] and m != 1.0 else gxs
+    wxs, points = plan.wxs, plan.points
+    wgys = [wy * gy for gy in gys for wy in plan.wys]
+    gz = []
+    for k, (gx, (get, end)) in enumerate(zip(gxs, plan.rows)):
+        if len(gz) < end:
+            gz += map(gc, points[len(gz):end])
+        i = _first_hit(get(gz), [wx * gx for wx in wxs] * len(gys), wgys, tol)
+        if i is not None:
+            return k * len(wgys) + i
+    return None
 
 
-def _grid_clean(plan: _Plan, gc, xs, gxs, ys, tol) -> bool:
-    """True when no grid triple is a counterexample and no evaluation or
-    weight fails. g is evaluated once at each grid point (gxs = g on xs, or
-    None), at each Y and at each distinct combination point, row by row as
-    far as the scan goes; each test has the operands and grouping of the
-    ordered pass."""
-    lams = plan.lams
-    try:
-        if gxs is None:
-            gxs = [gc(x) for x in xs]
-        gys = gxs if ys is xs else [gc(y) for y in ys]
-        gz = []
-        for k in range(plan.nlams):
-            entry = lams[k] if k < len(lams) else plan.grow(k)
-            if entry is None:
-                return False
-            wx, wy, get, end = entry
-            if len(gz) < end:
-                gz += map(gc, plan.points[len(gz):end])
-            wgys = [wy * gy for gy in gys]
-            row = iter(get(gz))
-            for gx in gxs:
-                wgx = wx * gx
-                for wgy, v in zip(wgys, row):  # wgys first: zip stops before row
-                    if v > wgx + wgy + tol:  # not within(); see its docstring
-                        return False
-    except _FAILURES:
-        return False
-    return True
-
-
-def _random_pass(plan: _Plan, gc, tol):
-    """(triples checked, the first counterexample or None) over the random
-    triples of the plan; None when an evaluation or a weight fails."""
-    used = 0
-    for block in plan.blocks():
-        if block is None:
-            return None
-        xs, ys, lams, zs, yargs, wxs, wys = block
+def _scans(plan: _Plan, gc, xs, gxs, samples, tol):
+    """Each block of triples in turn, the grid and then the random blocks,
+    as (triples, n, span): its n triples in definition order, and the
+    (start, stop) of those to replay: the first counterexample alone, the
+    whole block when an evaluation or a weight fails, or None for a clean
+    block."""
+    n = len(xs) * len(xs) * len(plan.lams)
+    span = (0, n)
+    if plan.wxs is not None:
         try:
-            lhs, gxs, gys = list(map(gc, zs)), list(map(gc, xs)), list(map(gc, yargs))
+            i = _grid_hit(plan, gc, xs, gxs, tol)
+            span = None if i is None else (i, i + 1)
         except _FAILURES:
-            return None
-        for j, (v, wx, gx, wy, gy) in enumerate(zip(lhs, wxs, gxs, wys, gys)):
-            rhs = wx * gx + wy * gy
-            if v > rhs + tol:  # not within(); see its docstring
-                return used + j + 1, Witness(xs[j], ys[j], lams[j], v, rhs)
-        used += len(zs)
-    return used, None
+            pass
+    yield product(xs, xs, plan.lams), n, span
+    blocks = [plan.first]
+    if plan.state is not None:
+        rng = random.Random()
+        rng.setstate(plan.state)
+        blocks = chain(blocks, (plan.draw(rng, min(_BLOCK, samples - start))
+                                for start in range(_BLOCK, samples, _BLOCK)))
+    for bxs, bys, lams, zs, yargs, wxs, wys in blocks:
+        span = (0, len(lams))
+        if zs is not None:
+            try:
+                i = _first_hit(map(gc, zs), map(mul, wxs, map(gc, bxs)),
+                               map(mul, wys, map(gc, yargs)), tol)
+                span = None if i is None else (i, i + 1)
+            except _FAILURES:
+                pass
+        yield zip(bxs, bys, lams), len(lams), span
+
+
+def _replay(triples, gc, plan: _Plan, tol):
+    """Evaluate the triples one at a time, calling g and h in the order of
+    the sense's definition: (index, Witness) of the first counterexample,
+    or None. A failing g or weight raises, a DomainError as the
+    PreconditionError that names the triple."""
+    c_of, wx_of, wy_of, y_over_m, wx_late = plan.coefficients
+    p, m = plan.p, plan.p.m
+    try:
+        for i, (x, y, lam) in enumerate(triples):
+            c = c_of(p, lam)
+            if not wx_late:
+                wx = wx_of(p, lam)
+            lhs = gc(lam * x + c * y)
+            if wx_late:
+                wx = wx_of(p, lam)
+            gx = gc(x)
+            wy = wy_of(p, lam, wx)
+            rhs = wx * gx + wy * gc(y / m if y_over_m else y)
+            if lhs > rhs + tol:  # not within(); see its docstring
+                return i, Witness(x, y, lam, lhs, rhs)
+    except DomainError as exc:
+        raise PreconditionError(
+            f"domain too narrow for the combination or y/m argument "
+            f"(x={x!r}, y={y!r}, lam={lam!r}): {exc}"
+        ) from None
+    return None
 
 
 def check_membership(
@@ -499,13 +507,12 @@ def check_membership(
     the outcome depends only on the seed. Within a triple, g and h are
     called in the order of the sense's definition.
 
-    The search reads the grid weights, the distinct combination points and
-    the first block of random draws from a plan shared by every search with
-    the same (class, domain, samples, seed). It evaluates g once at each
-    grid point, at y/m and at each distinct combination point, and per
-    block of random draws. When the grid holds a counterexample, or an
-    evaluation or a weight fails anywhere, the search runs again triple by
-    triple in definition order, so the witness, samples_used and the error
+    The grid and then each block of random draws is scanned in definition
+    order (x, then y, then lam; draw order), with the weights, combination
+    points and first block from the plan shared by every search with the
+    same (class, domain, samples, seed). The first counterexample of a
+    block is replayed alone for its witness; a block in which an evaluation
+    or a weight fails is replayed whole, so samples_used and the error
     message are those of the first failing triple.
     """
     if samples < 0:
@@ -518,7 +525,7 @@ def check_membership(
 
     gc = compile_fn(g)
     xs = _grid_points(dom, 21)
-    gxs = None  # g on xs, kept from the non-negativity check for the grid pass
+    gxs = None  # g on xs, kept from the non-negativity check for the grid scan
     if cls.sense in _NONNEG_SENSES:
         gxs = []
         for x in xs:
@@ -533,61 +540,25 @@ def check_membership(
                 )
             gxs.append(v)
 
-    lam_grid = _lam_grid(cls.sense)
-    c_of, wx_of, wy_of, y_over_m, wx_late = _COEFFICIENTS[cls.sense]
-    m = cls.m
-    p = _params(cls)
-
-    # at m = 1, y/m is y bit for bit, so passing xs itself lets the pass reuse gxs
-    ys = [y / m for y in xs] if y_over_m and m != 1.0 else xs
-    plan = _search_plan(cls, dom, samples, seed,
-                        math.copysign(1.0, dom.lo), math.copysign(1.0, dom.hi))
-    ngrid = len(xs) * len(xs) * len(lam_grid)
+    plan = _search_plan(cls, dom, samples, seed, *_signs(dom))
     used = 0
-    if _grid_clean(plan, gc, xs, gxs, ys, tol):
-        found = _random_pass(plan, gc, tol)
+    for triples, n, span in _scans(plan, gc, xs, gxs, samples, tol):
+        found = None if span is None else _replay(islice(triples, *span), gc, plan, tol)
         if found is not None:
-            n, w = found
-            return MembershipReport("no-counterexample-found" if w is None else "counterexample",
-                                    ngrid + n, w, seed, reading)
-        used = ngrid  # a clean grid counts as checked
-    # the ordered pass: the grid triples unless clean, then the random ones
-    ngrid -= used
-    ordered = product(xs, xs, lam_grid)
-    try:
-        rng = random.Random(seed)
-        uniform, lo, hi = rng.uniform, dom.lo, dom.hi
-        open_lam = cls.sense in _OPEN_SENSES
-        for k in range(ngrid + samples):
-            if k < ngrid:
-                x, y, lam = next(ordered)
-            else:
-                x, y, lam = uniform(lo, hi), uniform(lo, hi), uniform(0.0, 1.0)
-                # keep a buffer so 1-lam cannot round to an endpoint of (0,1)
-                if open_lam and not (1e-12 < lam < 1.0 - 1e-12):
-                    continue
-            c = c_of(p, lam)
-            if not wx_late:
-                wx = wx_of(p, lam)
-            lhs = gc(lam * x + c * y)
-            if wx_late:
-                wx = wx_of(p, lam)
-            gx = gc(x)
-            wy = wy_of(p, lam, wx)
-            rhs = wx * gx + wy * gc(y / m if y_over_m else y)
-            used += 1
-            if lhs > rhs + tol:  # not within(); see its docstring
-                return MembershipReport("counterexample", used,
-                                        Witness(x, y, lam, lhs, rhs), seed, reading)
-    except DomainError as exc:
-        raise PreconditionError(
-            f"domain too narrow for the combination or y/m argument "
-            f"(x={x!r}, y={y!r}, lam={lam!r}): {exc}"
-        ) from None
+            i, w = found
+            return MembershipReport("counterexample", used + span[0] + i + 1, w, seed, reading)
+        used += n
     return MembershipReport("no-counterexample-found", used, None, seed, reading)
 
 
 @lru_cache(maxsize=256)
+def _hypothesis(g, cls, dom, samples, seed, tol, lo_sign, hi_sign):
+    try:
+        return check_membership(g, cls, dom, samples, seed, tol), None
+    except PreconditionError as exc:
+        return None, f"membership precondition failed: {exc}"
+
+
 def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
                           samples: int, seed: int, tol: float):
     """check_membership(g, cls, dom, samples, seed, tol) for a rule's
@@ -596,13 +567,12 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
 
     Every argument is a frozen value and the search is deterministic in them,
     so one search serves every rule and quadrature that assumes the same
-    hypothesis; the result is cached, and reports are shared, not copied.
-    The cache keys keyword and positional calls apart, so callers pass all
-    six positionally. check_membership itself is not cached, so check-class
-    always searches; only its grid and random draws come from the plan
-    cache, which serves every search with the same (cls, dom, samples, seed).
+    hypothesis; the result is cached under the arguments and _signs(dom),
+    and reports are shared, not copied. check_membership itself is not
+    cached, so check-class always searches.
     """
-    try:
-        return check_membership(g, cls, dom, samples, seed, tol), None
-    except PreconditionError as exc:
-        return None, f"membership precondition failed: {exc}"
+    return _hypothesis(g, cls, dom, samples, seed, tol, *_signs(dom))
+
+
+hypothesis_membership.cache_clear = _hypothesis.cache_clear
+hypothesis_membership.cache_info = _hypothesis.cache_info

@@ -267,6 +267,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             bound_first_derivative(inst, variant="tight")
 
+    @pytest.mark.parametrize("rule", sorted(set(RULE_IDS) - {"T1"}))
+    def test_verify_rejects_the_tight_variant_for_every_other_rule(self, rule, monkeypatch):
+        # before the membership search, so that no search runs
+        searches = []
+        monkeypatch.setattr("hhcheck.bounds.hypothesis_membership",
+                            lambda *args: searches.append(args))
+        hp = HolderPair.from_p(2.0) if rule != "T4" else None
+        inst = BoundInstance(rule, SQ, 0.0, 1.0, BASELINE, hp=hp)
+        with pytest.raises(ValueError, match="the tight variant exists only for T1"):
+            verify(inst, variant="tight")
+        assert searches == []
+
     def test_rule_taxonomy(self):
         assert set(RULE_IDS) == set(FIRST_DERIVATIVE_RULES) | set(SECOND_DERIVATIVE_RULES)
         assert EMPIRICAL_RULES == {"C2", "C3", "C4"}

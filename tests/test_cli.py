@@ -272,6 +272,79 @@ class TestGoldenBytes:
         assert hypothesis_membership.cache_info().misses == searches
         assert warm == cold
 
+    def test_check_class_sha256(self, capsys, monkeypatch):
+        """Exit code, stdout and stderr of every _CHECK_CLASS_ARGV line, in
+        order: a change to the membership search that moves this hash
+        changes a witness, a samples_used count or an error message."""
+        monkeypatch.delenv("HHC_SEED", raising=False)
+        digest = hashlib.sha256()
+        for argv in _CHECK_CLASS_ARGV:
+            code, out, err = _run(capsys, "check-class", *argv.split())
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+        assert len(_CHECK_CLASS_ARGV) == 49
+        assert digest.hexdigest() == \
+            "3924e229aef785ca0541da53a292c5d1a2d435bd6434fa5210642131f4c2c218"
+
+
+_HOLE = "((x-0.527)^2-0.0000036)^0.5"  # undefined on (0.5251, 0.5289), between grid values
+_HOLES = "2+" + "+".join(f"0*((x-{c:.4f})^2-0.0000036)^0.5"
+                         for c in [0.0275 + 0.1 * k for k in range(10)])
+# check-class over the eight senses: members and non-members, the open lam
+# interval of the h senses, a -0.0 endpoint, hits on the grid and in the
+# first, second and third random blocks, failing g and h on the grid and in
+# a random block (exit 2), and sample counts at the block boundaries
+_CHECK_CLASS_ARGV = [
+    "--f x^2 --sense convex --a -1 --b 0.5 --format json",
+    "--f=-x^2 --sense convex --a -1 --b 0.5 --format json",
+    "--f x^0.5 --sense convex --a -0.0 --b 2 --format json",
+    "--f x^0.5 --sense convex --a 0 --b 2 --format json",
+    "--f x^2-0.02*abs(x-0.527) --sense convex --a 0 --b 1 --samples 1500 --seed 0 --format json",
+    "--f x^2-0.02*abs(x-0.527) --sense convex --a 0 --b 1 --format json",
+    "--f x^2-0.02*abs(x-0.527) --sense convex --a 0 --b 1 --samples 500 --seed 0 --format json",
+    "--f x^2-0.02*abs(x-0.527) --sense convex --a 0 --b 1 --samples 500 --seed 11 --format json",
+    "--f x^2-0.0001*exp(-((x-0.3137)*10000)^2) --sense convex --a 0 --b 1 --format json",
+    "--f ln(x) --sense convex --a 0 --b 1",
+    "--f x^2+0*ln(abs(x-0.05)) --sense convex --a 0 --b 2",
+    "--f 1e6*x+1e7 --sense convex --a 0 --b 25 --samples 0 --tol 0 --format json",
+    "--f 1e6*x+1e7 --sense convex --a 0 --b 25 --samples 0 --format json",
+    "--f x^2-0.3*abs(x-1.3) --sense convex --a 0.1 --b 2 --samples 50 --seed 0 --format json",
+    "--f x^3-x --sense convex --a -1 --b 1",
+    "--f exp(x) --sense convex --a -1 --b 2 --format csv",
+    "--f x --sense convex --a -1 --b 1 --seed 3 --format json",
+    "--f x^2+1 --sense convex --a 0.3 --b 2.3 --samples 0 --format json",
+    "--f x^2+1 --sense convex --a 0.3 --b 2.3 --samples 499 --format json",
+    "--f x^2+1 --sense convex --a 0.3 --b 2.3 --samples 500 --format json",
+    "--f x^2+1 --sense convex --a 0.3 --b 2.3 --samples 501 --format json",
+    "--f x^2+1 --sense convex --a 0.3 --b 2.3 --samples 2000 --format json",
+    "--f x^2 --sense s_first --s 0.5 --a 0 --b 2 --format json",
+    "--f x^0.5 --sense s_first --s 0.5 --a 0 --b 2 --samples 501 --format json",
+    "--f 4-x^2 --sense s_first --s 0.5 --a 0 --b 2 --format json",
+    "--f x^2 --sense s_second --s 0.5 --a 0 --b 2 --samples 499 --format json",
+    "--f x^2 --sense s_second --s 0.5 --a -0.0 --b 1 --format json",
+    "--f 4-x^2 --sense s_second --s 0.5 --a 0 --b 2 --format json",
+    "--f x^2 --sense alpha_m --alpha 0.5 --m 0.7 --a 0 --b 2 --format json",
+    "--f exp(x) --sense alpha_m --alpha 0.5 --a 0 --b 2 --format json",
+    "--f exp(x) --sense alpha_m --alpha 0.5 --m 0.7 --a 0 --b 2 --samples 501 --format json",
+    "--f x^2 --sense alpha_m --alpha 0.5 --a -1 --b 2",
+    "--f x^2+1 --sense h_plain --a 0 --b 2 --samples 500 --format json",
+    "--f 4-x^2 --sense h_plain --a 0 --b 2 --format json",
+    "--f x^2+1 --sense h_plain --h 1 --a 0 --b 2 --samples 501 --format json",
+    "--f x^2+1 --sense h_plain --h expr:t*(2-t) --a -0.0 --b 1 --format json",
+    "--f x-1 --sense h_plain --a 0 --b 2",
+    "--f x^2+1 --sense h_plain --h expr:t-0.5 --a 0 --b 2",
+    f"--f {_HOLE} --sense h_plain --h expr:2*t-0.09 --a 0 --b 1 --seed 297",
+    f"--f {_HOLE} --sense h_plain --h expr:2*t-0.09 --a 0 --b 1 --seed 306",
+    "--f x^2 --sense h_alpha_m --alpha 0.5 --m 0.5 --a 0 --b 2 --format json",
+    "--f x^2 --sense h_alpha_m --h t^0.5 --alpha 0.5 --m 0.5 --a 0 --b 2 --format json",
+    "--f x^2+1 --sense h_alpha_m --h expr:0.85-t --m 0.5 --a 0 --b 2 --samples 50 --format json",
+    "--f ln(x-0.9)+5 --sense h_alpha_m --h expr:t-0.5 --m 0.5 --a 1 --b 2 --seed 0",
+    f"--f {_HOLES} --sense h_alpha_m --h expr:2*t-0.09 --a 0 --b 1 --seed 159",
+    "--f x^2 --sense s_alpha_m_first --m 0.5 --a 0 --b 2 --samples 500 --format json",
+    "--f x^2 --sense s_alpha_m_first --alpha 0.5 --s 0.5 --a 0 --b 2 --format json",
+    "--f x^2 --sense s_alpha_m_second --alpha 0.5 --m 0.7 --s 0.5 --a 0 --b 2 --format json",
+    "--f 4-x^2 --sense s_alpha_m_second --alpha 0.5 --m 0.7 --s 0.5 --a 0 --b 2 --format csv",
+]
+
 
 class TestVerifySubcommand:
     def test_verify_report_matches_library(self, capsys):
@@ -358,6 +431,13 @@ class TestSubcommandDetails:
         rhs_t = json.loads(out_t)["cases"][0]["rhs"]
         assert rhs_p == pytest.approx(7.0 / 24.0)
         assert rhs_t == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("rule,extra", [("T4", ()), ("T2", ("--p", "2")),
+                                            ("C4", ("--p", "2"))])
+    def test_tight_variant_of_another_rule_exits_two(self, capsys, rule, extra):
+        code, out, err = _run(capsys, "bound", "--rule", rule, "--f", "x^2", "--a", "0",
+                              "--b", "1", *extra, "--variant", "tight")
+        assert (code, out, err) == (2, "", "error: the tight variant exists only for T1\n")
 
     def test_means_grid_option(self, capsys):
         # leading negative number requires the --grid=... spelling

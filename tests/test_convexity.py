@@ -365,6 +365,16 @@ class TestHypothesisCache:
         assert hypothesis_membership(*args) is first
         assert len(calls) == 1
 
+    def test_signed_zero_endpoint_has_its_own_report(self):
+        # DomainInterval(-0.0, 1.0) == DomainInterval(0.0, 1.0), but its
+        # first grid point, and so this witness's x, is -0.0
+        hypothesis_membership.cache_clear()
+        g, cls = parse("x^0.5"), ConvexityClass("plain_convex")
+        for dom in (DomainInterval(0.0, 1.0), DomainInterval(-0.0, 1.0)):
+            cached = _outcome(lambda: hypothesis_membership(g, cls, dom, 100, 0, 1e-9)[0])
+            assert cached == _outcome(lambda: check_membership(g, cls, dom, 100, 0, 1e-9))
+        assert hypothesis_membership.cache_info().currsize == 2
+
 
 @given(
     a=st.floats(min_value=0.0, max_value=4.0),
@@ -596,9 +606,10 @@ def test_property_search_matches_oracle(sense, data, g, dom, samples, seed, tol)
 
 
 # ---------------------------------------------------------------------------
-# The clean grid pass scans lam-major with a memo, so it meets hits and
-# failures in another order than the definition; whatever it meets, the
-# outcome must still be the oracle's.
+# The grid scan reads g from a memo of distinct combination points, so a
+# lam-major scan, or one that evaluates ahead, would meet these hits and
+# failures in another order than the definition; the outcome must be the
+# oracle's.
 
 def _lam_major_first_hit(g, cls, dom, tol=1e-9):
     gc, xs = compile_fn(g), _grid_points(dom, 21)
@@ -904,12 +915,27 @@ def test_warm_plan_serves_other_functions(cold_plans):
     assert convexity._search_plan.cache_info().currsize == 2
 
 
-def test_search_that_hits_early_stops_building_its_plan(cold_plans):
+def test_first_hit_in_the_fourth_random_block(cold_plans):
+    # random triple 1773 finds the dent; each block before it is scanned clean
+    g, cls, dom = parse("x^2-0.02*abs(x-0.527)"), ConvexityClass("plain_convex"), \
+        DomainInterval(0.0, 1.0)
+    out = _outcome(lambda: check_membership(g, cls, dom, samples=2000, seed=5))
+    assert out == _outcome(lambda: _oracle_membership(g, cls, dom, 2000, 5, 1e-9))
+    assert out[0] == "counterexample" and 3 * _BLOCK < out[1] - 21 * 21 * 11 <= 4 * _BLOCK
+
+
+def test_grid_hit_stops_evaluating_in_its_row(monkeypatch, cold_plans):
+    """A grid scan evaluates g one x row at a time: a search that hits in
+    row r calls g at the 21 grid points, once at each distinct combination
+    point of rows 0..r, and 3 times to replay the hit."""
     g, cls, dom = parse("-x^2"), ConvexityClass("plain_convex"), DomainInterval(-1.0, 0.5)
-    assert not check_membership(g, cls, dom, samples=2000).ok
-    plan = convexity._search_plan(cls, dom, 2000, 0, -1.0, 1.0)
-    assert convexity._search_plan.cache_info().hits == 1
-    assert len(plan.lams) < plan.nlams and plan._first is convexity._UNDRAWN
+    args = _record_g_calls(monkeypatch)
+    rep = check_membership(g, cls, dom, samples=2000)
+    xs, lams = _grid_points(dom, 21), convexity._lam_grid(cls.sense)
+    row = xs.index(rep.witness.x)
+    zs = {lam * x + (1.0 - lam) * y for x in xs[:row + 1] for y in xs for lam in lams}
+    assert not rep.ok and rep.samples_used <= (row + 1) * 21 * 11
+    assert len(args) <= 21 + len(zs) + 3
 
 
 def test_build_suite_builds_one_plan_per_group(cold_plans):
