@@ -17,7 +17,10 @@ that is a precondition failure, not a counterexample. Membership is only
 semi-decidable, so the check is a deterministic grid pass followed by seeded
 random sampling. All eight inequalities share one form, lhs = g(lam*x + c*y)
 and rhs = wx*g(x) + wy*g(Y), with the coefficients (c, wx, wy) and Y (y or
-y/m) read from one table.
+y/m) read from one table. The h senses weight with an HFunction, and what
+each kind of h means (h itself, the power-family exponent the kernels read,
+the text of h) is one row of _H_KINDS, read once when the HFunction is built;
+a custom h is compiled then.
 
 Everything in a search but g and tol is shared: a plan per (class, domain,
 samples, seed), built in one call and kept in a small cache, holds the grid
@@ -31,8 +34,8 @@ So the first hit of a block is the witness; it is replayed alone, calling
 g and h in the order of the sense's definition, and a block in which an
 evaluation or a weight fails is replayed whole, for the error of its first
 failing triple. The bound rules and the quadrature check their hypotheses
-through hypothesis_membership, which runs one search per distinct
-hypothesis.
+through hypothesis_membership, an lru_cache that runs one search per
+distinct hypothesis (a DomainInterval's equality sees its endpoint signs).
 
 Every record verdict (bounds, quadrature, lemma rows, means) is decided by
 `within`, with an absolute slack (the verdict tol) or `relative_slack`.
@@ -40,17 +43,16 @@ Every record verdict (bounds, quadrature, lemma rows, means) is decided by
 
 from __future__ import annotations
 
-import math
 import random
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, compress, count, islice, product
 from operator import itemgetter, mul
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError
-from .expr import DomainInterval, Node, compile_fn, evaluate
+from .expr import DomainInterval, Node, compile_fn
 
 __all__ = [
     "HFunction", "ConvexityClass", "MembershipReport", "Witness",
@@ -98,7 +100,16 @@ def relative_slack(*values: float) -> float:
     return 1e-12 * max(1.0, *(abs(v) for v in values))
 
 
-_H_KINDS = ("identity", "power", "constant_one", "reciprocal", "custom")
+# What each kind of h means, given the HFunction: h as a function of t; the
+# exponent u with h(t) = t^u when h is in the power family, else None; and
+# the text of h. A custom h is compiled here, once per HFunction.
+_H_KINDS = {
+    "identity": lambda h: (lambda t: t, 1.0, "t"),
+    "power": lambda h: (lambda t, s=h.s: t ** s, h.s, f"t^{h.s:g}"),
+    "constant_one": lambda h: (lambda t: 1.0, 0.0, "1"),
+    "reciprocal": lambda h: (lambda t: 1.0 / t, None, "1/t"),
+    "custom": lambda h: (compile_fn(h.expr), None, str(h.expr)),
+}
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,9 @@ class HFunction:
 
     identity h(t)=t, power h(t)=t^s with s in (0,1], constant_one h(t)=1,
     reciprocal h(t)=1/t, or a custom expression in the variable t.
+
+    fn, exponent and text hold the kind's row of _H_KINDS. They are not
+    fields, so ==, hash, repr and pickling see kind, s and expr only.
     """
 
     kind: str
@@ -120,6 +134,8 @@ class HFunction:
             raise ValueError(f"power h needs s in (0,1], got {self.s!r}")
         if self.kind == "custom" and self.expr is None:
             raise ValueError("custom h needs an expression")
+        for name, value in zip(("fn", "exponent", "text"), _H_KINDS[self.kind](self)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def identity(cls) -> "HFunction":
@@ -142,38 +158,20 @@ class HFunction:
         return cls("custom", expr=expr)
 
     def describe(self) -> str:
-        if self.kind == "identity":
-            return "t"
-        if self.kind == "power":
-            return f"t^{self.s:g}"
-        if self.kind == "constant_one":
-            return "1"
-        if self.kind == "reciprocal":
-            return "1/t"
-        return str(self.expr)
+        return self.text
 
     __str__ = describe  # so a message can format h lazily
 
+    def __reduce__(self):  # pickled as its fields; fn holds lambdas and compiled code
+        return type(self), (self.kind, self.s, self.expr)
 
-def evaluate_h(h: HFunction, t: float, alpha: float,
-               hfn: Optional[Callable[[float], float]] = None) -> float:
-    """Return h(t)^alpha for t in (0,1); alpha = 0 gives 1 by convention.
 
-    A caller that evaluates a custom h many times passes
-    hfn = compile_fn(h.expr), compiled once.
-    """
+def evaluate_h(h: HFunction, t: float, alpha: float) -> float:
+    """Return h(t)^alpha for t in (0,1), calling h.fn; alpha = 0 gives 1 by
+    convention. A negative h(t) is a precondition failure."""
     if not (0.0 < t < 1.0):
         raise DomainError(f"h is evaluated on (0,1) only, got t={t!r}")
-    if h.kind == "identity":
-        hv = t
-    elif h.kind == "power":
-        hv = t ** h.s
-    elif h.kind == "constant_one":
-        hv = 1.0
-    elif h.kind == "reciprocal":
-        hv = 1.0 / t
-    else:
-        hv = evaluate(h.expr, t) if hfn is None else hfn(t)
+    hv = h.fn(t)
     if hv < 0.0:
         raise PreconditionError(f"h({t!r}) = {hv!r} is negative; h must be non-negative")
     if alpha == 0.0:
@@ -265,22 +263,11 @@ _COEFFICIENTS = {
                         lambda p, lam, wx: p.m * (1.0 - wx), True, False),
     "s_alpha_m_second": (lambda p, lam: 1.0 - lam, lambda p, lam: lam ** (p.alpha * p.s),
                          lambda p, lam, wx: p.m * (1.0 - lam ** p.alpha) ** p.s, True, False),
-    "h_plain": (lambda p, lam: 1.0 - lam, lambda p, lam: evaluate_h(p.h, lam, 1.0, p.hfn),
-                lambda p, lam, wx: evaluate_h(p.h, 1.0 - lam, 1.0, p.hfn), False, True),
-    "h_alpha_m": (lambda p, lam: p.m * (1.0 - lam),
-                  lambda p, lam: evaluate_h(p.h, lam, p.alpha, p.hfn),
+    "h_plain": (lambda p, lam: 1.0 - lam, lambda p, lam: evaluate_h(p.h, lam, 1.0),
+                lambda p, lam, wx: evaluate_h(p.h, 1.0 - lam, 1.0), False, True),
+    "h_alpha_m": (lambda p, lam: p.m * (1.0 - lam), lambda p, lam: evaluate_h(p.h, lam, p.alpha),
                   lambda p, lam, wx: p.m * (1.0 - wx), False, False),
 }
-
-
-class _Params(NamedTuple):
-    """The class parameters the table reads, with a custom h compiled once."""
-
-    alpha: float
-    m: float
-    s: float
-    h: HFunction
-    hfn: Optional[Callable[[float], float]]
 
 
 def _grid_points(dom: DomainInterval, npts: int) -> list[float]:
@@ -307,17 +294,17 @@ _FAILURES = (DomainError, PreconditionError, ArithmeticError)
 _BLOCK = 500
 
 
-def _draw_block(rng, n, dom, open_lam, coefficients, p):
-    """The next n random triples of rng, less the open senses' lam outside
-    (1e-12, 1-1e-12), as the sequences (x, y, lam, z, Y, wx, wy); the last
-    four are None when a weight fails."""
-    c_of, wx_of, wy_of, y_over_m, _ = coefficients
+def _draw_block(rng, n, dom, p):
+    """The next n random triples of rng for the class p, less the open
+    senses' lam outside (1e-12, 1-1e-12), as the sequences
+    (x, y, lam, z, Y, wx, wy); the last four are None when a weight fails."""
+    c_of, wx_of, wy_of, y_over_m, _ = _COEFFICIENTS[p.sense]
     lo, span, rand = dom.lo, dom.hi - dom.lo, rng.random
     u = [rand() for _ in range(3 * n)]
     # a triple is uniform(lo, hi), uniform(lo, hi), uniform(0.0, 1.0), and
     # uniform(a, b) is a + (b - a) * random(), bit for bit
     xs, ys, lams = [lo + span * r for r in u[0::3]], [lo + span * r for r in u[1::3]], u[2::3]
-    if open_lam:
+    if p.sense in _OPEN_SENSES:
         # keep a buffer so 1-lam cannot round to an endpoint of (0,1)
         keep = [1e-12 < lam < 1.0 - 1e-12 for lam in lams]
         xs, ys, lams = (list(compress(v, keep)) for v in (xs, ys, lams))
@@ -340,11 +327,10 @@ class _Plan(NamedTuple):
               at the combination points of the x row, y then lam
     first     the first random block, as _draw_block gives it
     state     the generator state after it; None when no block follows
-    draw      _draw_block for the later blocks, given rng and n
+    dom       the domain, which _draw_block reads for the later blocks
     """
 
-    p: _Params
-    coefficients: tuple
+    cls: ConvexityClass
     lams: list
     wxs: Optional[list]
     wys: Optional[list]
@@ -352,28 +338,25 @@ class _Plan(NamedTuple):
     rows: list
     first: tuple
     state: object
-    draw: Callable
+    dom: DomainInterval
 
 
 @lru_cache(maxsize=3)  # the quad section cycles through three classes
-def _search_plan(cls, dom, samples, seed, lo_sign, hi_sign) -> _Plan:
-    """The shared plan for (cls, dom, samples, seed), keyed with _signs(dom)."""
+def _search_plan(cls, dom, samples, seed) -> _Plan:
+    """The shared plan for (cls, dom, samples, seed)."""
     xs, lams = _grid_points(dom, 21), _lam_grid(cls.sense)
-    p = _Params(cls.alpha, cls.m, cls.s, cls.h,
-                compile_fn(cls.h.expr) if cls.h.kind == "custom" else None)
-    coefficients = _COEFFICIENTS[cls.sense]
-    c_of, wx_of, wy_of = coefficients[:3]
+    c_of, wx_of, wy_of = _COEFFICIENTS[cls.sense][:3]
     points, rows = [], []
     try:
-        wxs = [wx_of(p, lam) for lam in lams]
-        wys = [wy_of(p, lam, wx) for lam, wx in zip(lams, wxs)]
-        cs = [c_of(p, lam) for lam in lams]
+        wxs = [wx_of(cls, lam) for lam in lams]
+        wys = [wy_of(cls, lam, wx) for lam, wx in zip(lams, wxs)]
+        cs = [c_of(cls, lam) for lam in lams]
     except _FAILURES:
         wxs = wys = None  # the grid is replayed, so it needs no points
     else:
         cys = [c * y for y in xs for c in cs]
-        slot = {}  # combination point -> index in points; never a zero, because
-        get = slot.get  # a dict key merges 0.0 and -0.0
+        slot = {}  # combination point -> index; it merges 0.0 and -0.0, where
+        get = slot.get  # g differs at most in a zero's sign, which `>` ignores
         for x in xs:
             idx = []
             for lx, cy in zip([lam * x for lam in lams] * len(xs), cys):
@@ -382,21 +365,13 @@ def _search_plan(cls, dom, samples, seed, lo_sign, hi_sign) -> _Plan:
                 if i is None:
                     i = len(points)
                     points.append(z)
-                    if z != 0.0:
-                        slot[z] = i
+                    slot[z] = i
                 idx.append(i)
             rows.append((itemgetter(*idx), len(points)))
-    draw = partial(_draw_block, dom=dom, open_lam=cls.sense in _OPEN_SENSES,
-                   coefficients=coefficients, p=p)
     rng = random.Random(seed)
-    first = draw(rng, min(samples, _BLOCK))
-    return _Plan(p, coefficients, lams, wxs, wys, array("d", points), rows, first,
-                 rng.getstate() if samples > _BLOCK else None, draw)
-
-
-def _signs(dom: DomainInterval) -> tuple[float, float]:
-    """The endpoint signs, which DomainInterval equality ignores (-0.0 == 0.0)."""
-    return math.copysign(1.0, dom.lo), math.copysign(1.0, dom.hi)
+    first = _draw_block(rng, min(samples, _BLOCK), dom, cls)
+    return _Plan(cls, lams, wxs, wys, array("d", points), rows, first,
+                 rng.getstate() if samples > _BLOCK else None, dom)
 
 
 def _first_hit(lhs, wgx, wgy, tol) -> Optional[int]:
@@ -413,11 +388,11 @@ def _grid_hit(plan: _Plan, gc, xs, gxs, tol) -> Optional[int]:
     for a clean grid. g is evaluated once at each grid point (gxs = g on
     xs, or None), at each Y and at each distinct combination point, one x
     row at a time, so a hit stops evaluating."""
-    m = plan.p.m
+    m = plan.cls.m
     if gxs is None:
         gxs = [gc(x) for x in xs]
     # at m = 1, y/m is y bit for bit, so g at the Y is gxs
-    gys = [gc(y / m) for y in xs] if plan.coefficients[3] and m != 1.0 else gxs
+    gys = [gc(y / m) for y in xs] if _COEFFICIENTS[plan.cls.sense][3] and m != 1.0 else gxs
     wxs, points = plan.wxs, plan.points
     wgys = [wy * gy for gy in gys for wy in plan.wys]
     gz = []
@@ -449,8 +424,9 @@ def _scans(plan: _Plan, gc, xs, gxs, samples, tol):
     if plan.state is not None:
         rng = random.Random()
         rng.setstate(plan.state)
-        blocks = chain(blocks, (plan.draw(rng, min(_BLOCK, samples - start))
-                                for start in range(_BLOCK, samples, _BLOCK)))
+        blocks = chain(blocks, (
+            _draw_block(rng, min(_BLOCK, samples - start), plan.dom, plan.cls)
+            for start in range(_BLOCK, samples, _BLOCK)))
     for bxs, bys, lams, zs, yargs, wxs, wys in blocks:
         span = (0, len(lams))
         if zs is not None:
@@ -468,8 +444,8 @@ def _replay(triples, gc, plan: _Plan, tol):
     the sense's definition: (index, Witness) of the first counterexample,
     or None. A failing g or weight raises, a DomainError as the
     PreconditionError that names the triple."""
-    c_of, wx_of, wy_of, y_over_m, wx_late = plan.coefficients
-    p, m = plan.p, plan.p.m
+    p, m = plan.cls, plan.cls.m
+    c_of, wx_of, wy_of, y_over_m, wx_late = _COEFFICIENTS[p.sense]
     try:
         for i, (x, y, lam) in enumerate(triples):
             c = c_of(p, lam)
@@ -540,7 +516,7 @@ def check_membership(
                 )
             gxs.append(v)
 
-    plan = _search_plan(cls, dom, samples, seed, *_signs(dom))
+    plan = _search_plan(cls, dom, samples, seed)
     used = 0
     for triples, n, span in _scans(plan, gc, xs, gxs, samples, tol):
         found = None if span is None else _replay(islice(triples, *span), gc, plan, tol)
@@ -552,13 +528,6 @@ def check_membership(
 
 
 @lru_cache(maxsize=256)
-def _hypothesis(g, cls, dom, samples, seed, tol, lo_sign, hi_sign):
-    try:
-        return check_membership(g, cls, dom, samples, seed, tol), None
-    except PreconditionError as exc:
-        return None, f"membership precondition failed: {exc}"
-
-
 def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
                           samples: int, seed: int, tol: float):
     """check_membership(g, cls, dom, samples, seed, tol) for a rule's
@@ -567,12 +536,12 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
 
     Every argument is a frozen value and the search is deterministic in them,
     so one search serves every rule and quadrature that assumes the same
-    hypothesis; the result is cached under the arguments and _signs(dom),
-    and reports are shared, not copied. check_membership itself is not
-    cached, so check-class always searches.
+    hypothesis: the result is cached under the arguments (a domain's
+    equality sees the signs of its endpoints), and reports are shared, not
+    copied. check_membership itself is not cached, so check-class always
+    searches.
     """
-    return _hypothesis(g, cls, dom, samples, seed, tol, *_signs(dom))
-
-
-hypothesis_membership.cache_clear = _hypothesis.cache_clear
-hypothesis_membership.cache_info = _hypothesis.cache_info
+    try:
+        return check_membership(g, cls, dom, samples, seed, tol), None
+    except PreconditionError as exc:
+        return None, f"membership precondition failed: {exc}"

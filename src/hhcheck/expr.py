@@ -14,7 +14,7 @@ including non-finite ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -102,19 +102,30 @@ class Neg(Node):
 
 @dataclass(frozen=True)
 class DomainInterval:
-    """A real interval with open/closed endpoint flags."""
+    """A real interval with open/closed endpoint flags.
+
+    The endpoints are stored as floats, and equality and the hash also see
+    their signs: DomainInterval(0, 1) == DomainInterval(0.0, 1.0), but
+    DomainInterval(-0.0, 1.0) is another domain, because a search's first
+    grid point, and so a witness, is -0.0 there. So a cache keyed on a
+    domain needs nothing more.
+    """
 
     lo: float
     hi: float
     open_lo: bool = False
     open_hi: bool = False
+    signs: tuple = field(init=False, repr=False)  # (copysign(1.0, lo), copysign(1.0, hi))
 
     def __post_init__(self):
         for name, v in (("lo", self.lo), ("hi", self.hi)):
             if not math.isfinite(v):
                 raise ValueError(f"interval endpoint {name} must be finite, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if not (self.lo < self.hi):
             raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
+        object.__setattr__(self, "signs", (math.copysign(1.0, self.lo),
+                                           math.copysign(1.0, self.hi)))
 
 
 # ---------------------------------------------------------------------------

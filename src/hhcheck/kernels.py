@@ -181,17 +181,6 @@ class KernelMoment:
     abs_error_estimate: float
 
 
-def _power_exponent(h: HFunction, alpha: float) -> float | None:
-    """Exponent u with h^alpha(t) = t^u when h is in the power family."""
-    if h.kind == "identity":
-        return alpha
-    if h.kind == "power":
-        return h.s * alpha
-    if h.kind == "constant_one":
-        return 0.0
-    return None
-
-
 def kernel_moment(kind: str, h: HFunction, alpha: float,
                   hp: HolderPair | None = None) -> KernelMoment:
     """One of the five kernel moments for the weight h^alpha.
@@ -213,8 +202,8 @@ def kernel_moment(kind: str, h: HFunction, alpha: float,
             raise ValueError(f"kernel {kind} takes no Holder pair")
         q = None
 
-    u = _power_exponent(h, alpha)
-    if u is not None:
+    if h.exponent is not None:
+        u = h.exponent * alpha  # h^alpha(t) = t^u
         if kind == "M0":
             value = 1.0 / (u + 1.0)
         elif kind == "M1":
@@ -229,17 +218,16 @@ def kernel_moment(kind: str, h: HFunction, alpha: float,
             value = 1.0 / (w + 1.0) - (1.0 / q) / (w + 2.0)
         return KernelMoment(kind, value, "closed-form", 0.0)
 
-    hfn = compile_fn(h.expr) if h.kind == "custom" else None
     if kind == "M0":
-        integrand = lambda t: evaluate_h(h, t, alpha, hfn)
+        integrand = lambda t: evaluate_h(h, t, alpha)
     elif kind == "M1":
-        integrand = lambda t: (1.0 - t) * evaluate_h(h, t, alpha, hfn)
+        integrand = lambda t: (1.0 - t) * evaluate_h(h, t, alpha)
     elif kind == "M2":
-        integrand = lambda t: t * (1.0 - t) * evaluate_h(h, t, alpha, hfn)
+        integrand = lambda t: t * (1.0 - t) * evaluate_h(h, t, alpha)
     elif kind == "C2":
-        integrand = lambda t: (1.0 - t / q) * evaluate_h(h, t, alpha / q, hfn)
+        integrand = lambda t: (1.0 - t / q) * evaluate_h(h, t, alpha / q)
     else:
-        integrand = lambda t: t ** (1.0 / q) * (1.0 - t / q) * evaluate_h(h, t, alpha / q, hfn)
+        integrand = lambda t: t ** (1.0 / q) * (1.0 - t / q) * evaluate_h(h, t, alpha / q)
 
     res = integral(integrand, 0.0, 1.0, "kernel {} for h={} alpha={:g}", kind, h, alpha)
     return KernelMoment(kind, res.value, "adaptive", res.abs_error_estimate)

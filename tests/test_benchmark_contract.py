@@ -87,6 +87,26 @@ def test_rule_sweep_ops_run_and_check(workloads):
         assert w.check(spec, w.run(spec)) == 13  # ten rules, L1, L2, one quadrature
 
 
+def test_traced_rule_sweep_counts_every_custom_h_evaluation(tracer, workloads):
+    # a custom h compiles when the op builds its class, after the tracer is
+    # installed, so the kernel integrands' evaluations of h are still counted:
+    # 2,935 evaluations, as when kernel_moment compiled h on each of its 10
+    # calls; compiling it once leaves 28 compile_fn calls of 37
+    w = workloads.RuleSweep(7, str(ROOT))
+    spec = {"f": "x^3", "k": 0, "a": 0.5, "b": 1.5, "h": ("expr", "t*(2-t)"), "alpha": 0.5,
+            "m": 0.9, "p": 2.0, "n": 4, "quad": "midpoint", "variant": "statement"}
+    hhcheck.bounds._mean_integral.cache_clear()  # the evaluations of f count too
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        assert w.check(spec, w.run(spec)) == 13
+    finally:
+        tr.uninstall()
+    assert tr.counts["expr.evals"] == 2935
+    assert tr.counts["convexity.evaluate_h.calls"] == 2220
+    assert tr.calls["expr.compile_fn"] == 28
+
+
 def test_verify_suite_op_runs_and_checks(workloads):
     w = workloads.VerifySuite(7, str(ROOT))
     seed = w.next_input()

@@ -1,6 +1,8 @@
 """Membership checking for the eight convexity senses."""
 
+import inspect
 import math
+import pickle
 import random
 import sys
 import threading
@@ -77,6 +79,27 @@ class TestHFunction:
         h = HFunction.custom(parse("t-0.5", var="t"))
         with pytest.raises(PreconditionError):
             evaluate_h(h, 0.25, 1.0)
+
+    def test_each_kind_is_one_table_row(self):
+        # fn is h, exponent the u with h(t) = t^u (None off the power
+        # family), and describe() the text of h
+        rows = [(HFunction.identity(), 0.25, 1.0, "t"), (HFunction.power(0.5), 0.5, 0.5, "t^0.5"),
+                (HFunction.one(), 1.0, 0.0, "1"), (HFunction.reciprocal(), 4.0, None, "1/t"),
+                (HFunction.custom(parse("t*(2-t)", var="t")), 0.4375, None, "t*(2 - t)")]
+        for h, h_of_quarter, exponent, text in rows:
+            assert (h.fn(0.25), h.exponent, h.describe()) == (h_of_quarter, exponent, text)
+
+    def test_table_attributes_are_not_fields(self):
+        a, b = (HFunction.custom(parse("t*(2-t)", var="t")) for _ in range(2))
+        assert a.fn is not b.fn and a == b and hash(a) == hash(b)
+        assert repr(HFunction.power(0.5)) == "HFunction(kind='power', s=0.5, expr=None)"
+        for h in (a, HFunction.power(0.5), HFunction.identity()):
+            copy = pickle.loads(pickle.dumps(h))
+            assert copy == h and copy.fn(0.25) == h.fn(0.25)
+
+    def test_evaluate_h_takes_no_compiled_function(self):
+        # a custom h is compiled once, when the HFunction is built
+        assert list(inspect.signature(evaluate_h).parameters) == ["h", "t", "alpha"]
 
 
 class TestConvexityClassValidation:
@@ -366,14 +389,24 @@ class TestHypothesisCache:
         assert len(calls) == 1
 
     def test_signed_zero_endpoint_has_its_own_report(self):
-        # DomainInterval(-0.0, 1.0) == DomainInterval(0.0, 1.0), but its
-        # first grid point, and so this witness's x, is -0.0
+        # DomainInterval(-0.0, 1.0) != DomainInterval(0.0, 1.0): its first
+        # grid point, and so this witness's x, is -0.0
         hypothesis_membership.cache_clear()
         g, cls = parse("x^0.5"), ConvexityClass("plain_convex")
         for dom in (DomainInterval(0.0, 1.0), DomainInterval(-0.0, 1.0)):
             cached = _outcome(lambda: hypothesis_membership(g, cls, dom, 100, 0, 1e-9)[0])
             assert cached == _outcome(lambda: check_membership(g, cls, dom, 100, 0, 1e-9))
         assert hypothesis_membership.cache_info().currsize == 2
+
+    def test_int_endpoint_shares_the_report_of_its_own_search(self):
+        # DomainInterval(0, 1) == DomainInterval(0.0, 1.0) and stores 0.0, so
+        # the shared report is the one its own search gives: witness x = 0.0
+        hypothesis_membership.cache_clear()
+        g, cls = parse("x^0.5"), ConvexityClass("plain_convex")
+        hypothesis_membership(g, cls, DomainInterval(0.0, 1.0), 100, 0, 1e-9)
+        cached = hypothesis_membership(g, cls, DomainInterval(0, 1), 100, 0, 1e-9)[0]
+        assert repr(cached) == repr(check_membership(g, cls, DomainInterval(0, 1), 100, 0, 1e-9))
+        assert hypothesis_membership.cache_info().currsize == 1
 
 
 @given(
@@ -898,7 +931,7 @@ def test_first_hit_in_the_second_random_block(cold_plans):
 
 
 def test_warm_plan_serves_other_functions(cold_plans):
-    # DomainInterval(-0.0, 1.0) == DomainInterval(0.0, 1.0), but its first
+    # DomainInterval(-0.0, 1.0) != DomainInterval(0.0, 1.0): its first
     # grid point is -0.0
     cls = ConvexityClass("plain_convex")
     doms = (DomainInterval(0.0, 1.0), DomainInterval(-0.0, 1.0))

@@ -161,6 +161,18 @@ class TestDomainInterval:
         with pytest.raises(ValueError, match="lo < hi"):
             DomainInterval(1.0, 1.0)
 
+    def test_signed_zero_endpoint_is_another_domain(self):
+        # a search's first or last grid point, and so a witness, is -0.0 there
+        assert DomainInterval(-0.0, 1.0) != DomainInterval(0.0, 1.0)
+        assert DomainInterval(-1.0, -0.0) != DomainInterval(-1.0, 0.0)
+        assert DomainInterval(-0.0, 1.0) == DomainInterval(-0.0, 1.0)
+        assert len({DomainInterval(-0.0, 1.0), DomainInterval(0.0, 1.0)}) == 2
+
+    def test_int_endpoints_are_stored_as_floats(self):
+        dom = DomainInterval(0, 1)
+        assert dom == DomainInterval(0.0, 1.0) and hash(dom) == hash(DomainInterval(0.0, 1.0))
+        assert type(dom.lo) is float and type(dom.hi) is float
+
 
 # ---------------------------------------------------------------------------
 # The tree-walking evaluator that compile_fn replaced, kept as a test-only

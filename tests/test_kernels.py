@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -188,6 +189,32 @@ class TestIntegral:
         for h in (HFunction.identity(), HFunction.power(0.5), HFunction.reciprocal(),
                   HFunction.custom(parse("t*(2-t)", var="t"))):
             assert f"{h}" == str(h) == h.describe()
+
+    def test_ten_rules_compile_a_custom_h_once(self, monkeypatch):
+        # compile_fn is wrapped wherever an hhcheck module binds it, as the
+        # benchmark's tracer installs it; the kernels read the h built here
+        original, compiled = hhcheck.expr.compile_fn, []
+
+        def counting(node):
+            compiled.append(node)
+            return original(node)
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "hhcheck" or name.startswith("hhcheck.")):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        h_expr = parse("t*(2-t)", var="t")
+        cls = hhcheck.ConvexityClass("h_alpha_m", h=HFunction.custom(h_expr), alpha=0.5, m=0.9)
+        hp = HolderPair.from_p(2.0)
+        for rule in hhcheck.RULE_IDS:
+            inst = hhcheck.BoundInstance(rule, parse("x^3"), 0.5, 1.5, cls,
+                                         hp if rule in hhcheck.HOLDER_RULES else None)
+            if rule in hhcheck.FIRST_DERIVATIVE_RULES:
+                hhcheck.bound_first_derivative(inst)
+            else:
+                hhcheck.bound_second_derivative(inst)
+        assert sum(node == h_expr for node in compiled) == 1
 
 
 class TestKernelMoments:
