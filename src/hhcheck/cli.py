@@ -28,7 +28,7 @@ from .kernels import HolderPair
 from .means import PropositionInstance
 from .quadrature import certified_integrate
 from .suite import (
-    Emitter, SuiteReport, bound_row, build_suite, format_params, lp_monotone_row,
+    SuiteReport, bound_row, build_suite, format_params, lp_monotone_row,
     mean_chain_rows, proposition_rows, quad_row, verdict,
 )
 
@@ -88,12 +88,6 @@ def emit_report(report: SuiteReport, fmt: str) -> str:
         f"hypothesis-unverified={s['hypothesis_unverified']} total={s['total']}"
     )
     return "\n".join(lines)
-
-
-def _report(seed: int, section: str, rows) -> SuiteReport:
-    em = Emitter()
-    em.extend(section, rows)
-    return SuiteReport.from_cases(seed, em.cases)
 
 
 def finite_float(text: str) -> float:
@@ -192,7 +186,8 @@ def _cmd_check_class(args, seed: int) -> SuiteReport:
     ps = format_params(f=args.f, a=args.a, b=args.b, **{"class": cls.describe()},
                        samples_used=rep.samples_used, seed=rep.seed, **where)
     lhs, rhs = (0.0, 0.0) if w is None else (w.lhs, w.rhs)
-    return _report(seed, "class", [("membership", ps, lhs, rhs, verdict(rep.ok))])
+    return SuiteReport.from_sections(
+        seed, [("class", [("membership", ps, lhs, rhs, verdict(rep.ok))])])
 
 
 def _cmd_bound(args, seed: int) -> SuiteReport:
@@ -209,18 +204,18 @@ def _cmd_bound(args, seed: int) -> SuiteReport:
     rep = verify_bound(inst, tol=args.tol, samples=args.samples, seed=seed,
                        variant=args.variant)
     variant = args.variant if args.rule == "T1" else None
-    return _report(seed, "bound", [bound_row(args.f, inst, rep, variant)])
+    return SuiteReport.from_sections(seed, [("bound", [bound_row(args.f, inst, rep, variant)])])
 
 
 def _cmd_means(args, seed: int) -> SuiteReport:
     rows = mean_chain_rows(args.a, args.b)
     rows.append(lp_monotone_row(args.a, args.b, [float(t) for t in args.grid.split(",")]))
-    return _report(seed, "means", rows)
+    return SuiteReport.from_sections(seed, [("means", rows)])
 
 
 def _cmd_prop(args, seed: int) -> SuiteReport:
     inst = PropositionInstance(args.id, args.a, args.b, args.p, n=args.n)
-    return _report(seed, "prop", proposition_rows(inst, args.tol))
+    return SuiteReport.from_sections(seed, [("prop", proposition_rows(inst, args.tol))])
 
 
 def _cmd_quad(args, seed: int) -> SuiteReport:
@@ -233,7 +228,7 @@ def _cmd_quad(args, seed: int) -> SuiteReport:
         tol=args.tol, seed=seed, samples=args.samples,
     )
     row = quad_row(args.f, rep, value=rep.value, reference=rep.reference)
-    return _report(seed, "quad", [row])
+    return SuiteReport.from_sections(seed, [("quad", [row])])
 
 
 def _cmd_verify(args, seed: int) -> SuiteReport:

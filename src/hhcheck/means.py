@@ -39,8 +39,8 @@ class MeanKind:
         if self.tag not in MEAN_TAGS:
             raise ValueError(f"unknown mean {self.tag!r}; expected one of {MEAN_TAGS}")
         if self.tag == "Lp":
-            if self.p is None:
-                raise ValueError("Lp needs its exponent p")
+            if self.p is None or not math.isfinite(self.p):
+                raise ValueError(f"Lp needs a finite exponent p, got {self.p!r}")
             if self.p in (-1.0, 0.0):
                 raise ValueError("Lp at p=-1 is L and at p=0 is I; use those tags")
         elif self.p is not None:

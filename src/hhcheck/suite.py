@@ -1,8 +1,8 @@
 """Verification records and the deterministic suite over a fixed catalog.
 
 Every record, here and in the single CLI subcommands, is built the same way:
-a producer returns rows (rule, params, lhs, rhs, verdict), `verdict` maps
-an outcome to its verdict and an `Emitter` numbers the rows per section.
+a producer yields rows (rule, params, lhs, rhs, verdict), `verdict` maps an
+outcome to its verdict and `SuiteReport.from_sections` numbers the rows.
 
 Sections, in emission order:
 
@@ -39,7 +39,7 @@ from .means import (
 from .quadrature import certified_integrate
 
 __all__ = [
-    "CATALOG", "QUAD_FUNCTIONS", "CaseRecord", "SuiteReport", "Emitter", "build_suite",
+    "CATALOG", "QUAD_FUNCTIONS", "CaseRecord", "SuiteReport", "build_suite",
     "format_params", "verdict", "bound_row", "quad_row", "mean_chain_rows",
     "lp_monotone_row", "proposition_rows",
 ]
@@ -88,11 +88,18 @@ class SuiteReport:
     summary: dict
 
     @classmethod
-    def from_cases(cls, seed: int, cases) -> "SuiteReport":
-        """Tally the verdicts of `cases` into a report."""
-        summary = {"holds": 0, "flagged": 0, "hypothesis_unverified": 0, "total": len(cases)}
-        for c in cases:
-            summary[c.verdict.replace("-", "_")] += 1
+    def from_sections(cls, seed: int, sections) -> "SuiteReport":
+        """Number the rows (rule, params, lhs, rhs, verdict) of each
+        (section, rows) pair <section>-001, <section>-002, ..., in order,
+        and tally the verdicts."""
+        cases = []
+        summary = {"holds": 0, "flagged": 0, "hypothesis_unverified": 0}
+        for section, rows in sections:
+            for i, (rule, params, lhs, rhs, v) in enumerate(rows, 1):
+                cases.append(CaseRecord(f"{section}-{i:03d}", rule, params, lhs, rhs,
+                                        rhs - lhs, v))
+                summary[v.replace("-", "_")] += 1
+        summary["total"] = len(cases)
         return cls(__version__, seed, tuple(cases), summary)
 
     def as_dict(self) -> dict:
@@ -115,26 +122,6 @@ def verdict(holds: bool, hypothesis_verified=None) -> str:
     if hypothesis_verified is False:
         return "hypothesis-unverified"
     return "holds" if holds else "flagged"
-
-
-class Emitter:
-    """Collects rows (rule, params, lhs, rhs, verdict) as records numbered
-    per section: <section>-001, <section>-002, ..."""
-
-    def __init__(self):
-        self.cases = []
-        self._counts = {}
-
-    def add(self, section: str, rule: str, params: str, lhs: float, rhs: float, verdict: str):
-        idx = self._counts.get(section, 0) + 1
-        self._counts[section] = idx
-        self.cases.append(
-            CaseRecord(f"{section}-{idx:03d}", rule, params, lhs, rhs, rhs - lhs, verdict)
-        )
-
-    def extend(self, section: str, rows):
-        for row in rows:
-            self.add(section, *row)
 
 
 def bound_row(label: str, inst: BoundInstance, report, variant=None) -> tuple:
@@ -182,19 +169,19 @@ def proposition_rows(inst: PropositionInstance, tol: float) -> list:
     return rows
 
 
-def _lemma_section(em: Emitter, rng: random.Random, tol: float):
+def _lemma_rows(rng: random.Random, tol: float):
     for name, f in CATALOG:
         for _ in range(3):
             a = rng.uniform(0.1, 1.5)
             b = a + rng.uniform(0.4, 1.5)
             ps = format_params(f=name, a=a, b=b)
             r1 = lemma1_residual(f, a, b)
-            em.add("lemma", "L1", ps, r1, tol, verdict(within(r1, 0.0, tol)))
+            yield "L1", ps, r1, tol, verdict(within(r1, 0.0, tol))
             r2 = lemma2_residual(f, a, b)
-            em.add("lemma", "L2", ps, r2, tol, verdict(within(r2, 0.0, tol)))
+            yield "L2", ps, r2, tol, verdict(within(r2, 0.0, tol))
 
 
-def _bound_section(em: Emitter, rng: random.Random, seed: int, tol: float):
+def _bound_rows(rng: random.Random, seed: int, tol: float):
     cls = ConvexityClass("h_alpha_m")  # baseline: h=t, alpha=1, m=1
     for name, f in CATALOG:
         a = rng.uniform(0.1, 1.5)
@@ -204,18 +191,18 @@ def _bound_section(em: Emitter, rng: random.Random, seed: int, tol: float):
             for hp in holder:
                 inst = BoundInstance(rule, f, a, b, cls, hp)
                 rep = verify_bound(inst, tol=tol, seed=seed, samples=_MEMBERSHIP_SAMPLES)
-                em.add("bound", *bound_row(name, inst, rep))
+                yield bound_row(name, inst, rep)
 
 
-def _means_section(em: Emitter, rng: random.Random, tol: float):
+def _means_rows(rng: random.Random, tol: float):
     for _ in range(5):
         a = rng.uniform(0.1, 50.0)
         b = a + rng.uniform(0.1, 50.0)
-        em.extend("means", mean_chain_rows(a, b))
+        yield from mean_chain_rows(a, b)
     for _ in range(3):
         a = rng.uniform(0.1, 50.0)
         b = a + rng.uniform(0.1, 50.0)
-        em.add("means", *lp_monotone_row(a, b, _LP_GRID))
+        yield lp_monotone_row(a, b, _LP_GRID)
 
     for _ in range(3):
         a = rng.uniform(0.1, 5.0)
@@ -223,10 +210,10 @@ def _means_section(em: Emitter, rng: random.Random, tol: float):
         for p in _PROP_P_GRID:
             for pid in ("P1", "P2", "P3", "P4"):
                 inst = PropositionInstance(pid, a, b, p, n=2 if pid == "P4" else None)
-                em.extend("means", proposition_rows(inst, tol))
+                yield from proposition_rows(inst, tol)
 
 
-def _quad_section(em: Emitter, seed: int, tol: float):
+def _quad_rows(seed: int, tol: float):
     # every P5 row, then every P6 row; each family runs function by function
     p5 = [{"rule": "midpoint", "variant": v} for v in ("statement", "proofline")]
     p6 = [{"rule": "trapezoid", "alpha": alpha, "m": 1.0} for alpha in (0.0, 0.5, 1.0)]
@@ -236,15 +223,13 @@ def _quad_section(em: Emitter, seed: int, tol: float):
                 for n in (1, 4, 16):
                     rep = certified_integrate(f, 0.0, 1.0, n=n, p=2.0, tol=tol, seed=seed,
                                               samples=_MEMBERSHIP_SAMPLES, **kw)
-                    em.add("quad", *quad_row(name, rep))
+                    yield quad_row(name, rep)
 
 
 def build_suite(seed: int = 42, tol: float = 1e-9) -> SuiteReport:
-    """Run every section and tally the verdicts."""
-    rng = random.Random(seed)
-    em = Emitter()
-    _lemma_section(em, rng, tol)
-    _bound_section(em, rng, seed, tol)
-    _means_section(em, rng, tol)
-    _quad_section(em, seed, tol)
-    return SuiteReport.from_cases(seed, em.cases)
+    """Run every section, in order, and tally the verdicts."""
+    rng = random.Random(seed)  # the sections draw from it one after another
+    return SuiteReport.from_sections(seed, [
+        ("lemma", _lemma_rows(rng, tol)), ("bound", _bound_rows(rng, seed, tol)),
+        ("means", _means_rows(rng, tol)), ("quad", _quad_rows(seed, tol)),
+    ])

@@ -490,6 +490,13 @@ class TestSinglePipeline:
         assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
         assert '"margin": -0.0' not in out
 
+    @pytest.mark.parametrize("grid", ["nan", "1,inf", "-inf,1"])
+    def test_means_non_finite_grid_exits_two(self, capsys, grid):
+        # a NaN row marked flagged used to come out, with exit status 1
+        code, out, err = _run(capsys, "means", "--a", "1", "--b", "2", f"--grid={grid}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Lp needs a finite exponent p, got ")
+
     def test_means_nan_lp_value_flags_the_lp_row(self, capsys):
         # L_0.5 .. L_5 are NaN at this pair; the row used to hold at -inf
         code, out, _ = _run(capsys, "means", "--a", "1e-300", "--b", "1e300",

@@ -35,9 +35,6 @@ from hhcheck.convexity import (
     SENSE_PARAMS,
     MembershipReport,
     Witness,
-    _NONNEG_DOMAIN_SENSES,
-    _NONNEG_SENSES,
-    _OPEN_SENSES,
     _grid_points,
     hypothesis_membership,
     relative_slack,
@@ -46,6 +43,15 @@ from hhcheck.convexity import (
 
 
 POS = DomainInterval(0.0, 2.0)
+
+# The oracle's reading of the sense definitions, written out here so that a
+# sense dropped from the search's own sets shows: the h senses take lam in
+# (0,1) and, with the s-(alpha,m) senses, a non-negative g; the (alpha,m)
+# and s senses are defined on [0,inf).
+OPEN_SENSES = frozenset({"h_plain", "h_alpha_m"})
+NONNEG_SENSES = frozenset({"h_plain", "h_alpha_m", "s_alpha_m_first", "s_alpha_m_second"})
+NONNEG_DOMAIN_SENSES = frozenset(
+    {"alpha_m", "s_first", "s_second", "s_alpha_m_first", "s_alpha_m_second"})
 
 
 class TestHFunction:
@@ -279,13 +285,10 @@ class TestPreconditions:
             )
         assert "not evaluable" in str(exc_info.value)
 
-    def test_negative_domain_rejected_for_scaled_senses(self):
-        with pytest.raises(PreconditionError):
-            check_membership(
-                parse("x^2"),
-                ConvexityClass("s_second", s=0.5),
-                DomainInterval(-1.0, 1.0),
-            )
+    @pytest.mark.parametrize("sense", sorted(NONNEG_DOMAIN_SENSES))
+    def test_negative_domain_rejected_for_scaled_senses(self, sense):
+        with pytest.raises(PreconditionError, match=r"is defined on \[0,inf\)"):
+            check_membership(parse("x^2"), ConvexityClass(sense), DomainInterval(-1.0, 1.0))
 
     def test_combination_escaping_domain(self):
         # with m < 1 the combination lam*x + m*(1-lam)*y drops below the
@@ -483,13 +486,13 @@ def _oracle_sense_sides(cls, g, x, y, lam):
 
 def _oracle_membership(g, cls, dom, samples, seed, tol):
     reading = "mu^(alpha*s)" if cls.sense.startswith("s_alpha_m") else None
-    if cls.sense in _NONNEG_DOMAIN_SENSES and dom.lo < 0.0:
+    if cls.sense in NONNEG_DOMAIN_SENSES and dom.lo < 0.0:
         raise PreconditionError(
             f"sense {cls.sense!r} is defined on [0,inf); domain starts at {dom.lo!r}"
         )
     gc = compile_fn(g)
     xs = _grid_points(dom, 21)
-    if cls.sense in _NONNEG_SENSES:
+    if cls.sense in NONNEG_SENSES:
         for x in xs:
             try:
                 v = gc(x)
@@ -501,14 +504,14 @@ def _oracle_membership(g, cls, dom, samples, seed, tol):
                     f"g({x!r}) = {v!r}"
                 )
     lam_grid = [0.1 * k for k in range(1, 10)]
-    if cls.sense not in _OPEN_SENSES:
+    if cls.sense not in OPEN_SENSES:
         lam_grid = [0.0] + lam_grid + [1.0]
     rng = random.Random(seed)
     drawn = [(rng.uniform(dom.lo, dom.hi), rng.uniform(dom.lo, dom.hi), rng.uniform(0.0, 1.0))
              for _ in range(samples)]
     triples = [(x, y, lam) for x in xs for y in xs for lam in lam_grid] + [
         (x, y, lam) for x, y, lam in drawn
-        if cls.sense not in _OPEN_SENSES or 1e-12 < lam < 1.0 - 1e-12
+        if cls.sense not in OPEN_SENSES or 1e-12 < lam < 1.0 - 1e-12
     ]
     for used, (x, y, lam) in enumerate(triples, 1):
         try:
@@ -647,7 +650,7 @@ def test_property_search_matches_oracle(sense, data, g, dom, samples, seed, tol)
 def _lam_major_first_hit(g, cls, dom, tol=1e-9):
     gc, xs = compile_fn(g), _grid_points(dom, 21)
     lams = [0.1 * k for k in range(1, 10)]
-    if cls.sense not in _OPEN_SENSES:
+    if cls.sense not in OPEN_SENSES:
         lams = [0.0] + lams + [1.0]
     for lam in lams:
         for x in xs:
@@ -899,7 +902,7 @@ def test_member_blocks_match_oracle_at_block_boundaries(sense, samples):
     new, old = _outcomes_with_pinned_lams(parse("x^2+1"), ConvexityClass(sense),
                                           DomainInterval(0.3, 2.3), samples, 5, 1e-9)
     assert new == old and new[0] == "no-counterexample-found"
-    skipped = sum(3 * t + 2 in _PINNED_LAMS for t in range(samples)) if sense in _OPEN_SENSES else 0
+    skipped = sum(3 * t + 2 in _PINNED_LAMS for t in range(samples)) if sense in OPEN_SENSES else 0
     assert new[1] == 21 * 21 * len(convexity._lam_grid(sense)) + samples - skipped
 
 

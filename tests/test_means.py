@@ -94,6 +94,11 @@ class TestMeanKindValidation:
         with pytest.raises(ValueError):
             MeanKind("Lp", p=p)
 
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exponent_rejected(self, p):
+        with pytest.raises(ValueError, match="Lp needs a finite exponent p"):
+            MeanKind("Lp", p=p)
+
     def test_positivity_required_except_arithmetic(self):
         assert mean(A, -1.0, 3.0) == 1.0
         for kind in (G, H, L, I, LP(2.0)):

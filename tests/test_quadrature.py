@@ -7,6 +7,7 @@ import pytest
 from hhcheck import (
     Partition,
     QUAD_FUNCTIONS,
+    build_suite,
     certified_integrate,
     error_bound_midpoint,
     error_bound_trapezoid,
@@ -16,6 +17,7 @@ from hhcheck import (
     trapezoid_rule,
     uniform_partition,
 )
+from hhcheck import bounds, kernels
 from hhcheck.convexity import hypothesis_membership
 
 SQ = parse("x^2")
@@ -241,6 +243,46 @@ class TestCertifiedIntegrate:
         r1 = certified_integrate(EXP, 0.0, 1.0, n=4, rule="trapezoid", seed=3)
         r2 = certified_integrate(EXP, 0.0, 1.0, n=4, rule="trapezoid", seed=3)
         assert r1 == r2
+
+
+def _count_integrals(monkeypatch):
+    """Route integrate_adaptive through a counter of [calls, panels]."""
+    work, real = [0, 0], kernels.integrate_adaptive
+
+    def counting(f, a, b):
+        res = real(f, a, b)
+        work[0] += 1
+        work[1] += res.subdivisions
+        return res
+
+    monkeypatch.setattr(kernels, "integrate_adaptive", counting)
+    return work
+
+
+class TestReferenceIntegral:
+    """The reference integral of one (f, a, b) runs once, in `bounds`."""
+
+    def test_reference_is_the_adaptive_integral(self):
+        rep = certified_integrate(EXP, 0.3, 1.7, n=4)
+        assert rep.reference == integrate_adaptive(EXP, 0.3, 1.7).value
+
+    def test_second_partition_runs_no_new_integral(self, monkeypatch):
+        bounds._mean_integral.cache_clear()
+        work = _count_integrals(monkeypatch)
+        f = parse("x^3+x")
+        first = certified_integrate(f, 0.2, 1.1, n=3, check_hypothesis=False)
+        second = certified_integrate(f, 0.2, 1.1, n=9, check_hypothesis=False)
+        assert work[0] == 1 and first.reference == second.reference
+
+
+def test_build_suite_integral_work(monkeypatch):
+    """A machine-independent guard on the integrator: adaptive integrals
+    and their panels for one suite with cold caches."""
+    bounds._mean_integral.cache_clear()
+    hypothesis_membership.cache_clear()
+    work = _count_integrals(monkeypatch)
+    build_suite(42)
+    assert work == [53, 465]  # the 45 quad rows integrate their 3 functions once each
 
 
 class TestConvergenceOrder:
