@@ -6,10 +6,10 @@ from ._version import __version__
 from .errors import DomainError, NonConvergenceError, ParseError, PreconditionError
 from .expr import (
     Abs, Add, Const, Div, DomainInterval, Exp, Ln, Mul, Neg, Node, Pow, Sub,
-    Var, compile_fn, differentiate, evaluate, parse, to_text,
+    Var, compile_fn, compile_interval, differentiate, evaluate, parse, to_text,
 )
 from .convexity import (
-    SENSES, ConvexityClass, HFunction, MembershipReport, Witness,
+    SENSES, ConvexityClass, HFunction, MembershipProof, MembershipReport, Witness,
     check_membership, evaluate_h,
 )
 from .kernels import (
@@ -39,8 +39,8 @@ __all__ = [
     "DomainError", "NonConvergenceError", "ParseError", "PreconditionError",
     "Node", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Exp", "Ln",
     "Abs", "Neg", "DomainInterval", "parse", "to_text", "evaluate",
-    "compile_fn", "differentiate",
-    "SENSES", "HFunction", "ConvexityClass", "MembershipReport", "Witness",
+    "compile_fn", "compile_interval", "differentiate",
+    "SENSES", "HFunction", "ConvexityClass", "MembershipReport", "MembershipProof", "Witness",
     "evaluate_h", "check_membership",
     "KERNEL_KINDS", "HolderPair", "IntegralResult", "KernelMoment", "beta",
     "integrate_adaptive", "kernel_moment",

@@ -1,4 +1,5 @@
-"""Generalized convexity classes and randomized membership falsification.
+"""Generalized convexity classes: membership proofs by interval enclosure,
+and randomized membership falsification.
 
 Eight senses are supported. Writing g for the function under test, x, y for
 points of the domain and lam for the weight:
@@ -33,9 +34,15 @@ distinct combination point, one x row at a time, and once per random term.
 So the first hit of a block is the witness; it is replayed alone, calling
 g and h in the order of the sense's definition, and a block in which an
 evaluation or a weight fails is replayed whole, for the error of its first
-failing triple. The bound rules and the quadrature check their hypotheses
-through hypothesis_membership, an lru_cache that runs one search per
-distinct hypothesis (a DomainInterval's equality sees its endpoint signs).
+failing triple.
+
+The bound rules and the quadrature check their hypotheses through
+hypothesis_membership, an lru_cache that checks each distinct hypothesis
+once (a DomainInterval's equality sees its endpoint signs). It proves what
+it can before it searches: g convex, for the classes that are plain
+convexity at their parameters, by enclosing g'' on pieces of the domain
+(expr.compile_interval), and g constant, for alpha_m at m = 1. Anything
+else is searched; check_membership, and so check-class, only searches.
 
 Every record verdict (bounds, quadrature, lemma rows, means) is decided by
 `within`, with an absolute slack (the verdict tol) or `relative_slack`.
@@ -43,6 +50,7 @@ Every record verdict (bounds, quadrature, lemma rows, means) is decided by
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -52,10 +60,11 @@ from operator import itemgetter, mul
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError
-from .expr import DomainInterval, Node, compile_fn
+from .expr import (Abs, Const, DomainInterval, Node, Pow, compile_fn, compile_interval,
+                   differentiate, neg)
 
 __all__ = [
-    "HFunction", "ConvexityClass", "MembershipReport", "Witness",
+    "HFunction", "ConvexityClass", "MembershipReport", "MembershipProof", "Witness",
     "evaluate_h", "check_membership", "hypothesis_membership", "SENSES", "SENSE_PARAMS",
     "within", "relative_slack",
 ]
@@ -228,16 +237,31 @@ class Witness:
 
 
 @dataclass(frozen=True)
+class MembershipProof:
+    """How a proof went: the pieces the domain was split into, and the least
+    lower bound of g'' over them, for the function proven convex (|u| when
+    g = |u|^q; 0.0 for a constant g)."""
+
+    pieces: int
+    least_g2: float
+
+
+@dataclass(frozen=True)
 class MembershipReport:
-    verdict: str  # "no-counterexample-found" | "counterexample"
+    """A search's verdict after samples_used triples, with the witness of a
+    counterexample; or "proven", from hypothesis_membership's prover alone,
+    with samples_used 0 and the proof record."""
+
+    verdict: str  # "no-counterexample-found" | "counterexample" | "proven"
     samples_used: int
     witness: Optional[Witness]
     seed: int
     exponent_reading: Optional[str] = None
+    proof: Optional[MembershipProof] = None
 
     @property
     def ok(self) -> bool:
-        return self.verdict == "no-counterexample-found"
+        return self.verdict != "counterexample"
 
 
 # One row per sense. Every sense reads
@@ -341,7 +365,7 @@ class _Plan(NamedTuple):
     dom: DomainInterval
 
 
-@lru_cache(maxsize=3)  # the quad section cycles through three classes
+@lru_cache(maxsize=3)  # the quad section searches alpha_m at alpha 0 and 0.5
 def _search_plan(cls, dom, samples, seed) -> _Plan:
     """The shared plan for (cls, dom, samples, seed)."""
     xs, lams = _grid_points(dom, 21), _lam_grid(cls.sense)
@@ -467,6 +491,35 @@ def _replay(triples, gc, plan: _Plan, tol):
     return None
 
 
+def _preconditions(g: Node, cls: ConvexityClass, dom: DomainInterval, samples: int):
+    """The checks a search makes first, with its errors: samples >= 0, dom in
+    [0, inf) and g >= 0 at the grid points where the sense needs them.
+    Returns g compiled, the grid points and g on them (or None)."""
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples!r}")
+    if cls.sense in _NONNEG_DOMAIN_SENSES and dom.lo < 0.0:
+        raise PreconditionError(
+            f"sense {cls.sense!r} is defined on [0,inf); domain starts at {dom.lo!r}"
+        )
+    gc = compile_fn(g)
+    xs = _grid_points(dom, 21)
+    gxs = None
+    if cls.sense in _NONNEG_SENSES:
+        gxs = []
+        for x in xs:
+            try:
+                v = gc(x)
+            except DomainError as exc:
+                raise PreconditionError(f"g not evaluable at {x!r}: {exc}") from None
+            if v < 0.0:
+                raise PreconditionError(
+                    f"sense {cls.sense!r} requires a non-negative function; "
+                    f"g({x!r}) = {v!r}"
+                )
+            gxs.append(v)
+    return gc, xs, gxs
+
+
 def check_membership(
     g: Node,
     cls: ConvexityClass,
@@ -491,31 +544,8 @@ def check_membership(
     or a weight fails is replayed whole, so samples_used and the error
     message are those of the first failing triple.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be non-negative, got {samples!r}")
+    gc, xs, gxs = _preconditions(g, cls, dom, samples)
     reading = "mu^(alpha*s)" if cls.sense.startswith("s_alpha_m") else None
-    if cls.sense in _NONNEG_DOMAIN_SENSES and dom.lo < 0.0:
-        raise PreconditionError(
-            f"sense {cls.sense!r} is defined on [0,inf); domain starts at {dom.lo!r}"
-        )
-
-    gc = compile_fn(g)
-    xs = _grid_points(dom, 21)
-    gxs = None  # g on xs, kept from the non-negativity check for the grid scan
-    if cls.sense in _NONNEG_SENSES:
-        gxs = []
-        for x in xs:
-            try:
-                v = gc(x)
-            except DomainError as exc:
-                raise PreconditionError(f"g not evaluable at {x!r}: {exc}") from None
-            if v < 0.0:
-                raise PreconditionError(
-                    f"sense {cls.sense!r} requires a non-negative function; "
-                    f"g({x!r}) = {v!r}"
-                )
-            gxs.append(v)
-
     plan = _search_plan(cls, dom, samples, seed)
     used = 0
     for triples, n, span in _scans(plan, gc, xs, gxs, samples, tol):
@@ -527,20 +557,90 @@ def check_membership(
     return MembershipReport("no-counterexample-found", used, None, seed, reading)
 
 
+# senses whose coefficients are plain convexity's at h = t and alpha = m = 1
+_PLAIN_SENSES = frozenset({"plain_convex", "h_plain", "alpha_m", "h_alpha_m"})
+_PIECES = 64  # the most pieces a proof may split its domain into
+
+
+@lru_cache(maxsize=64)
+def _convex_proof(g: Node, lo: float, hi: float) -> Optional[MembershipProof]:
+    """A proof that g, defined on [lo, hi], is convex there, or None.
+
+    |u|^q with q >= 1 is convex where |u| is, since t^q is convex and
+    nondecreasing on [0, inf) (Boyd and Vandenberghe, Convex Optimization,
+    2004, 3.2.4): the Holder rows of one derivative share one proof. |u| is u
+    or -u where u keeps one sign. Then g' must enclose on [lo, hi], and g''
+    is enclosed on pieces, bisected under the budget, until each lower bound
+    is >= 0 (Moore, 1966; Tucker, Validated Numerics, 2011)."""
+    if (type(g) is Pow and type(g.base) is Abs and type(g.exponent) is Const
+            and g.exponent.value >= 1.0):
+        return _convex_proof(g.base, lo, hi)
+    try:
+        if type(g) is Abs:
+            ulo, uhi = compile_interval(g.arg)((lo, hi))
+            if not (ulo >= 0.0 or uhi <= 0.0):
+                return None
+            g = g.arg if ulo >= 0.0 else neg(g.arg)
+        compile_interval(differentiate(g))((lo, hi))
+        g2 = compile_interval(differentiate(g, 2))
+        todo, pieces, least = [(lo, hi)], 0, math.inf
+        while todo:
+            a, b = todo.pop()
+            low = g2((a, b))[0]
+            if low >= 0.0:
+                pieces, least = pieces + 1, min(least, low)
+                continue
+            mid = 0.5 * (a + b)
+            if pieces + len(todo) + 2 > _PIECES or not a < mid < b:
+                return None
+            todo += [(mid, b), (a, mid)]
+    except DomainError:  # a piece with no enclosure ends the proof
+        return None
+    return MembershipProof(pieces, least)
+
+
+def _prove(g: Node, cls: ConvexityClass, dom: DomainInterval,
+           samples: int) -> Optional[MembershipProof]:
+    """A proof that g is in cls on dom, or None; it needs the search's
+    preconditions and g >= 0. A convex g is in the classes that are plain
+    convexity at their parameters; a constant g (its derivative folds to 0)
+    is in alpha_m at m = 1 for every alpha, where both sides are g."""
+    plain = cls.sense in _PLAIN_SENSES and cls.h.kind == "identity" and cls.alpha == cls.m == 1.0
+    if not plain and (cls.sense != "alpha_m" or cls.m != 1.0):
+        return None
+    try:
+        _preconditions(g, cls, dom, samples)
+        if compile_interval(g)((dom.lo, dom.hi))[0] < 0.0:
+            return None
+    except (PreconditionError, DomainError):  # the search reports a failed precondition
+        return None
+    if plain:
+        return _convex_proof(g, dom.lo, dom.hi)
+    return MembershipProof(1, 0.0) if differentiate(g) == Const(0.0) else None
+
+
 @lru_cache(maxsize=256)
 def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
                           samples: int, seed: int, tol: float):
-    """check_membership(g, cls, dom, samples, seed, tol) for a rule's
-    hypothesis, as (report, None); a failed precondition gives (None, reason)
-    instead of raising, so the hypothesis is reported unverified.
+    """The membership of g in cls on dom, for a rule's hypothesis, as
+    (report, None); a failed precondition gives (None, reason) instead of
+    raising, so the hypothesis is reported unverified.
 
-    Every argument is a frozen value and the search is deterministic in them,
-    so one search serves every rule and quadrature that assumes the same
-    hypothesis: the result is cached under the arguments (a domain's
+    A hypothesis that the prover proves, after check_membership's
+    preconditions, is reported "proven" without a search; any other goes to
+    check_membership(g, cls, dom, samples, seed, tol), which also reports a
+    failed precondition.
+
+    Every argument is a frozen value and the outcome is deterministic in
+    them, so one check serves every rule and quadrature that assumes the
+    same hypothesis: the result is cached under the arguments (a domain's
     equality sees the signs of its endpoints), and reports are shared, not
-    copied. check_membership itself is not cached, so check-class always
-    searches.
+    copied. check_membership itself neither proves nor is cached, so
+    check-class always searches.
     """
+    proof = _prove(g, cls, dom, samples)
+    if proof is not None:
+        return MembershipReport("proven", 0, None, seed, proof=proof), None
     try:
         return check_membership(g, cls, dom, samples, seed, tol), None
     except PreconditionError as exc:

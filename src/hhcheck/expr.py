@@ -8,7 +8,8 @@ noise). Evaluation goes through one code generator: compile_fn turns a tree
 into straight-line Python, with one exec'd factory per tree shape in a
 bounded cache. For a tree with finite constants (the parser admits no
 other) the result returns a finite float or raises DomainError, for every x
-including non-finite ones.
+including non-finite ones. compile_interval is its second backend: it
+encloses a tree's values on an interval of x, or raises DomainError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import DomainError, ParseError
 __all__ = [
     "Node", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Exp", "Ln",
     "Abs", "Neg", "DomainInterval", "parse", "evaluate", "differentiate",
-    "to_text", "compile_fn",
+    "to_text", "compile_fn", "compile_interval",
 ]
 
 
@@ -146,23 +147,43 @@ def _pow(b: float, e: float) -> float:
     raise DomainError(f"negative base {b!r} with non-integer or negative exponent {e!r}")
 
 
-# One code generator serves every evaluation. A tree is compiled to
-# straight-line source for its shape (the operators and where x sits); its
-# constants become the parameters c0, c1, ... of a factory, so trees that
-# differ only in their constants share one exec'd factory. No user text
-# reaches the source: constants are bound as values and variable names are
-# never emitted. Each value is computed in post-order, and every + - * / ^
-# result is checked for finiteness.
+# One code generator serves every evaluation, in two backends. A tree is
+# compiled to straight-line source for its shape (the operators and where x
+# sits); its constants become the parameters c0, c1, ... of a factory, so
+# trees that differ only in their constants share one exec'd factory. No
+# user text reaches the source: constants are bound as values and variable
+# names are never emitted. Each value is computed in post-order. The float
+# backend checks every + - * / ^ result for finiteness; the interval backend
+# computes over (lo, hi) pairs with the helpers below, which raise
+# DomainError where the float backend would, and wherever they cannot
+# enclose.
 
-_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-
+# Per backend and node kind: the value over the operands, and the statements
+# that follow it, given the temporary that holds it; or None for a kind
+# inlined into its parent's statement (abs and negation cannot fail).
+_CHECKED = (lambda v: f"if not isfinite({v}): raise DomainError('non-finite intermediate value')",)
+_FLOAT_OPS = {
+    Add: (lambda a, b: f"{a} + {b}", _CHECKED), Sub: (lambda a, b: f"{a} - {b}", _CHECKED),
+    Mul: (lambda a, b: f"{a} * {b}", _CHECKED), Div: (lambda a, b: f"{a} / {b}", _CHECKED),
+    Pow: (lambda a, b: f"_pow({a}, {b})", _CHECKED), Exp: (lambda a: f"exp({a})", ()),
+    Ln: (lambda a: a,
+         (lambda v: f"if {v} <= 0.0: raise DomainError(f'ln of non-positive value {{{v}!r}}')",
+          lambda v: f"{v} = log({v})")),
+    Abs: (lambda a: f"abs({a})", None), Neg: (lambda a: f"(-{a})", None),
+}
+_INTERVAL_OPS = {
+    Add: (lambda a, b: f"_iadd({a}, {b})", ()), Sub: (lambda a, b: f"_iadd({a}, _ineg({b}))", ()),
+    Mul: (lambda a, b: f"_imul({a}, {b})", ()), Div: (lambda a, b: f"_idiv({a}, {b})", ()),
+    Pow: (lambda a, b: f"_ipow({a}, {b})", ()), Exp: (lambda a: f"_iexp({a})", ()),
+    Ln: (lambda a: f"_iln({a})", ()), Abs: (lambda a: f"_iabs({a})", None),
+    Neg: (lambda a: f"_ineg({a})", None),
+}
+_UNARY = frozenset({Exp, Ln, Abs, Neg})
 _INDENT = "\n            "
 _TEMPLATE = """\
 def make({params}):
     def fn(x):
-        try:
-            x = float(x)
-            if not isfinite(x): raise DomainError(f'non-finite argument {{x!r}}'){body}
+        try:{body}
         except ZeroDivisionError:
             raise DomainError('division by zero') from None
         except OverflowError:
@@ -175,55 +196,171 @@ def make({params}):
 """
 
 
-def _emit(node: Node, lines: list, consts: list) -> str:
+def _emit(node: Node, lines: list, consts: list, ops: dict, memo) -> str:
     """Append the statements computing node to lines and return the operand
-    that holds its value. abs and negation cannot fail, so they are inlined
-    into their parent's statement instead of getting one of their own."""
+    that holds its value, with the backend's node templates ops. memo, a
+    dict or None, maps each subtree already emitted to its operand."""
     kind = type(node)
     if kind is Const:
         consts.append(node.value)
         return f"c{len(consts) - 1}"
     if kind is Var:
         return "x"
-    if kind is Abs:
-        return f"abs({_emit(node.arg, lines, consts)})"
-    if kind is Neg:
-        return f"(-{_emit(node.arg, lines, consts)})"
-    if kind is Pow:
-        value = "_pow({}, {})".format(_emit(node.base, lines, consts),
-                                      _emit(node.exponent, lines, consts))
-    elif kind in _BINARY:
-        value = "{} {} {}".format(_emit(node.left, lines, consts), _BINARY[kind],
-                                  _emit(node.right, lines, consts))
-    elif kind is Exp:
-        value = f"exp({_emit(node.arg, lines, consts)})"
-    elif kind is Ln:
-        value = _emit(node.arg, lines, consts)
-    else:
+    if memo is not None and node in memo:
+        return memo[node]
+    if kind not in ops:
         raise TypeError(f"not an expression node: {node!r}")
-    v = f"v{len(lines)}"  # unique: each temporary appends at least one line
-    lines.append(f"{v} = {value}")
-    if kind is Ln:
-        lines.append(f"if {v} <= 0.0: raise DomainError(f'ln of non-positive value {{{v}!r}}')")
-        lines.append(f"{v} = log({v})")
-    elif kind is not Exp:
-        lines.append(f"if not isfinite({v}): raise DomainError('non-finite intermediate value')")
-    return v
+    template, checks = ops[kind]
+    if kind is Pow:
+        code = template(_emit(node.base, lines, consts, ops, memo),
+                        _emit(node.exponent, lines, consts, ops, memo))
+    elif kind in _UNARY:
+        code = template(_emit(node.arg, lines, consts, ops, memo))
+    else:
+        code = template(_emit(node.left, lines, consts, ops, memo),
+                        _emit(node.right, lines, consts, ops, memo))
+    if checks is not None:
+        v = f"v{len(lines)}"  # unique: each temporary appends at least one line
+        lines.append(f"{v} = {code}")
+        for check in checks:
+            lines.append(check(v))
+        code = v
+    if memo is not None:
+        memo[node] = code
+    return code
+
+
+# ---------------------------------------------------------------------------
+# Interval arithmetic (Moore, Interval Analysis, 1966). An interval is a pair
+# (lo, hi) of finite floats. A rounded endpoint moves one float outward,
+# unless an error-free transformation shows it exact (Knuth's two-sum,
+# Dekker's product), so 2*x on [0, 1] keeps the lower bound 0.0. exp, ln and
+# ^ come from the C library, which rounds within one ulp; their endpoints
+# move two floats outward, but for the exact 0 of a zero base.
+
+_next = math.nextafter
+
+
+def _finite(lo: float, hi: float) -> tuple:
+    if not (-math.inf < lo <= hi < math.inf):  # a NaN fails too
+        raise DomainError(f"no finite enclosure: [{lo!r}, {hi!r}]")
+    return lo, hi
+
+
+def _sum_exact(a: float, b: float, s: float) -> bool:
+    """Whether s = fl(a + b) is a + b exactly: the two-sum error is 0."""
+    t = s - a
+    return (a - (s - t)) + (b - t) == 0.0
+
+
+def _prod_exact(a: float, b: float, p: float) -> bool:
+    """Whether p = fl(a*b) is a*b exactly: Dekker's product error is 0. Near
+    over- and underflow it answers False, which only widens."""
+    if a == 0.0 or b == 0.0:
+        return True
+    if not (1e-100 < abs(a) < 1e100 and 1e-100 < abs(b) < 1e100):
+        return False
+    c, d = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1 splits each into two halves
+    ah, bh = c - (c - a), d - (d - b)
+    al, bl = a - ah, b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl == 0.0
+
+
+def _mul(x: float, y: float) -> tuple:
+    p = x * y
+    return (p, p) if _prod_exact(x, y, p) else (_next(p, -math.inf), _next(p, math.inf))
+
+
+def _div(x: float, y: float) -> tuple:
+    q = x / y  # exact when q*y rounds to x with no product error
+    exact = q * y == x and _prod_exact(q, y, x)
+    return (q, q) if exact else (_next(q, -math.inf), _next(q, math.inf))
+
+
+def _corners(op, a, b) -> tuple:
+    ends = [op(x, y) for x in a for y in b]
+    return _finite(min(e[0] for e in ends), max(e[1] for e in ends))
+
+
+def _libm(lo: float, hi: float, lo_exact: bool = False) -> tuple:
+    if not lo_exact:
+        lo = _next(_next(lo, -math.inf), -math.inf)
+    return _finite(lo, _next(_next(hi, math.inf), math.inf))
+
+
+def _iabs(a):
+    lo, hi = a
+    return a if lo >= 0.0 else (-hi, -lo) if hi <= 0.0 else (0.0, max(-lo, hi))
+
+
+def _iadd(a, b):
+    lo, hi = a[0] + b[0], a[1] + b[1]
+    return _finite(lo if _sum_exact(a[0], b[0], lo) else _next(lo, -math.inf),
+                   hi if _sum_exact(a[1], b[1], hi) else _next(hi, math.inf))
+
+
+def _imul(a, b):
+    if a[0] >= 0.0 and b[0] >= 0.0:
+        return _finite(_mul(a[0], b[0])[0], _mul(a[1], b[1])[1])
+    return _corners(_mul, a, b)
+
+
+def _idiv(a, b):
+    if b[0] <= 0.0 <= b[1]:
+        raise DomainError("division by an interval that contains 0")
+    if a[0] >= 0.0 and b[0] > 0.0:
+        return _finite(_div(a[0], b[1])[0], _div(a[1], b[0])[1])
+    return _corners(_div, a, b)
+
+
+def _ipow(b, e):
+    """b^e under _pow's policy: a positive base; a zero base to a positive
+    constant power; any base to a non-negative integer constant power."""
+    (bl, bh), (el, eh) = b, e
+    if el == eh == 0.0:
+        return 1.0, 1.0
+    if not (bl > 0.0 or el == eh and (el > 0.0 if bl == 0.0 else
+                                      el == math.floor(el) and 0.0 <= el <= 2 ** 31)):
+        raise DomainError(f"power of [{bl!r}, {bh!r}] to [{el!r}, {eh!r}] outside _pow's domain")
+    # x^y is monotone in x and in y over these domains, but for an even power
+    # of a base that spans 0, whose least value is 0
+    vals = [x ** y for x in b for y in e]
+    even = bl < 0.0 < bh and el % 2.0 == 0.0
+    return _libm(0.0 if even else min(vals), max(vals), even or bl == 0.0)
+
+
+# Per backend: the statements that open fn, the node templates, the names
+# the code reads, how a constant enters it, and whether equal subtrees share
+# one value. Only intervals share: an enclosure holds for every equal
+# subtree, but a float value may not, since Const(0.0) == Const(-0.0).
+_BACKENDS = {
+    "float": (("x = float(x)",
+               "if not isfinite(x): raise DomainError(f'non-finite argument {x!r}')"),
+              _FLOAT_OPS, {"DomainError": DomainError, "_pow": _pow, "exp": math.exp,
+                           "log": math.log, "isfinite": math.isfinite},
+              lambda c: c, False),
+    "interval": ((), _INTERVAL_OPS, {
+        "DomainError": DomainError, "_iadd": _iadd, "_imul": _imul, "_idiv": _idiv,
+        "_ipow": _ipow, "_iabs": _iabs, "_ineg": lambda a: (-a[1], -a[0]),
+        "_iexp": lambda a: _libm(math.exp(a[0]), math.exp(a[1])),
+        "_iln": lambda a: _libm(math.log(a[0]), math.log(a[1])),  # log raises at a[0] <= 0
+    }, lambda c: (c, c), True),
+}
 
 
 @lru_cache(maxsize=256)
-def _factory(body: str, nconsts: int) -> Callable:
+def _factory(backend: str, body: str, nconsts: int) -> Callable:
     params = ", ".join(f"c{i}" for i in range(nconsts))
-    namespace = {"DomainError": DomainError, "_pow": _pow, "exp": math.exp, "log": math.log,
-                 "isfinite": math.isfinite}
+    namespace = dict(_BACKENDS[backend][2])
     exec(_TEMPLATE.format(params=params, body=body), namespace)
     return namespace["make"]
 
 
-def _generate(node: Node) -> Callable[[float], float]:
-    lines, consts = [], []
-    lines.append(f"return {_emit(node, lines, consts)}")
-    return _factory(_INDENT + _INDENT.join(lines), len(consts))(*consts)
+def _generate(node: Node, backend: str = "float") -> Callable:
+    opening, ops, _, lift, share = _BACKENDS[backend]
+    lines, consts = list(opening), []
+    lines.append(f"return {_emit(node, lines, consts, ops, {} if share else None)}")
+    return _factory(backend, _INDENT + _INDENT.join(lines), len(consts))(*[lift(c) for c in consts])
 
 
 def compile_fn(node: Node) -> Callable[[float], float]:
@@ -235,6 +372,15 @@ def compile_fn(node: Node) -> Callable[[float], float]:
     cached factory, so a fresh tree costs a walk, not an exec.
     """
     return _generate(node)
+
+
+def compile_interval(node: Node) -> Callable[[tuple], tuple]:
+    """Compile to a function that maps an interval (lo, hi) of x to an
+    interval (lo, hi) holding every value of the tree on it, or raises
+    DomainError: where the float evaluator could raise on the interval, and
+    where no finite enclosure is found. Its factory shares compile_fn's
+    cache, under the backend tag "interval"."""
+    return _generate(node, "interval")
 
 
 def evaluate(node: Node, x: float) -> float:

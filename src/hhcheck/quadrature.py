@@ -167,6 +167,8 @@ def certified_integrate(
     """
     if rule not in ("midpoint", "trapezoid"):
         raise ValueError(f"unknown rule {rule!r}")
+    # built for both rules: the midpoint rule reads no alpha or m, but takes none out of range
+    trapezoid_cls = ConvexityClass("alpha_m", alpha=alpha, m=m)
     if points is not None:
         K = Partition(tuple(points))
         if K.a != a or K.b != b:
@@ -190,7 +192,7 @@ def certified_integrate(
         bound = error_bound_trapezoid(f, K, alpha, m, p)
         source = "P6"
         hyp = Abs(differentiate(f, 2))
-        cls = ConvexityClass("alpha_m", alpha=alpha, m=m)
+        cls = trapezoid_cls
         bm = b / m
         dom = DomainInterval(min(a, bm), max(b, bm))
 

@@ -60,21 +60,52 @@ def test_quadrature_can_skip_the_hypothesis():
 
 def test_installed_tracer_counts_searches_and_uninstalls(tracer):
     original = hhcheck.bounds.verify
-    inst = hhcheck.BoundInstance("T4", hhcheck.parse("x^2"), 0.0, 1.0,
-                                 hhcheck.ConvexityClass("h_alpha_m"))
+    # |f''| = 2 of x^2: at alpha = 1 the hypothesis is plain convexity and is
+    # proven; at alpha = 0.5 the prover does not take it, so it is searched
+    proven, searched = (
+        hhcheck.BoundInstance("T4", hhcheck.parse("x^2"), 0.0, 1.0,
+                              hhcheck.ConvexityClass("h_alpha_m", alpha=alpha))
+        for alpha in (1.0, 0.5))
+    hypothesis_membership.cache_clear()
+    counts = []
+    for inst in (proven, searched):
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            hhcheck.bounds.verify(inst, samples=0)
+            hhcheck.bounds.verify(inst, samples=0)
+        finally:
+            tr.uninstall()
+        assert hhcheck.bounds.verify is original
+        assert tr.calls["bounds.verify"] == 2
+        counts.append((tr.calls["convexity.check_membership"], tr.counts["convexity.triples"]))
+    # the second verify reuses the first one's check
+    assert counts == [(0, 0), (1, 21 * 21 * 9)]  # grid pass, lam in (0,1)
+
+
+def test_verify_suite_op_reaches_every_guarded_boundary(tracer, workloads):
+    """Every boundary that perfbench/run.py's guard expects on verify-suite
+    records calls in one traced op, the membership search included: a prover
+    that took every hypothesis of a suite would fail here, not in the
+    benchmark run."""
+    run = _load("run")
+    expected, forbidden = run.GUARD["verify-suite"]
+    w = workloads.VerifySuite(7, str(ROOT))
+    seed = w.next_input()
     hypothesis_membership.cache_clear()
     tr = tracer.Tracer()
     tr.install()
     try:
-        hhcheck.bounds.verify(inst, samples=0)
-        hhcheck.bounds.verify(inst, samples=0)
+        assert w.check(seed, w.run(seed)) == 318
     finally:
         tr.uninstall()
-    assert hhcheck.bounds.verify is original
-    assert tr.calls["bounds.verify"] == 2
-    # the second verify reuses the first one's search
-    assert tr.calls["convexity.check_membership"] == 1
-    assert tr.counts["convexity.triples"] == 21 * 21 * 9  # grid pass, lam in (0,1)
+    assert {name for name in expected if tr.calls[name] == 0} == set()
+    assert {name for name in forbidden if tr.calls[name] != 0} == set()
+    assert tr.counts["expr.evals"] > 0
+    # the 4 alpha_m hypotheses of exp(x) and x^4 at alpha 0 and 0.5 are not
+    # members and are searched; every other hypothesis of this suite is proven
+    assert tr.calls["convexity.check_membership"] == 4
+    assert tr.calls["expr.differentiate"] > 0
 
 
 def test_rule_sweep_ops_run_and_check(workloads):

@@ -150,6 +150,11 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: p must be finite and exceed 1, got ")
 
+    def test_quad_rejects_alpha_and_m_out_of_range_for_midpoint(self, capsys):
+        code, out, err = _run(capsys, "quad", "--rule", "midpoint", "--f", "x^2", "--a", "0",
+                              "--b", "1", "--n", "2", "--alpha", "7", "--m", "-3")
+        assert (code, out, err) == (2, "", "error: alpha must lie in [0,1], got 7.0\n")
+
     @pytest.mark.parametrize("argv", [
         ("prop", "--id", "P4", "--a", "1", "--b", "2", "--p", "2", "--n", "3", "--tol", "inf"),
         ("check-class", "--sense", "convex", "--f=-x^2", "--a", "0", "--b", "1", "--tol", "nan"),

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import hhcheck.convexity as convexity
 from hhcheck import (
+    CATALOG,
+    Abs,
     Add,
     Const,
     ConvexityClass,
@@ -27,12 +29,14 @@ from hhcheck import (
     build_suite,
     check_membership,
     compile_fn,
+    differentiate,
     evaluate,
     evaluate_h,
     parse,
 )
 from hhcheck.convexity import (
     SENSE_PARAMS,
+    MembershipProof,
     MembershipReport,
     Witness,
     _grid_points,
@@ -343,18 +347,25 @@ def _count_searches(monkeypatch) -> list:
 
 
 class TestHypothesisCache:
-    """hypothesis_membership runs one search per distinct argument tuple. Its
-    cache lives as long as the process, so every test starts it cold."""
+    """hypothesis_membership checks each distinct argument tuple once. Its
+    cache lives as long as the process, so every test starts it cold. BASE
+    is a hypothesis the prover does not take (h is not the identity), so
+    each of its checks is a search."""
 
-    BASE = (parse("x^2"), ConvexityClass("plain_convex"), POS, 200, 0, 1e-9)
+    BASE = (parse("x^2"), ConvexityClass("h_plain", h=HFunction.power(0.5)), POS, 200, 0, 1e-9)
 
     def test_build_suite_searches_each_hypothesis_once(self, monkeypatch):
         hypothesis_membership.cache_clear()
         calls = _count_searches(monkeypatch)
         build_suite(42)
         # |f'| and |f''| of exp(x) are one function on one domain
-        assert len(calls) == 48
-        assert len(set(calls)) == 48
+        assert hypothesis_membership.cache_info().misses == 48
+        # 44 are proven; the alpha_m hypotheses of exp(x) and x^4 at alpha 0
+        # and 0.5 are searched
+        assert len(calls) == len(set(calls)) == 4
+        assert {(str(g), cls.alpha) for g, cls, *_ in calls} == {
+            ("abs(exp(x))", 0.0), ("abs(exp(x))", 0.5),
+            ("abs(4*(3*x^2))", 0.0), ("abs(4*(3*x^2))", 0.5)}
 
     def test_repeated_call_shares_the_report(self, monkeypatch):
         hypothesis_membership.cache_clear()
@@ -782,12 +793,14 @@ def test_y_over_m_sense_at_m_one_evaluates_each_grid_point_once(monkeypatch, sen
 
 
 def test_build_suite_membership_work(monkeypatch):
-    """A machine-independent guard on the membership search: calls of the
-    compiled g and h, and triples checked (sum of samples_used), for one
-    suite with a cold hypothesis cache."""
+    """A machine-independent guard on the membership checks: calls of the
+    compiled g and h, triples checked (sum of samples_used), proofs and
+    their pieces, for one suite with a cold hypothesis cache."""
     hypothesis_membership.cache_clear()
-    evals, triples = [0], [0]
-    real_compile, real_check = convexity.compile_fn, convexity.check_membership
+    convexity._convex_proof.cache_clear()
+    evals, triples, proofs = [0], [0], []
+    real_compile, real_check, real_prove = (
+        convexity.compile_fn, convexity.check_membership, convexity._prove)
 
     def counting_compile(node):
         fn = real_compile(node)
@@ -802,11 +815,22 @@ def test_build_suite_membership_work(monkeypatch):
         triples[0] += rep.samples_used
         return rep
 
+    def recording_prove(*args):
+        proof = real_prove(*args)
+        if proof is not None:
+            proofs.append(proof)
+        return proof
+
     monkeypatch.setattr(convexity, "compile_fn", counting_compile)
     monkeypatch.setattr(convexity, "check_membership", summing_check)
+    monkeypatch.setattr(convexity, "_prove", recording_prove)
     build_suite(42)
-    assert evals[0] <= 100_000  # 248,674 when each grid triple called g
-    assert triples[0] == 203_742
+    # 248,674 when each grid triple called g; 87,142 and 203,742 triples
+    # when all 48 hypotheses were searched
+    assert evals[0] == 1436  # 756 of them the grid checks of the 36 proven h_alpha_m rows
+    assert triples[0] == 50  # the 4 searches hit at grid triples 12, 13, 12 and 13
+    assert len(proofs) == 44
+    assert sum(p.pieces for p in proofs) == 116
 
 
 class TestVerdictPolicy:
@@ -975,11 +999,12 @@ def test_grid_hit_stops_evaluating_in_its_row(monkeypatch, cold_plans):
 
 
 def test_build_suite_builds_one_plan_per_group(cold_plans):
-    """A machine-independent guard on plan sharing: the 48 searches of a
-    suite fall into 9 groups of one class, domain, sample count and seed."""
+    """A machine-independent guard on plan sharing: the 4 searches of a
+    suite (the 44 other hypotheses are proven) fall into 2 groups of one
+    class, domain, sample count and seed: alpha_m at alpha 0 and 0.5."""
     hypothesis_membership.cache_clear()
     build_suite(42)
-    assert convexity._search_plan.cache_info().misses == 9
+    assert convexity._search_plan.cache_info().misses == 2
 
 
 def test_threads_sharing_plans_get_serial_outcomes(cold_plans):
@@ -1017,3 +1042,96 @@ def test_threads_sharing_plans_get_serial_outcomes(cold_plans):
     assert not any(t.is_alive() for t in threads) and not errors
     assert len(results) == 6 * 8 * len(cases)
     assert all(out == expected[i] for (_, _, i), out in results.items())
+
+
+# ---------------------------------------------------------------------------
+# The prover that hypothesis_membership runs before its search.
+
+_PROVABLE = (ConvexityClass("plain_convex"), ConvexityClass("h_alpha_m"), ConvexityClass("h_plain"),
+             ConvexityClass("alpha_m"), ConvexityClass("alpha_m", alpha=0.5))
+_COEF = st.floats(min_value=-3.0, max_value=3.0).map(lambda c: round(c, 3))
+_F_TEXTS = st.one_of(
+    st.lists(_COEF, min_size=1, max_size=5).map(
+        lambda cs: " + ".join(f"({c!r})*x^{k}" for k, c in enumerate(cs))),
+    st.tuples(_COEF, _COEF, _COEF, st.floats(min_value=1.5, max_value=3.0)).map(
+        lambda t: f"({t[0]!r})*exp({t[1] / 2!r}*x) + ({t[2]!r})*ln(x + {t[3]!r})"
+                  f" + 1/(x + {t[3]!r})"),
+    st.sampled_from([name for name, _ in CATALOG]),
+)
+# g from f: f, |f|, |f'|, |f''|, and the Holder rows |f'|^2, |f''|^1.5
+_HYPOTHESES = (
+    lambda f: f, lambda f: Abs(f), lambda f: Abs(differentiate(f)),
+    lambda f: Abs(differentiate(f, 2)), lambda f: Pow(Abs(differentiate(f)), Const(2.0)),
+    lambda f: Pow(Abs(differentiate(f, 2)), Const(1.5)),
+)
+
+
+class TestProver:
+    @settings(max_examples=40, deadline=None)
+    @given(text=_F_TEXTS, kind=st.sampled_from(range(len(_HYPOTHESES))),
+           cls=st.sampled_from(_PROVABLE), lo=st.floats(min_value=-1.0, max_value=2.0),
+           width=st.floats(min_value=0.05, max_value=2.0))
+    def test_property_a_proven_hypothesis_is_never_refuted(self, text, kind, cls, lo, width):
+        g, dom = _HYPOTHESES[kind](parse(text)), DomainInterval(lo, lo + width)
+        if convexity._prove(g, cls, dom, 0) is None:
+            return
+        # a tolerance relative to the size of g: the search's absolute 1e-9
+        # reads rounding of a large g as a counterexample
+        tol = 1e-9 * max(1.0, convexity.compile_interval(g)((dom.lo, dom.hi))[1])
+        assert check_membership(g, cls, dom, samples=20_000, seed=1, tol=tol).ok
+
+    @pytest.mark.parametrize("text,lo,hi", [
+        ("x^3", -1.0, 1.0),
+        ("-x^2", 0.0, 1.0),
+        ("-x^2", -1.0, 1.0),
+        ("abs(x)", -1.0, 1.0),
+        ("abs(x^2 - 0.25)", 0.0, 1.0),
+        ("x^2 - 0.0001*exp(-((x-0.3137)*10000)^2)", 0.0, 1.0),
+    ])
+    @pytest.mark.parametrize("cls", _PROVABLE[:3], ids=("plain", "h_alpha_m", "h_plain"))
+    def test_never_proven(self, text, lo, hi, cls):
+        assert convexity._prove(parse(text), cls, DomainInterval(lo, hi), 0) is None
+
+    def test_proven_report(self):
+        hypothesis_membership.cache_clear()
+        rep, note = hypothesis_membership(parse("x^2"), ConvexityClass("plain_convex"),
+                                          DomainInterval(0.0, 1.0), 500, 3, 1e-9)
+        assert note is None and rep.ok
+        assert rep == MembershipReport("proven", 0, None, 3, None, MembershipProof(1, 2.0))
+
+    def test_sign_split_proves_a_negative_argument(self):
+        # |-1/x| is 1/x on [1, 2], and |2x| is 2x on [0, 1], whose enclosure
+        # starts at exactly 0
+        for text, lo, hi in (("abs(-1/x)", 1.0, 2.0), ("abs(2*x)", 0.0, 1.0)):
+            assert convexity._prove(parse(text), ConvexityClass("plain_convex"),
+                                    DomainInterval(lo, hi), 0) is not None
+
+    def test_holder_rows_share_one_proof_of_their_base(self):
+        convexity._convex_proof.cache_clear()
+        u, cls, dom = differentiate(parse("1/x"), 2), ConvexityClass("h_alpha_m"), \
+            DomainInterval(0.5, 1.5)
+        proofs = [convexity._prove(g, cls, dom, 0)
+                  for g in (Abs(u), *(Pow(Abs(u), Const(q)) for q in (3.0, 2.0, 4.0 / 3.0)))]
+        assert proofs[0] is not None and all(p is proofs[0] for p in proofs)
+        assert convexity._convex_proof.cache_info().misses == 4  # one base, three rows
+
+    def test_constant_is_in_alpha_m_for_every_alpha_at_m_one(self):
+        dom = DomainInterval(0.0, 1.0)
+        for alpha in (0.0, 0.5, 1.0):
+            cls = ConvexityClass("alpha_m", alpha=alpha)
+            assert convexity._prove(parse("abs(2)"), cls, dom, 0) == MembershipProof(1, 0.0)
+        for text, cls in (("-2", ConvexityClass("alpha_m", alpha=0.5)),
+                          ("abs(2)", ConvexityClass("alpha_m", alpha=0.5, m=0.5)),
+                          ("x^2", ConvexityClass("alpha_m", alpha=0.5)),
+                          ("x^2", ConvexityClass("h_alpha_m", h=HFunction.power(0.5)))):
+            assert convexity._prove(parse(text), cls, dom, 0) is None
+
+    def test_a_failed_precondition_is_left_to_the_search(self):
+        # h_plain needs g >= 0 at the grid points: the prover gives up, and
+        # the search reports the reason
+        hypothesis_membership.cache_clear()
+        args = (parse("x - 1"), ConvexityClass("h_plain"), POS, 50, 0, 1e-9)
+        assert convexity._prove(*args[:3], 50) is None
+        assert "non-negative" in hypothesis_membership(*args)[1]
+        with pytest.raises(ValueError, match="samples must be non-negative"):
+            hypothesis_membership(parse("x^2"), ConvexityClass("plain_convex"), POS, -1, 0, 1e-9)

@@ -1,6 +1,7 @@
 """Expression parsing, printing, evaluation, and symbolic differentiation."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,6 +31,7 @@ from hhcheck import (
     to_text,
 )
 from hhcheck.convexity import hypothesis_membership
+from hhcheck.expr import compile_interval
 from hhcheck.expr import _pow, add, mul, neg, pow_, sub
 
 
@@ -339,6 +341,108 @@ class TestGeneratedEvaluator:
         assert first(-2.0) == -2.0
 
 
+def _exact(node, x):
+    """The value of a tree of + - * / over exact rationals."""
+    if isinstance(node, Const):
+        return Fraction(node.value)
+    if isinstance(node, Var):
+        return x
+    a, b = _exact(node.left, x), _exact(node.right, x)
+    if isinstance(node, Add):
+        return a + b
+    if isinstance(node, Sub):
+        return a - b
+    if isinstance(node, Mul):
+        return a * b
+    return a / b  # ZeroDivisionError where the interval backend has no enclosure
+
+
+_RATIONAL_TREES = st.recursive(
+    st.one_of(st.builds(Const, st.floats(min_value=-10.0, max_value=10.0)), st.just(Var("x"))),
+    lambda children: st.builds(lambda op, a, b: op(a, b), st.sampled_from([Add, Sub, Mul, Div]),
+                               children, children),
+    max_leaves=10)
+_BOXES = st.tuples(st.floats(min_value=-4.0, max_value=4.0),
+                   st.floats(min_value=0.0, max_value=4.0),
+                   st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4))
+
+
+def _points(lo, width, ts):
+    return [min(lo + width, lo + t * width) for t in [0.0, 1.0, *ts]]
+
+
+class TestIntervalBackend:
+    """compile_interval encloses every value of a tree on an interval, or
+    raises DomainError."""
+
+    @example(node=Add(Const(0.1), Const(0.2)), box=(0.0, 0.0, [0.5]))
+    @example(node=Mul(Const(0.1), Var("x")), box=(3.0, 0.0, [0.5]))
+    @example(node=Div(Const(1.0), Var("x")), box=(3.0, 1.0, [0.5]))
+    @settings(max_examples=150, deadline=None)
+    @given(node=_RATIONAL_TREES, box=_BOXES)
+    def test_enclosure_holds_the_exact_rational_value(self, node, box):
+        lo, width, ts = box
+        try:
+            elo, ehi = compile_interval(node)((lo, lo + width))
+        except DomainError:
+            return
+        for x in _points(lo, width, ts):
+            # a float and a Fraction compare exactly
+            assert elo <= _exact(node, Fraction(x)) <= ehi
+
+    @example(node=_EDGE_CASES[0][0], box=(0.5, 2.5, [0.5]))  # all eleven node types
+    @example(node=Pow(_X, Const(3.0)), box=(-2.0, 3.0, [0.5]))
+    @settings(max_examples=200, deadline=None)
+    @given(node=_TREES, box=_BOXES)
+    def test_float_values_lie_in_the_enclosure(self, node, box):
+        """Where a tree encloses on an interval, the float evaluator is
+        defined at each of its points, with a value inside: each float
+        operation rounds an exact value that the enclosure holds."""
+        lo, width, ts = box
+        try:
+            elo, ehi = compile_interval(node)((lo, lo + width))
+        except DomainError:
+            return
+        fn = compile_fn(node)
+        for x in _points(lo, width, ts):
+            assert elo <= fn(x) <= ehi
+
+    @pytest.mark.parametrize("text,box,enclosure", [
+        ("2*x", (0.0, 1.0), (0.0, 2.0)),
+        ("4*x^3", (0.0, 1.0), (0.0, math.nextafter(math.nextafter(4.0, 5.0), 5.0))),
+        ("x - 0.5", (0.5, 1.0), (0.0, 0.5)),
+        ("x/4", (0.0, 2.0), (0.0, 0.5)),
+        ("abs(x)", (-2.0, 1.0), (0.0, 2.0)),
+        ("x^2", (-1.0, 2.0), (0.0, math.nextafter(math.nextafter(4.0, 5.0), 5.0))),
+    ])
+    def test_exact_results_stay_exact(self, text, box, enclosure):
+        assert compile_interval(parse(text))(box) == enclosure
+
+    @pytest.mark.parametrize("text,box", [
+        ("1/x", (-1.0, 1.0)),
+        ("1/(x - 1)", (0.0, 1.0)),
+        ("ln(x)", (0.0, 1.0)),
+        ("ln(x - 2)", (0.0, 1.0)),
+        ("x^0.5", (-1.0, 1.0)),
+        ("x^-1", (0.0, 1.0)),
+        ("(-2)^x", (0.0, 1.0)),
+        ("x^x", (0.0, 1.0)),
+        ("exp(1000*x)", (0.0, 1.0)),
+        ("1e300*x", (1e10, 2e10)),
+    ])
+    def test_no_enclosure_raises_domain_error(self, text, box):
+        with pytest.raises(DomainError):
+            compile_interval(parse(text))(box)
+
+    def test_one_factory_per_shape_and_backend(self):
+        factory = hhcheck.expr._factory
+        before = factory.cache_info().misses
+        # a shape no other test compiles, with two sets of constants
+        for text in ("((x*x + 7)/(x + 9))*x - 11", "((x*x + 1)/(x + 1))*x - 3"):
+            compile_fn(parse(text)), compile_interval(parse(text))
+        assert factory.cache_info().misses - before == 2
+        assert compile_interval(parse("((x*x + 1)/(x + 1))*x - 3"))((1.0, 1.0)) == (-2.0, -2.0)
+
 def _numeric_derivative(fn, x, eps=1e-6):
     return (fn(x + eps) - fn(x - eps)) / (2.0 * eps)
 
@@ -384,8 +488,11 @@ class TestDifferentiate:
         differentiate.cache_clear()
         build_suite(42)
         info = differentiate.cache_info()
-        # 380 calls for 17 distinct (tree, order) pairs
-        assert info.misses <= 20 and info.hits > 300
+        # 414 calls for 36 distinct (tree, order) pairs: 17 from the rules and
+        # the quadrature, and 19 from the membership prover (g' and g'' of each
+        # function it proves convex, and g' of the alpha_m hypotheses it tests
+        # for a constant)
+        assert info.misses == 36 and info.hits > 300
 
     def test_derivative_order_validation(self):
         with pytest.raises(ValueError):

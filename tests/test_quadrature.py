@@ -239,6 +239,19 @@ class TestCertifiedIntegrate:
         with pytest.raises(ValueError):
             certified_integrate(SQ, 0.0, 1.0, n=2, rule="simpson")
 
+    @pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+    @pytest.mark.parametrize("alpha,m,message", [
+        (7.0, -3.0, "alpha must lie in [0,1], got 7.0"),
+        (-0.5, 1.0, "alpha must lie in [0,1], got -0.5"),
+        (1.0, 0.0, "m must lie in (0,1], got 0.0"),
+        (0.5, 1.5, "m must lie in (0,1], got 1.5"),
+    ])
+    def test_alpha_and_m_out_of_range_for_either_rule(self, rule, alpha, m, message):
+        # the midpoint rule reads neither, but takes no value the class rejects
+        with pytest.raises(ValueError) as exc:
+            certified_integrate(SQ, 0.0, 1.0, n=2, rule=rule, alpha=alpha, m=m)
+        assert str(exc.value) == message
+
     def test_deterministic(self):
         r1 = certified_integrate(EXP, 0.0, 1.0, n=4, rule="trapezoid", seed=3)
         r2 = certified_integrate(EXP, 0.0, 1.0, n=4, rule="trapezoid", seed=3)
