@@ -23,18 +23,15 @@ each kind of h means (h itself, the power-family exponent the kernels read,
 the text of h) is one row of _H_KINDS, read once when the HFunction is built;
 a custom h is compiled then.
 
-Everything in a search but g and tol is shared: a plan per (class, domain,
-samples, seed), built in one call and kept in a small cache, holds the grid
-weights, the distinct grid combination points with a getter per grid x, and
-the first block of random draws with the generator state after it. A search
-scans each block of triples, the grid and then each block of up to 500
-random draws, in definition order: x, then y, then lam on the grid, draw
-order after it. It evaluates g once at each grid point, each Y and each
-distinct combination point, one x row at a time, and once per random term.
-So the first hit of a block is the witness; it is replayed alone, calling
-g and h in the order of the sense's definition, and a block in which an
-evaluation or a weight fails is replayed whole, for the error of its first
-failing triple.
+A search scans each block of triples, the grid and then each block of up to
+500 random draws, in definition order: x, then y, then lam on the grid,
+draw order after it. It builds only what it scans, a grid row's distinct
+combination points or a block of draws, when it reaches it, and evaluates
+g once at each grid point, each Y and each distinct combination point, and
+once per random term. So the first hit of a block is the witness; it is
+replayed alone, calling g and h in the order of the sense's definition, and
+a block in which an evaluation or a weight fails is replayed whole, for the
+error of its first failing triple.
 
 The bound rules and the quadrature check their hypotheses through
 hypothesis_membership, an lru_cache that checks each distinct hypothesis
@@ -52,12 +49,11 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress, count, islice, product
-from operator import itemgetter, mul
-from typing import NamedTuple, Optional
+from itertools import compress, count, islice, product
+from operator import add, itemgetter, mul
+from typing import Optional
 
 from .errors import DomainError, PreconditionError
 from .expr import (Abs, Const, DomainInterval, Node, Pow, compile_fn, compile_interval,
@@ -97,9 +93,8 @@ def within(lhs: float, rhs: float, slack: float) -> bool:
     """The verdict test: lhs <= rhs + slack; a NaN on either side fails it.
 
     The membership search writes its counterexample test lhs > rhs + tol
-    inline instead, once in its scan (`_first_hit`) and once in its replay
-    (`_replay`): a suite runs it ~204k times, and there a function call
-    costs more than the comparison itself.
+    inline instead, in its scan (`_first_hit`) and its replay (`_replay`),
+    where a function call costs more than the comparison itself.
     """
     return lhs <= rhs + slack
 
@@ -314,88 +309,23 @@ def _lam_grid(sense: str) -> list[float]:
 # what a failing g or weight raises; a block in which one fails is replayed,
 # which raises the error of its first failing triple
 _FAILURES = (DomainError, PreconditionError, ArithmeticError)
-# random triples are drawn in blocks of this many; a suite search draws one
+# random triples are drawn in blocks of this many, each when the scan reaches it
 _BLOCK = 500
 
 
-def _draw_block(rng, n, dom, p):
-    """The next n random triples of rng for the class p, less the open
-    senses' lam outside (1e-12, 1-1e-12), as the sequences
-    (x, y, lam, z, Y, wx, wy); the last four are None when a weight fails."""
-    c_of, wx_of, wy_of, y_over_m, _ = _COEFFICIENTS[p.sense]
+def _draw_block(rng, n, dom, sense):
+    """The next n random triples of rng, less the open senses' lam outside
+    (1e-12, 1-1e-12), as the sequences (x, y, lam)."""
     lo, span, rand = dom.lo, dom.hi - dom.lo, rng.random
     u = [rand() for _ in range(3 * n)]
     # a triple is uniform(lo, hi), uniform(lo, hi), uniform(0.0, 1.0), and
     # uniform(a, b) is a + (b - a) * random(), bit for bit
     xs, ys, lams = [lo + span * r for r in u[0::3]], [lo + span * r for r in u[1::3]], u[2::3]
-    if p.sense in _OPEN_SENSES:
+    if sense in _OPEN_SENSES:
         # keep a buffer so 1-lam cannot round to an endpoint of (0,1)
         keep = [1e-12 < lam < 1.0 - 1e-12 for lam in lams]
         xs, ys, lams = (list(compress(v, keep)) for v in (xs, ys, lams))
-    try:
-        wxs = [wx_of(p, lam) for lam in lams]
-        wys = [wy_of(p, lam, wx) for lam, wx in zip(lams, wxs)]
-        zs = [lam * x + c_of(p, lam) * y for x, y, lam in zip(xs, ys, lams)]
-    except _FAILURES:
-        return xs, ys, lams, None, None, None, None
-    return xs, ys, lams, zs, [y / p.m for y in ys] if y_over_m and p.m != 1.0 else ys, wxs, wys
-
-
-class _Plan(NamedTuple):
-    """Everything about a membership search that depends on neither g nor
-    tol, for one (class, domain, samples, seed); built in one call, shared.
-
-    wxs, wys  the grid weights, one per lam; None when one fails
-    points    the distinct grid combination points lam*x + c*y
-    rows      per grid x, (getter, end): getter maps g on points[:end] to g
-              at the combination points of the x row, y then lam
-    first     the first random block, as _draw_block gives it
-    state     the generator state after it; None when no block follows
-    dom       the domain, which _draw_block reads for the later blocks
-    """
-
-    cls: ConvexityClass
-    lams: list
-    wxs: Optional[list]
-    wys: Optional[list]
-    points: array
-    rows: list
-    first: tuple
-    state: object
-    dom: DomainInterval
-
-
-@lru_cache(maxsize=3)  # the quad section searches alpha_m at alpha 0 and 0.5
-def _search_plan(cls, dom, samples, seed) -> _Plan:
-    """The shared plan for (cls, dom, samples, seed)."""
-    xs, lams = _grid_points(dom, 21), _lam_grid(cls.sense)
-    c_of, wx_of, wy_of = _COEFFICIENTS[cls.sense][:3]
-    points, rows = [], []
-    try:
-        wxs = [wx_of(cls, lam) for lam in lams]
-        wys = [wy_of(cls, lam, wx) for lam, wx in zip(lams, wxs)]
-        cs = [c_of(cls, lam) for lam in lams]
-    except _FAILURES:
-        wxs = wys = None  # the grid is replayed, so it needs no points
-    else:
-        cys = [c * y for y in xs for c in cs]
-        slot = {}  # combination point -> index; it merges 0.0 and -0.0, where
-        get = slot.get  # g differs at most in a zero's sign, which `>` ignores
-        for x in xs:
-            idx = []
-            for lx, cy in zip([lam * x for lam in lams] * len(xs), cys):
-                z = lx + cy
-                i = get(z)
-                if i is None:
-                    i = len(points)
-                    points.append(z)
-                    slot[z] = i
-                idx.append(i)
-            rows.append((itemgetter(*idx), len(points)))
-    rng = random.Random(seed)
-    first = _draw_block(rng, min(samples, _BLOCK), dom, cls)
-    return _Plan(cls, lams, wxs, wys, array("d", points), rows, first,
-                 rng.getstate() if samples > _BLOCK else None, dom)
+    return xs, ys, lams
 
 
 def _first_hit(lhs, wgx, wgy, tol) -> Optional[int]:
@@ -407,68 +337,74 @@ def _first_hit(lhs, wgx, wgy, tol) -> Optional[int]:
     return None
 
 
-def _grid_hit(plan: _Plan, gc, xs, gxs, tol) -> Optional[int]:
+def _grid_hit(cls, lams, gc, xs, gxs, tol) -> Optional[int]:
     """The index of the first grid triple that is a counterexample; None
     for a clean grid. g is evaluated once at each grid point (gxs = g on
     xs, or None), at each Y and at each distinct combination point, one x
-    row at a time, so a hit stops evaluating."""
-    m = plan.cls.m
+    row at a time: a row's points are computed when it is scanned, so a
+    hit stops computing and evaluating."""
+    c_of, wx_of, wy_of, y_over_m, _ = _COEFFICIENTS[cls.sense]
+    wxs = [wx_of(cls, lam) for lam in lams]
+    wys = [wy_of(cls, lam, wx) for lam, wx in zip(lams, wxs)]
+    cys = [c * y for y in xs for c in [c_of(cls, lam) for lam in lams]]
     if gxs is None:
         gxs = [gc(x) for x in xs]
     # at m = 1, y/m is y bit for bit, so g at the Y is gxs
-    gys = [gc(y / m) for y in xs] if _COEFFICIENTS[plan.cls.sense][3] and m != 1.0 else gxs
-    wxs, points = plan.wxs, plan.points
-    wgys = [wy * gy for gy in gys for wy in plan.wys]
-    gz = []
-    for k, (gx, (get, end)) in enumerate(zip(gxs, plan.rows)):
-        if len(gz) < end:
-            gz += map(gc, points[len(gz):end])
-        i = _first_hit(get(gz), [wx * gx for wx in wxs] * len(gys), wgys, tol)
+    gys = [gc(y / cls.m) for y in xs] if y_over_m and cls.m != 1.0 else gxs
+    wgys = [wy * gy for gy in gys for wy in wys]
+    slot, gz = {}, []  # combination point -> its index in gz, and g there; the dict
+    get = slot.get  # merges 0.0 and -0.0, where g differs at most in a zero's sign
+    for k, (x, gx) in enumerate(zip(xs, gxs)):
+        row = []
+        for z in map(add, [lam * x for lam in lams] * len(xs), cys):
+            i = get(z)
+            if i is None:
+                i = slot[z] = len(gz)
+                gz.append(gc(z))
+            row.append(i)
+        i = _first_hit(itemgetter(*row)(gz), [wx * gx for wx in wxs] * len(xs), wgys, tol)
         if i is not None:
             return k * len(wgys) + i
     return None
 
 
-def _scans(plan: _Plan, gc, xs, gxs, samples, tol):
+def _scans(cls, dom, gc, xs, gxs, samples, seed, tol):
     """Each block of triples in turn, the grid and then the random blocks,
     as (triples, n, span): its n triples in definition order, and the
     (start, stop) of those to replay: the first counterexample alone, the
     whole block when an evaluation or a weight fails, or None for a clean
-    block."""
-    n = len(xs) * len(xs) * len(plan.lams)
-    span = (0, n)
-    if plan.wxs is not None:
+    block. A random block is drawn when it is reached; a failing block ends
+    the search, so no block is drawn after it."""
+    lams = _lam_grid(cls.sense)
+    n = len(xs) * len(xs) * len(lams)
+    try:
+        i = _grid_hit(cls, lams, gc, xs, gxs, tol)
+        span = None if i is None else (i, i + 1)
+    except _FAILURES:
+        span = (0, n)
+    yield product(xs, xs, lams), n, span
+    c_of, wx_of, wy_of, y_over_m, _ = _COEFFICIENTS[cls.sense]
+    rng = random.Random(seed)
+    for start in range(0, samples, _BLOCK):
+        bxs, bys, blams = _draw_block(rng, min(_BLOCK, samples - start), dom, cls.sense)
         try:
-            i = _grid_hit(plan, gc, xs, gxs, tol)
+            wxs = [wx_of(cls, lam) for lam in blams]
+            wys = [wy_of(cls, lam, wx) for lam, wx in zip(blams, wxs)]
+            zs = [lam * x + c_of(cls, lam) * y for x, y, lam in zip(bxs, bys, blams)]
+            yargs = [y / cls.m for y in bys] if y_over_m and cls.m != 1.0 else bys
+            i = _first_hit(map(gc, zs), map(mul, wxs, map(gc, bxs)),
+                           map(mul, wys, map(gc, yargs)), tol)
             span = None if i is None else (i, i + 1)
         except _FAILURES:
-            pass
-    yield product(xs, xs, plan.lams), n, span
-    blocks = [plan.first]
-    if plan.state is not None:
-        rng = random.Random()
-        rng.setstate(plan.state)
-        blocks = chain(blocks, (
-            _draw_block(rng, min(_BLOCK, samples - start), plan.dom, plan.cls)
-            for start in range(_BLOCK, samples, _BLOCK)))
-    for bxs, bys, lams, zs, yargs, wxs, wys in blocks:
-        span = (0, len(lams))
-        if zs is not None:
-            try:
-                i = _first_hit(map(gc, zs), map(mul, wxs, map(gc, bxs)),
-                               map(mul, wys, map(gc, yargs)), tol)
-                span = None if i is None else (i, i + 1)
-            except _FAILURES:
-                pass
-        yield zip(bxs, bys, lams), len(lams), span
+            span = (0, len(blams))
+        yield zip(bxs, bys, blams), len(blams), span
 
 
-def _replay(triples, gc, plan: _Plan, tol):
+def _replay(triples, gc, p: ConvexityClass, tol):
     """Evaluate the triples one at a time, calling g and h in the order of
     the sense's definition: (index, Witness) of the first counterexample,
     or None. A failing g or weight raises, a DomainError as the
     PreconditionError that names the triple."""
-    p, m = plan.cls, plan.cls.m
     c_of, wx_of, wy_of, y_over_m, wx_late = _COEFFICIENTS[p.sense]
     try:
         for i, (x, y, lam) in enumerate(triples):
@@ -480,7 +416,7 @@ def _replay(triples, gc, plan: _Plan, tol):
                 wx = wx_of(p, lam)
             gx = gc(x)
             wy = wy_of(p, lam, wx)
-            rhs = wx * gx + wy * gc(y / m if y_over_m else y)
+            rhs = wx * gx + wy * gc(y / p.m if y_over_m else y)
             if lhs > rhs + tol:  # not within(); see its docstring
                 return i, Witness(x, y, lam, lhs, rhs)
     except DomainError as exc:
@@ -527,6 +463,8 @@ def check_membership(
     samples: int = 2000,
     seed: int = 0,
     tol: float = 1e-9,
+    *,
+    checked: Optional[tuple] = None,
 ) -> MembershipReport:
     """Search for a violation of the class's defining inequality on dom.
 
@@ -537,19 +475,21 @@ def check_membership(
     called in the order of the sense's definition.
 
     The grid and then each block of random draws is scanned in definition
-    order (x, then y, then lam; draw order), with the weights, combination
-    points and first block from the plan shared by every search with the
-    same (class, domain, samples, seed). The first counterexample of a
-    block is replayed alone for its witness; a block in which an evaluation
-    or a weight fails is replayed whole, so samples_used and the error
-    message are those of the first failing triple.
+    order (x, then y, then lam; draw order). A search builds only what it
+    scans: the combination points of a grid row when it reaches the row,
+    a block of draws when it reaches the block. The first counterexample
+    of a block is replayed alone for its witness; a block in which an
+    evaluation or a weight fails is replayed whole, so samples_used and the
+    error message are those of the first failing triple.
+
+    checked is what _preconditions returned for these arguments, from a
+    caller that has made the checks; by default the search makes them.
     """
-    gc, xs, gxs = _preconditions(g, cls, dom, samples)
+    gc, xs, gxs = checked or _preconditions(g, cls, dom, samples)
     reading = "mu^(alpha*s)" if cls.sense.startswith("s_alpha_m") else None
-    plan = _search_plan(cls, dom, samples, seed)
     used = 0
-    for triples, n, span in _scans(plan, gc, xs, gxs, samples, tol):
-        found = None if span is None else _replay(islice(triples, *span), gc, plan, tol)
+    for triples, n, span in _scans(cls, dom, gc, xs, gxs, samples, seed, tol):
+        found = None if span is None else _replay(islice(triples, *span), gc, cls, tol)
         if found is not None:
             i, w = found
             return MembershipReport("counterexample", used + span[0] + i + 1, w, seed, reading)
@@ -599,17 +539,19 @@ def _convex_proof(g: Node, lo: float, hi: float) -> Optional[MembershipProof]:
     return MembershipProof(pieces, least)
 
 
-def _prove(g: Node, cls: ConvexityClass, dom: DomainInterval,
-           samples: int) -> Optional[MembershipProof]:
-    """A proof that g is in cls on dom, or None; it needs the search's
-    preconditions and g >= 0. A convex g is in the classes that are plain
-    convexity at their parameters; a constant g (its derivative folds to 0)
-    is in alpha_m at m = 1 for every alpha, where both sides are g."""
+def _prove(g: Node, cls: ConvexityClass, dom: DomainInterval, samples: int,
+           checked: Optional[tuple] = None) -> Optional[MembershipProof]:
+    """A proof that g is in cls on dom, or None; it needs g >= 0 and the
+    search's preconditions, made here unless the caller passes what
+    _preconditions returned for them. A convex g is in the classes that are
+    plain convexity at their parameters; a constant g (its derivative folds
+    to 0) is in alpha_m at m = 1 for every alpha, where both sides are g."""
     plain = cls.sense in _PLAIN_SENSES and cls.h.kind == "identity" and cls.alpha == cls.m == 1.0
     if not plain and (cls.sense != "alpha_m" or cls.m != 1.0):
         return None
     try:
-        _preconditions(g, cls, dom, samples)
+        if checked is None:
+            _preconditions(g, cls, dom, samples)
         if compile_interval(g)((dom.lo, dom.hi))[0] < 0.0:
             return None
     except (PreconditionError, DomainError):  # the search reports a failed precondition
@@ -626,10 +568,10 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
     (report, None); a failed precondition gives (None, reason) instead of
     raising, so the hypothesis is reported unverified.
 
-    A hypothesis that the prover proves, after check_membership's
-    preconditions, is reported "proven" without a search; any other goes to
-    check_membership(g, cls, dom, samples, seed, tol), which also reports a
-    failed precondition.
+    check_membership's preconditions are made once. A hypothesis that the
+    prover then proves is reported "proven" without a search; any other
+    goes to check_membership(g, cls, dom, samples, seed, tol), which also
+    reports a failed precondition (making the checks again to do so).
 
     Every argument is a frozen value and the outcome is deterministic in
     them, so one check serves every rule and quadrature that assumes the
@@ -638,10 +580,14 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
     copied. check_membership itself neither proves nor is cached, so
     check-class always searches.
     """
-    proof = _prove(g, cls, dom, samples)
+    try:
+        checked = _preconditions(g, cls, dom, samples)
+    except PreconditionError:
+        checked = None
+    proof = None if checked is None else _prove(g, cls, dom, samples, checked)
     if proof is not None:
         return MembershipReport("proven", 0, None, seed, proof=proof), None
     try:
-        return check_membership(g, cls, dom, samples, seed, tol), None
+        return check_membership(g, cls, dom, samples, seed, tol, checked=checked), None
     except PreconditionError as exc:
         return None, f"membership precondition failed: {exc}"

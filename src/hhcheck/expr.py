@@ -5,11 +5,12 @@ The node set is deliberately small: constants, the variable, + - * / ^,
 exp, ln, abs and unary negation. Everything downstream feeds on |f'| and
 |f''| evaluated pointwise, so derivatives are symbolic (no finite-difference
 noise). Evaluation goes through one code generator: compile_fn turns a tree
-into straight-line Python, with one exec'd factory per tree shape in a
-bounded cache. For a tree with finite constants (the parser admits no
-other) the result returns a finite float or raises DomainError, for every x
-including non-finite ones. compile_interval is its second backend: it
-encloses a tree's values on an interval of x, or raises DomainError.
+into straight-line Python, with one exec'd factory per tree shape and one
+function per distinct tree, each in a bounded cache. For a tree with finite
+constants (the parser admits no other) the result returns a finite float or
+raises DomainError, for every x including non-finite ones. compile_interval
+is its second backend: it encloses a tree's values on an interval of x, or
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -356,20 +357,47 @@ def _factory(backend: str, body: str, nconsts: int) -> Callable:
     return namespace["make"]
 
 
-def _generate(node: Node, backend: str = "float") -> Callable:
+def _build(node: Node, backend: str) -> Callable:
+    """Generate node's function in backend: a walk, and an exec per new shape."""
     opening, ops, _, lift, share = _BACKENDS[backend]
     lines, consts = list(opening), []
     lines.append(f"return {_emit(node, lines, consts, ops, {} if share else None)}")
     return _factory(backend, _INDENT + _INDENT.join(lines), len(consts))(*[lift(c) for c in consts])
 
 
+@lru_cache(maxsize=256)
+def _compiled(backend: str, node: Node) -> tuple:
+    """(node, its function in backend), for the first of the equal trees."""
+    return node, _build(node, backend)
+
+
+def _same_signs(a: Node, b: Node) -> bool:
+    """Whether the equal trees a and b have the same signs of zero constants."""
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is Const:
+        return math.copysign(1.0, a.value) == math.copysign(1.0, b.value)
+    return kind is Var or all(map(_same_signs, vars(a).values(), vars(b).values()))
+
+
+def _generate(node: Node, backend: str = "float") -> Callable:
+    """node's function in backend, generated once per distinct tree. Equal
+    trees share it, but Const(0.0) == Const(-0.0) and the float backend
+    keeps a zero's sign (-0*x is -0.0 at x = 1), so a tree equal to the
+    cached one but for the sign of a zero constant gets its own function,
+    not cached."""
+    first, fn = _compiled(backend, node)
+    return fn if _same_signs(first, node) else _build(node, backend)
+
+
 def compile_fn(node: Node) -> Callable[[float], float]:
     """Compile to a function of x that returns a finite float or raises
     DomainError, also for a non-finite x (given finite constants).
 
-    The integrator and the membership search call one function thousands of
-    times, so compile once and call the result; trees of one shape share a
-    cached factory, so a fresh tree costs a walk, not an exec.
+    Equal trees get the same function from a bounded cache, so a caller
+    may compile a tree each time it needs it; a new tree of a known shape
+    costs a walk, not an exec.
     """
     return _generate(node)
 
@@ -378,15 +406,16 @@ def compile_interval(node: Node) -> Callable[[tuple], tuple]:
     """Compile to a function that maps an interval (lo, hi) of x to an
     interval (lo, hi) holding every value of the tree on it, or raises
     DomainError: where the float evaluator could raise on the interval, and
-    where no finite enclosure is found. Its factory shares compile_fn's
-    cache, under the backend tag "interval"."""
+    where no finite enclosure is found. It shares compile_fn's caches,
+    under the backend tag "interval"."""
     return _generate(node, "interval")
 
 
 def evaluate(node: Node, x: float) -> float:
     """Evaluate at x: compile_fn(node)(x). Returns a finite float or raises
-    DomainError. Each call compiles the tree anew; a caller that evaluates
-    one tree at many points should call compile_fn once instead."""
+    DomainError. A tree is generated once, and found again by equality on
+    each call; a caller that evaluates one tree at many points should call
+    compile_fn once instead."""
     # _generate, not compile_fn: a tracer that rebinds compile_fn then
     # counts one evaluate() call as one evaluation, not as two
     return _generate(node)(x)

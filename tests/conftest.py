@@ -7,11 +7,18 @@ tests should be too).
 Tests that run `python -m hhcheck` in a subprocess need the package on the
 child's path. pyproject's `pythonpath = ["src"]` only reaches this process,
 so the directory of the imported package is put first on PYTHONPATH too.
+
+A test that counts work (compilations, derivatives, searches, proofs,
+evaluations) takes the `cold_caches` fixture: hhcheck's caches live as long
+as the process, so its counts would otherwise depend on the tests run
+before it.
 """
 
 import os
+import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 import hhcheck
@@ -29,3 +36,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def cold_caches():
+    """Clear every cache of every hhcheck module before the test."""
+    for name, module in list(sys.modules.items()):
+        if name == "hhcheck" or name.startswith("hhcheck."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear") and value.__module__ == name:
+                    value.cache_clear()

@@ -1,16 +1,16 @@
 """Membership checking for the eight convexity senses."""
 
+import dataclasses
 import inspect
 import math
 import pickle
 import random
-import sys
-import threading
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hhcheck
 import hhcheck.convexity as convexity
 from hhcheck import (
     CATALOG,
@@ -100,8 +100,11 @@ class TestHFunction:
             assert (h.fn(0.25), h.exponent, h.describe()) == (h_of_quarter, exponent, text)
 
     def test_table_attributes_are_not_fields(self):
-        a, b = (HFunction.custom(parse("t*(2-t)", var="t")) for _ in range(2))
+        # equal expressions but for the sign of a zero constant: equal
+        # HFunctions, each with its own compiled fn
+        a, b = (HFunction.custom(parse(text, var="t")) for text in ("t*(2-t) + 0", "t*(2-t) + -0"))
         assert a.fn is not b.fn and a == b and hash(a) == hash(b)
+        assert [f.name for f in dataclasses.fields(HFunction)] == ["kind", "s", "expr"]
         assert repr(HFunction.power(0.5)) == "HFunction(kind='power', s=0.5, expr=None)"
         for h in (a, HFunction.power(0.5), HFunction.identity()):
             copy = pickle.loads(pickle.dumps(h))
@@ -354,8 +357,7 @@ class TestHypothesisCache:
 
     BASE = (parse("x^2"), ConvexityClass("h_plain", h=HFunction.power(0.5)), POS, 200, 0, 1e-9)
 
-    def test_build_suite_searches_each_hypothesis_once(self, monkeypatch):
-        hypothesis_membership.cache_clear()
+    def test_build_suite_searches_each_hypothesis_once(self, monkeypatch, cold_caches):
         calls = _count_searches(monkeypatch)
         build_suite(42)
         # |f'| and |f''| of exp(x) are one function on one domain
@@ -367,8 +369,7 @@ class TestHypothesisCache:
             ("abs(exp(x))", 0.0), ("abs(exp(x))", 0.5),
             ("abs(4*(3*x^2))", 0.0), ("abs(4*(3*x^2))", 0.5)}
 
-    def test_repeated_call_shares_the_report(self, monkeypatch):
-        hypothesis_membership.cache_clear()
+    def test_repeated_call_shares_the_report(self, monkeypatch, cold_caches):
         calls = _count_searches(monkeypatch)
         first = hypothesis_membership(*self.BASE)
         assert hypothesis_membership(*self.BASE) is first
@@ -383,8 +384,7 @@ class TestHypothesisCache:
         (4, 1),
         (5, 1e-8),
     ], ids=("g", "class", "domain", "samples", "seed", "tol"))
-    def test_any_changed_argument_runs_a_new_search(self, monkeypatch, index, value):
-        hypothesis_membership.cache_clear()
+    def test_any_changed_argument_runs_a_new_search(self, monkeypatch, cold_caches, index, value):
         calls = _count_searches(monkeypatch)
         changed = list(self.BASE)
         changed[index] = value
@@ -393,8 +393,7 @@ class TestHypothesisCache:
         assert changed_result is not base_result
         assert calls == [self.BASE, tuple(changed)]
 
-    def test_precondition_failure_is_shared_too(self, monkeypatch):
-        hypothesis_membership.cache_clear()
+    def test_precondition_failure_is_shared_too(self, monkeypatch, cold_caches):
         calls = _count_searches(monkeypatch)
         args = (parse("x - 1"), ConvexityClass("h_plain"), POS, 50, 0, 1e-9)
         first = hypothesis_membership(*args)
@@ -402,20 +401,18 @@ class TestHypothesisCache:
         assert hypothesis_membership(*args) is first
         assert len(calls) == 1
 
-    def test_signed_zero_endpoint_has_its_own_report(self):
+    def test_signed_zero_endpoint_has_its_own_report(self, cold_caches):
         # DomainInterval(-0.0, 1.0) != DomainInterval(0.0, 1.0): its first
         # grid point, and so this witness's x, is -0.0
-        hypothesis_membership.cache_clear()
         g, cls = parse("x^0.5"), ConvexityClass("plain_convex")
         for dom in (DomainInterval(0.0, 1.0), DomainInterval(-0.0, 1.0)):
             cached = _outcome(lambda: hypothesis_membership(g, cls, dom, 100, 0, 1e-9)[0])
             assert cached == _outcome(lambda: check_membership(g, cls, dom, 100, 0, 1e-9))
         assert hypothesis_membership.cache_info().currsize == 2
 
-    def test_int_endpoint_shares_the_report_of_its_own_search(self):
+    def test_int_endpoint_shares_the_report_of_its_own_search(self, cold_caches):
         # DomainInterval(0, 1) == DomainInterval(0.0, 1.0) and stores 0.0, so
         # the shared report is the one its own search gives: witness x = 0.0
-        hypothesis_membership.cache_clear()
         g, cls = parse("x^0.5"), ConvexityClass("plain_convex")
         hypothesis_membership(g, cls, DomainInterval(0.0, 1.0), 100, 0, 1e-9)
         cached = hypothesis_membership(g, cls, DomainInterval(0, 1), 100, 0, 1e-9)[0]
@@ -792,13 +789,12 @@ def test_y_over_m_sense_at_m_one_evaluates_each_grid_point_once(monkeypatch, sen
     assert len(args) == len(xs) + len(zs) == 430
 
 
-def test_build_suite_membership_work(monkeypatch):
+def test_build_suite_membership_work(monkeypatch, cold_caches):
     """A machine-independent guard on the membership checks: calls of the
-    compiled g and h, triples checked (sum of samples_used), proofs and
-    their pieces, for one suite with a cold hypothesis cache."""
-    hypothesis_membership.cache_clear()
-    convexity._convex_proof.cache_clear()
-    evals, triples, proofs = [0], [0], []
+    compiled g and h, triples checked (sum of samples_used), grid
+    combination points computed, proofs and their pieces, for one suite
+    with cold caches."""
+    evals, triples, points, proofs = [0], [0], [0], []
     real_compile, real_check, real_prove = (
         convexity.compile_fn, convexity.check_membership, convexity._prove)
 
@@ -821,16 +817,65 @@ def test_build_suite_membership_work(monkeypatch):
             proofs.append(proof)
         return proof
 
+    def counting_add(z, cy):  # the grid scan's lam*x + c*y, one per triple of a row
+        points[0] += 1
+        return z + cy
+
     monkeypatch.setattr(convexity, "compile_fn", counting_compile)
     monkeypatch.setattr(convexity, "check_membership", summing_check)
     monkeypatch.setattr(convexity, "_prove", recording_prove)
+    monkeypatch.setattr(convexity, "add", counting_add)
     build_suite(42)
     # 248,674 when each grid triple called g; 87,142 and 203,742 triples
     # when all 48 hypotheses were searched
     assert evals[0] == 1436  # 756 of them the grid checks of the 36 proven h_alpha_m rows
     assert triples[0] == 50  # the 4 searches hit at grid triples 12, 13, 12 and 13
+    # each search computes the 21 x 11 points of its first x row only; the
+    # 2 shared plans of the whole grid computed 21 x 21 x 11 each
+    assert points[0] == 4 * 21 * 11
     assert len(proofs) == 44
     assert sum(p.pieces for p in proofs) == 116
+
+
+def test_build_suite_generates_each_function_once(monkeypatch, cold_caches):
+    """A machine-independent guard on compilation: one code generation per
+    distinct tree and backend. A second suite generates nothing, also when
+    every cache but the compiled functions' is cleared, so that its
+    derivatives and hypotheses are built again as fresh but equal trees."""
+    generated, real = [], hhcheck.expr._build
+
+    def counting_build(node, backend):
+        generated.append(backend)
+        return real(node, backend)
+
+    monkeypatch.setattr(hhcheck.expr, "_build", counting_build)
+    build_suite(42)
+    # for 571 calls of compile_fn, compile_interval and evaluate
+    assert (generated.count("float"), generated.count("interval")) == (54, 57)
+    assert hhcheck.expr._compiled.cache_info().misses == 111
+    for cache in (differentiate, hypothesis_membership, convexity._convex_proof,
+                  hhcheck.bounds._mean_integral):
+        cache.cache_clear()
+    build_suite(42)
+    assert len(generated) == 111
+
+
+def test_build_suite_checks_each_hypothesis_once(monkeypatch, cold_caches):
+    """A hypothesis's preconditions are checked once and passed to the
+    prover and, when the prover gives up, to the search. At seed 101 the
+    prover gives up on 4 provable hypotheses (|f''| of 1/x on a wide
+    interval), which are searched with the 4 unprovable ones."""
+    checks, real = [0], convexity._preconditions
+
+    def counting(*args):
+        checks[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(convexity, "_preconditions", counting)
+    calls = _count_searches(monkeypatch)
+    build_suite(101)
+    assert hypothesis_membership.cache_info().misses == checks[0] == 48
+    assert len(calls) == 8
 
 
 class TestVerdictPolicy:
@@ -862,20 +907,12 @@ class TestVerdictPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Searches with the same (class, domain, samples, seed) share one plan: the
-# grid weights and distinct combination points, and the first block of
-# random draws. However far a plan has been built, and whichever search
-# built it, each outcome must still be the oracle's.
+# Random triples are drawn in blocks of _BLOCK, each when the scan reaches
+# it. Whichever block a hit, a failure or a skipped lam falls in, at either
+# side of a block boundary, each outcome must still be the oracle's.
 
 _BLOCK = convexity._BLOCK
 _BLOCK_SAMPLES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK // 2)
-
-
-@pytest.fixture
-def cold_plans():
-    convexity._search_plan.cache_clear()
-    yield
-    convexity._search_plan.cache_clear()
 
 
 # lam at the last triple of the first block, at the first triple of the
@@ -908,14 +945,10 @@ class _PinnedRandom(random.Random):
 
 
 def _outcomes_with_pinned_lams(g, cls, dom, samples, seed, tol):
-    convexity._search_plan.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(random, "Random", _PinnedRandom)
-        try:
-            return (_outcome(lambda: check_membership(g, cls, dom, samples, seed, tol)),
-                    _outcome(lambda: _oracle_membership(g, cls, dom, samples, seed, tol)))
-        finally:
-            convexity._search_plan.cache_clear()
+        return (_outcome(lambda: check_membership(g, cls, dom, samples, seed, tol)),
+                _outcome(lambda: _oracle_membership(g, cls, dom, samples, seed, tol)))
 
 
 @pytest.mark.parametrize("samples", _BLOCK_SAMPLES)
@@ -947,7 +980,7 @@ def test_property_blocks_match_oracle(sense, data, g, dom, samples, seed, tol):
     assert new == old
 
 
-def test_first_hit_in_the_second_random_block(cold_plans):
+def test_first_hit_in_the_second_random_block(cold_caches):
     # the dent at 0.527 is too narrow for the grid; random triple 687 finds it
     g, cls, dom = parse("x^2-0.02*abs(x-0.527)"), ConvexityClass("plain_convex"), \
         DomainInterval(0.0, 1.0)
@@ -957,25 +990,18 @@ def test_first_hit_in_the_second_random_block(cold_plans):
     assert _outcome(lambda: check_membership(g, cls, dom, samples=1500, seed=0)) == cold
 
 
-def test_warm_plan_serves_other_functions(cold_plans):
-    # DomainInterval(-0.0, 1.0) != DomainInterval(0.0, 1.0): its first
-    # grid point is -0.0
+def test_signed_zero_domain_matches_oracle():
+    # DomainInterval(-0.0, 1.0) != DomainInterval(0.0, 1.0): its first grid
+    # point is -0.0; 700 samples take two random blocks
     cls = ConvexityClass("plain_convex")
-    doms = (DomainInterval(0.0, 1.0), DomainInterval(-0.0, 1.0))
-    for dom in doms:
+    for dom in (DomainInterval(0.0, 1.0), DomainInterval(-0.0, 1.0)):
         for text in ("x^2", "x^0.5", "x^2-0.02*abs(x-0.527)", "exp(x)", "-x"):
             g = parse(text)
-            warm = _outcome(lambda: check_membership(g, cls, dom, samples=700, seed=3))
-            convexity._search_plan.cache_clear()
-            cold = _outcome(lambda: check_membership(g, cls, dom, samples=700, seed=3))
-            assert warm == cold == _outcome(lambda: _oracle_membership(g, cls, dom, 700, 3, 1e-9))
-    convexity._search_plan.cache_clear()
-    for dom in doms:
-        check_membership(parse("x^2"), cls, dom, samples=700, seed=3)
-    assert convexity._search_plan.cache_info().currsize == 2
+            assert _outcome(lambda: check_membership(g, cls, dom, samples=700, seed=3)) == \
+                _outcome(lambda: _oracle_membership(g, cls, dom, 700, 3, 1e-9))
 
 
-def test_first_hit_in_the_fourth_random_block(cold_plans):
+def test_first_hit_in_the_fourth_random_block(cold_caches):
     # random triple 1773 finds the dent; each block before it is scanned clean
     g, cls, dom = parse("x^2-0.02*abs(x-0.527)"), ConvexityClass("plain_convex"), \
         DomainInterval(0.0, 1.0)
@@ -984,7 +1010,7 @@ def test_first_hit_in_the_fourth_random_block(cold_plans):
     assert out[0] == "counterexample" and 3 * _BLOCK < out[1] - 21 * 21 * 11 <= 4 * _BLOCK
 
 
-def test_grid_hit_stops_evaluating_in_its_row(monkeypatch, cold_plans):
+def test_grid_hit_stops_evaluating_in_its_row(monkeypatch, cold_caches):
     """A grid scan evaluates g one x row at a time: a search that hits in
     row r calls g at the 21 grid points, once at each distinct combination
     point of rows 0..r, and 3 times to replay the hit."""
@@ -996,52 +1022,6 @@ def test_grid_hit_stops_evaluating_in_its_row(monkeypatch, cold_plans):
     zs = {lam * x + (1.0 - lam) * y for x in xs[:row + 1] for y in xs for lam in lams}
     assert not rep.ok and rep.samples_used <= (row + 1) * 21 * 11
     assert len(args) <= 21 + len(zs) + 3
-
-
-def test_build_suite_builds_one_plan_per_group(cold_plans):
-    """A machine-independent guard on plan sharing: the 4 searches of a
-    suite (the 44 other hypotheses are proven) fall into 2 groups of one
-    class, domain, sample count and seed: alpha_m at alpha 0 and 0.5."""
-    hypothesis_membership.cache_clear()
-    build_suite(42)
-    assert convexity._search_plan.cache_info().misses == 2
-
-
-def test_threads_sharing_plans_get_serial_outcomes(cold_plans):
-    """Plans are built lazily by whichever search needs them first; threads
-    that race to build the same plans must still get the serial outcomes."""
-    cls = ConvexityClass("plain_convex")
-    cases = [(parse(text), DomainInterval(lo, lo + 1.0)) for lo in (0.0, 0.5)
-             for text in ("x^2", "x^0.5", "x^2-0.02*abs(x-0.527)", "exp(x)")]
-    expected = [_outcome(lambda: check_membership(g, cls, dom, samples=1200, seed=2))
-                for g, dom in cases]
-    results, errors = {}, []
-
-    def worker(w):
-        try:
-            for k in range(8):
-                convexity._search_plan.cache_clear()
-                order = range(len(cases)) if (w + k) % 2 else reversed(range(len(cases)))
-                for i in order:
-                    g, dom = cases[i]
-                    results[w, k, i] = _outcome(
-                        lambda: check_membership(g, cls, dom, samples=1200, seed=2))
-        except Exception as exc:  # reported below, with the thread's failure
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and not errors
-    assert len(results) == 6 * 8 * len(cases)
-    assert all(out == expected[i] for (_, _, i), out in results.items())
 
 
 # ---------------------------------------------------------------------------
@@ -1106,8 +1086,7 @@ class TestProver:
             assert convexity._prove(parse(text), ConvexityClass("plain_convex"),
                                     DomainInterval(lo, hi), 0) is not None
 
-    def test_holder_rows_share_one_proof_of_their_base(self):
-        convexity._convex_proof.cache_clear()
+    def test_holder_rows_share_one_proof_of_their_base(self, cold_caches):
         u, cls, dom = differentiate(parse("1/x"), 2), ConvexityClass("h_alpha_m"), \
             DomainInterval(0.5, 1.5)
         proofs = [convexity._prove(g, cls, dom, 0)

@@ -1,6 +1,7 @@
 """Expression parsing, printing, evaluation, and symbolic differentiation."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hhcheck import (
     DomainError,
     DomainInterval,
     Exp,
+    HFunction,
     Ln,
     Mul,
     Neg,
@@ -30,7 +32,6 @@ from hhcheck import (
     parse,
     to_text,
 )
-from hhcheck.convexity import hypothesis_membership
 from hhcheck.expr import compile_interval
 from hhcheck.expr import _pow, add, mul, neg, pow_, sub
 
@@ -322,6 +323,33 @@ class TestGeneratedEvaluator:
         assert f.__code__ is g.__code__
         assert f(0.25) == g(0.25) == 0.1875
 
+    # evaluated at x = 1 by each backend: the value, or both interval endpoints
+    _AT_ONE = {"compile_fn": lambda node: [compile_fn(node)(1.0)],
+               "evaluate": lambda node: [evaluate(node, 1.0)],
+               "compile_interval": lambda node: list(compile_interval(node)((1.0, 1.0)))}
+
+    @pytest.mark.parametrize("backend", sorted(_AT_ONE))
+    @pytest.mark.parametrize("order", [("-0*x", "0*x"), ("0*x", "-0*x")])
+    def test_compile_cache_keeps_signed_zeros_apart(self, cold_caches, backend, order):
+        # the two trees are equal, Const(-0.0) == Const(0.0), but their values
+        # at x = 1 differ in sign, whichever is compiled first
+        assert parse("-0*x") == parse("0*x")
+        for text in order:
+            sign = -1.0 if text.startswith("-") else 1.0
+            assert {math.copysign(1.0, v) for v in self._AT_ONE[backend](parse(text))} == {sign}
+
+    def test_equal_trees_share_one_function(self):
+        text = "exp(x)/(1 + x^2) - abs(x)"
+        assert compile_fn(parse(text)) is compile_fn(parse(text))
+        assert compile_interval(parse(text)) is compile_interval(parse(text))
+        assert compile_fn(parse(text)) is not compile_interval(parse(text))
+        # the cache stores nothing on a tree: a compiled tree still pickles
+        node = parse(text)
+        assert pickle.loads(pickle.dumps(node)) == node
+        h = HFunction.custom(parse("t*(2-t)", var="t"))
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy == h and copy.fn is h.fn
+
     def test_factory_cache_stays_bounded(self):
         factory = hhcheck.expr._factory
         size = factory.cache_info().maxsize
@@ -434,7 +462,7 @@ class TestIntervalBackend:
         with pytest.raises(DomainError):
             compile_interval(parse(text))(box)
 
-    def test_one_factory_per_shape_and_backend(self):
+    def test_one_factory_per_shape_and_backend(self, cold_caches):
         factory = hhcheck.expr._factory
         before = factory.cache_info().misses
         # a shape no other test compiles, with two sets of constants
@@ -483,9 +511,7 @@ class TestDifferentiate:
         assert differentiate(f, 1) is not first
         assert differentiate(f, 1) == differentiate(f)
 
-    def test_build_suite_differentiates_each_function_and_order_once(self):
-        hypothesis_membership.cache_clear()
-        differentiate.cache_clear()
+    def test_build_suite_differentiates_each_function_and_order_once(self, cold_caches):
         build_suite(42)
         info = differentiate.cache_info()
         # 414 calls for 36 distinct (tree, order) pairs: 17 from the rules and

@@ -17,7 +17,7 @@ from hhcheck import (
     trapezoid_rule,
     uniform_partition,
 )
-from hhcheck import bounds, kernels
+from hhcheck import kernels
 from hhcheck.convexity import hypothesis_membership
 
 SQ = parse("x^2")
@@ -279,8 +279,7 @@ class TestReferenceIntegral:
         rep = certified_integrate(EXP, 0.3, 1.7, n=4)
         assert rep.reference == integrate_adaptive(EXP, 0.3, 1.7).value
 
-    def test_second_partition_runs_no_new_integral(self, monkeypatch):
-        bounds._mean_integral.cache_clear()
+    def test_second_partition_runs_no_new_integral(self, monkeypatch, cold_caches):
         work = _count_integrals(monkeypatch)
         f = parse("x^3+x")
         first = certified_integrate(f, 0.2, 1.1, n=3, check_hypothesis=False)
@@ -288,11 +287,9 @@ class TestReferenceIntegral:
         assert work[0] == 1 and first.reference == second.reference
 
 
-def test_build_suite_integral_work(monkeypatch):
+def test_build_suite_integral_work(monkeypatch, cold_caches):
     """A machine-independent guard on the integrator: adaptive integrals
     and their panels for one suite with cold caches."""
-    bounds._mean_integral.cache_clear()
-    hypothesis_membership.cache_clear()
     work = _count_integrals(monkeypatch)
     build_suite(42)
     assert work == [53, 465]  # the 45 quad rows integrate their 3 functions once each
