@@ -568,10 +568,10 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
     (report, None); a failed precondition gives (None, reason) instead of
     raising, so the hypothesis is reported unverified.
 
-    check_membership's preconditions are made once. A hypothesis that the
-    prover then proves is reported "proven" without a search; any other
-    goes to check_membership(g, cls, dom, samples, seed, tol), which also
-    reports a failed precondition (making the checks again to do so).
+    check_membership's preconditions are made once, and a failure ends the
+    check there. A hypothesis that the prover then proves is reported
+    "proven" without a search; any other goes to
+    check_membership(g, cls, dom, samples, seed, tol) with the checks made.
 
     Every argument is a frozen value and the outcome is deterministic in
     them, so one check serves every rule and quadrature that assumes the
@@ -582,9 +582,9 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
     """
     try:
         checked = _preconditions(g, cls, dom, samples)
-    except PreconditionError:
-        checked = None
-    proof = None if checked is None else _prove(g, cls, dom, samples, checked)
+    except PreconditionError as exc:
+        return None, f"membership precondition failed: {exc}"
+    proof = _prove(g, cls, dom, samples, checked)
     if proof is not None:
         return MembershipReport("proven", 0, None, seed, proof=proof), None
     try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 from .convexity import HFunction, evaluate_h
@@ -90,21 +91,31 @@ _WG = (0.129484966168869693, 0.279705391489276668, 0.381830050505118945)
 _WG0 = 0.417959183673469388
 
 
-def _g7k15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    c = 0.5 * (lo + hi)
-    hw = 0.5 * (hi - lo)
-    fc = f(c)
-    k15 = _WGK0 * fc
-    g7 = _WG0 * fc
+def _g7k15(fs: list, hw: float) -> tuple[float, float]:
+    """(K15, |K15 - G7|) from a panel's half-width and 15 values in _panel's order."""
+    k15 = _WGK0 * fs[0]
+    g7 = _WG0 * fs[0]
     for i in range(7):
-        d = hw * _XGK[i]
-        fs = f(c - d) + f(c + d)
-        k15 += _WGK[i] * fs
+        pair = fs[2 * i + 1] + fs[2 * i + 2]
+        k15 += _WGK[i] * pair
         if i % 2 == 1:
-            g7 += _WG[i // 2] * fs
+            g7 += _WG[i // 2] * pair
     k15 *= hw
     g7 *= hw
     return k15, abs(k15 - g7)
+
+
+@lru_cache(maxsize=128)
+def _panel(lo: float, hi: float) -> tuple[float, tuple]:
+    """(half-width, (s(u), s'(u)) at the nodes u = c, c -+ hw*_XGK[i] of the
+    panel), s(u) = u^3 (10 - 15u + 6u^2). Panels are dyadic pieces of [0, 1],
+    so few occur; the bound caps a run that bisects deep."""
+    c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = []
+    for u in [c] + [v for x in _XGK for v in (c - hw * x, c + hw * x)]:
+        u2 = u * u
+        nodes.append((u2 * u * (10.0 - 15.0 * u + 6.0 * u2), 30.0 * u2 * (1.0 - u) * (1.0 - u)))
+    return hw, tuple(nodes)
 
 
 # the reference integrator's accuracy; integrate_adaptive alone reads these
@@ -124,18 +135,14 @@ def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
     is |K15 - G7|, accepted at 1e-12 times the panel's width in u or at depth
     60; the converged flag is honest: it is set only when the accumulated
     estimate meets 1e-12 and no panel stopped at depth 60.
+
+    The change of variable at a panel's nodes is read from _panel, an
+    lru_cache made by the same operations per node, so no bit changes.
     """
     if not (a < b):
         raise ValueError(f"integration requires a < b, got ({a!r}, {b!r})")
     fc = compile_fn(f) if isinstance(f, Node) else f
     width = b - a
-
-    def g(u: float) -> float:
-        u2 = u * u
-        x = a + width * (u2 * u * (10.0 - 15.0 * u + 6.0 * u2))
-        jac = 30.0 * u2 * (1.0 - u) * (1.0 - u)
-        return fc(x) * width * jac
-
     total = 0.0
     err_total = 0.0
     panels = 0
@@ -143,7 +150,8 @@ def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
     stack = [(0.0, 1.0, 0)]
     while stack:
         lo, hi, depth = stack.pop()
-        val, err = _g7k15(g, lo, hi)
+        hw, nodes = _panel(lo, hi)
+        val, err = _g7k15([fc(a + width * s) * width * jac for s, jac in nodes], hw)
         panels += 1
         budget = _TOL * (hi - lo)
         if err <= budget or depth >= _MAX_DEPTH:
@@ -188,6 +196,11 @@ def kernel_moment(kind: str, h: HFunction, alpha: float,
     C2 and C4 need the Holder pair (they involve 1/q). Closed forms are used
     for the power family; reciprocal and custom h go through the adaptive
     integrator, and a divergent moment raises NonConvergenceError.
+
+    An adaptive moment is integrated once per (kind, h, alpha, q) in a
+    bounded lru_cache (each entry holds its h); failures are not cached.
+    Equal h differ at most in a zero's sign, which no moment's value sees,
+    so a served moment has a fresh one's bits.
     """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
@@ -218,6 +231,11 @@ def kernel_moment(kind: str, h: HFunction, alpha: float,
             value = 1.0 / (w + 1.0) - (1.0 / q) / (w + 2.0)
         return KernelMoment(kind, value, "closed-form", 0.0)
 
+    return _adaptive_moment(kind, h, alpha, q)
+
+
+@lru_cache(maxsize=64)
+def _adaptive_moment(kind: str, h: HFunction, alpha: float, q: float | None) -> KernelMoment:
     if kind == "M0":
         integrand = lambda t: evaluate_h(h, t, alpha)
     elif kind == "M1":

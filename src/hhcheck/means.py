@@ -54,7 +54,8 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
     """Value of the mean; arguments are sorted first, so symmetry is exact.
 
     All kinds except A require positive arguments. Stable forms are used
-    (log1p/expm1 of (b-a)/a) so that homogeneity holds to rounding error.
+    (log1p/expm1 of (b-a)/a, or log(b) - log(a) for L and I where (b-a)/a
+    overflows) so that homogeneity holds to rounding error.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"mean arguments must be finite, got ({a!r}, {b!r})")
@@ -71,6 +72,9 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
     if kind.tag == "H":
         return 2.0 * a * b / (a + b)
     r = (b - a) / a
+    if kind.tag in ("L", "I") and not math.isfinite(r):
+        lr = math.log(b) - math.log(a)
+        return (b - a) / lr if kind.tag == "L" else b * math.exp(a / (b - a) * lr - 1.0)
     if kind.tag == "L":
         return (b - a) / math.log1p(r)
     if kind.tag == "I":

@@ -399,7 +399,11 @@ class TestHypothesisCache:
         first = hypothesis_membership(*args)
         assert first[0] is None and "non-negative" in first[1]
         assert hypothesis_membership(*args) is first
-        assert len(calls) == 1
+        # the failed precondition ends the check: no search repeats it
+        assert len(calls) == 0
+        with pytest.raises(PreconditionError) as exc:
+            check_membership(*args)
+        assert first[1] == f"membership precondition failed: {exc.value}"
 
     def test_signed_zero_endpoint_has_its_own_report(self, cold_caches):
         # DomainInterval(-0.0, 1.0) != DomainInterval(0.0, 1.0): its first

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import random
 import sys
 
 import pytest
@@ -19,8 +20,11 @@ from hhcheck import (
     kernel_moment,
     parse,
 )
+import hhcheck.kernels as kernels
 from hhcheck.bounds import _evaluate_rule, _mean_integral
-from hhcheck.kernels import check_holder_exponent, integral
+from hhcheck.expr import compile_fn, differentiate
+from hhcheck.kernels import _adaptive_moment, _panel, check_holder_exponent, integral
+from hhcheck.suite import CATALOG
 
 
 class TestBeta:
@@ -322,3 +326,221 @@ def kernel_weights():
         "M1": lambda t: 1.0 - t,
         "M2": lambda t: t * (1.0 - t),
     }
+
+
+# -- the node table and the moment cache keep every bit ----------------------
+
+def _closure_g7k15(f, lo, hi):
+    c = 0.5 * (lo + hi)
+    hw = 0.5 * (hi - lo)
+    fc = f(c)
+    k15 = kernels._WGK0 * fc
+    g7 = kernels._WG0 * fc
+    for i in range(7):
+        d = hw * kernels._XGK[i]
+        fs = f(c - d) + f(c + d)
+        k15 += kernels._WGK[i] * fs
+        if i % 2 == 1:
+            g7 += kernels._WG[i // 2] * fs
+    k15 *= hw
+    g7 *= hw
+    return k15, abs(k15 - g7)
+
+
+def _closure_integrate(f, a, b):
+    """integrate_adaptive as it was before the node table: a closure g
+    evaluates the change of variable and its Jacobian at every node."""
+    fc = compile_fn(f) if isinstance(f, hhcheck.Node) else f
+    width = b - a
+
+    def g(u):
+        u2 = u * u
+        x = a + width * (u2 * u * (10.0 - 15.0 * u + 6.0 * u2))
+        jac = 30.0 * u2 * (1.0 - u) * (1.0 - u)
+        return fc(x) * width * jac
+
+    total = err_total = 0.0
+    panels, depth_exhausted = 0, False
+    stack = [(0.0, 1.0, 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        val, err = _closure_g7k15(g, lo, hi)
+        panels += 1
+        budget = kernels._TOL * (hi - lo)
+        if err <= budget or depth >= kernels._MAX_DEPTH:
+            total += val
+            err_total += err
+            depth_exhausted = depth_exhausted or err > budget
+        else:
+            mid = 0.5 * (lo + hi)
+            stack.append((mid, hi, depth + 1))
+            stack.append((lo, mid, depth + 1))
+    converged = (not depth_exhausted) and err_total <= kernels._TOL
+    return hhcheck.IntegralResult(total, err_total, panels, converged)
+
+
+def _bits(res):
+    return (res.value.hex(), res.abs_error_estimate.hex(), res.subdivisions, res.converged)
+
+
+H_CUSTOM = ("t*(2-t)", "t*t", "(exp(t)-1)/1.72", "t/(2-t)", "ln(1+t)/0.7")
+
+
+def _kernel_integrand(kind, h, alpha, q):
+    """The integrand of one kernel moment, written out as the docstring of
+    kernels states it."""
+    if kind == "M0":
+        return lambda t: hhcheck.evaluate_h(h, t, alpha)
+    if kind == "M1":
+        return lambda t: (1.0 - t) * hhcheck.evaluate_h(h, t, alpha)
+    if kind == "M2":
+        return lambda t: t * (1.0 - t) * hhcheck.evaluate_h(h, t, alpha)
+    if kind == "C2":
+        return lambda t: (1.0 - t / q) * hhcheck.evaluate_h(h, t, alpha / q)
+    return lambda t: t ** (1.0 / q) * (1.0 - t / q) * hhcheck.evaluate_h(h, t, alpha / q)
+
+
+class TestSameBits:
+    """integrate_adaptive reads the change of variable from a table per
+    panel; every value, estimate and panel count is the closure's."""
+
+    def test_catalog_functions_on_seeded_intervals(self, cold_caches):
+        rng = random.Random(17)
+        for _, f in CATALOG:
+            for _ in range(6):
+                a = rng.uniform(0.05, 2.0)
+                b = a + rng.uniform(0.01, 3.0)
+                assert _bits(integrate_adaptive(f, a, b)) == _bits(_closure_integrate(f, a, b))
+
+    def test_lemma_integrands(self, cold_caches):
+        rng = random.Random(23)
+        for _, f in CATALOG:
+            fp = compile_fn(differentiate(f))
+            fpp = compile_fn(differentiate(f, 2))
+            for _ in range(4):
+                a = rng.uniform(0.1, 1.5)
+                b = a + rng.uniform(0.05, 1.5)
+                c = 0.5 * (a + b)
+                for g in (lambda t: (1.0 - t) * (fp(t * a + (1.0 - t) * c)
+                                                 - fp(t * b + (1.0 - t) * c)),
+                          lambda t: t * (1.0 - t) * fpp(t * a + (1.0 - t) * b)):
+                    assert _bits(integrate_adaptive(g, 0.0, 1.0)) == \
+                        _bits(_closure_integrate(g, 0.0, 1.0))
+
+    def test_singular_and_divergent_integrands(self, cold_caches):
+        # 1/t bisects to depth 60 near 0: more distinct panels than the
+        # table holds, so panels are evicted and built again
+        for g in (lambda t: t ** (1.0 / 24.0), lambda t: math.log(t), lambda t: 1.0 / t):
+            assert _bits(integrate_adaptive(g, 0.0, 1.0)) == _bits(_closure_integrate(g, 0.0, 1.0))
+        assert integrate_adaptive(lambda t: 1.0 / t, 0.0, 1.0).subdivisions > _panel.cache_info().maxsize
+
+    def test_custom_h_kernel_moments(self, cold_caches):
+        rng = random.Random(29)
+        for text in H_CUSTOM:
+            h = HFunction.custom(parse(text, var="t"))
+            for kind in KERNEL_KINDS:
+                alpha = round(rng.uniform(0.0, 1.0), 4)
+                hp = HolderPair.from_p(round(1.0 + 10.0 ** rng.uniform(-1.0, 1.0), 4))
+                q = hp.q if kind in ("C2", "C4") else None
+                ref = _closure_integrate(_kernel_integrand(kind, h, alpha, q), 0.0, 1.0)
+                assert _bits(integrate_adaptive(_kernel_integrand(kind, h, alpha, q), 0.0, 1.0)) \
+                    == _bits(ref)
+                mom = kernel_moment(kind, h, alpha, hp=hp if q is not None else None)
+                assert ref.converged and mom.method == "adaptive"
+                assert (mom.value.hex(), mom.abs_error_estimate.hex()) == \
+                    (ref.value.hex(), ref.abs_error_estimate.hex())
+
+
+def _ten_rules(h, alpha=0.5, m=0.9, p=2.0, f="x^3", a=0.5, b=1.5):
+    cls = hhcheck.ConvexityClass("h_alpha_m", h=h, alpha=alpha, m=m)
+    hp = HolderPair.from_p(p)
+    reports = []
+    for rule in hhcheck.RULE_IDS:
+        inst = hhcheck.BoundInstance(rule, parse(f), a, b, cls,
+                                     hp if rule in hhcheck.HOLDER_RULES else None)
+        if rule in hhcheck.FIRST_DERIVATIVE_RULES:
+            reports.append(hhcheck.bound_first_derivative(inst))
+        else:
+            reports.append(hhcheck.bound_second_derivative(inst))
+    return reports
+
+
+class TestMomentCache:
+    def test_ten_rules_integrate_six_moments(self, monkeypatch, cold_caches):
+        # the reference integral of f is warmed first, so every counted
+        # integral is a moment: M1(alpha) for T1/T3, M0(alpha) for T2/T5,
+        # M0(alpha/q) for C1/C3, M2(alpha) for T4/T6, C2 and C4
+        _mean_integral(parse("x^3"), 0.5, 1.5)
+        calls, real = [], kernels.integrate_adaptive
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "integrate_adaptive", counting)
+        _ten_rules(HFunction.custom(parse("t*(2-t)", var="t")))
+        assert len(calls) == 6
+        info = _adaptive_moment.cache_info()
+        assert (info.misses, info.hits) == (6, 4)
+
+    def test_cached_moment_equals_a_fresh_one(self, cold_caches):
+        h = HFunction.custom(parse("(exp(t)-1)/1.72", var="t"))
+        hp = HolderPair.from_p(2.0)
+        for kind, alpha, pair in (("M0", 0.5, None), ("M1", 0.5, None), ("M2", 0.5, None),
+                                  ("M0", 0.5 / hp.q, None), ("C2", 0.5, hp), ("C4", 0.5, hp)):
+            first = kernel_moment(kind, h, alpha, hp=pair)
+            cached = kernel_moment(kind, h, alpha, hp=pair)
+            _adaptive_moment.cache_clear()
+            fresh = kernel_moment(kind, h, alpha, hp=pair)
+            assert cached is first and fresh is not first
+            assert (cached.kind, cached.method, cached.value.hex(),
+                    cached.abs_error_estimate.hex()) == \
+                (fresh.kind, fresh.method, fresh.value.hex(), fresh.abs_error_estimate.hex())
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_signed_zero_in_h_cannot_reach_a_moment(self, cold_caches, alpha):
+        # h = 0*t and h = -0*t are equal, so they share cache entries; the
+        # sign of a zero never reaches a moment's value, in either order
+        zero, neg = (HFunction.custom(parse(t, var="t")) for t in ("0*t", "-0*t"))
+        assert zero == neg and zero.fn(0.5) == 0.0 and str(neg.fn(0.5)) == "-0.0"
+        hp = HolderPair.from_p(3.0)
+
+        def moments(h):
+            return [kernel_moment(k, h, alpha, hp=hp if k in ("C2", "C4") else None)
+                    for k in KERNEL_KINDS]
+
+        def bits(moms):
+            return [(m.value.hex(), m.abs_error_estimate.hex()) for m in moms]
+
+        alone = {}
+        for h in (zero, neg):
+            _adaptive_moment.cache_clear()
+            alone[str(h)] = bits(moments(h))
+        assert alone[str(zero)] == alone[str(neg)]
+        for first, second in ((zero, neg), (neg, zero)):
+            _adaptive_moment.cache_clear()
+            assert bits(moments(first)) == bits(moments(second)) == alone[str(zero)]
+
+    def test_failures_are_not_cached(self, cold_caches):
+        with pytest.raises(NonConvergenceError):
+            kernel_moment("M0", HFunction.reciprocal(), 1.0)
+        negative = HFunction.custom(parse("t - 0.5", var="t"))
+        with pytest.raises(hhcheck.PreconditionError):
+            kernel_moment("M0", negative, 0.5)
+        assert _adaptive_moment.cache_info().currsize == 0
+
+    def test_closed_forms_make_no_lookup(self, cold_caches):
+        kernel_moment("M0", IDENTITY, 0.5)
+        kernel_moment("C4", SQRT_T, 0.5, hp=HolderPair.from_p(2.0))
+        info = _adaptive_moment.cache_info()
+        assert info.hits == info.misses == 0
+
+    def test_caches_stay_bounded(self, cold_caches):
+        for k in range(_panel.cache_info().maxsize + 10):
+            _panel(k / 1024.0, (k + 1) / 1024.0)
+        assert _panel.cache_info().currsize == _panel.cache_info().maxsize
+        h = HFunction.custom(parse("t*t", var="t"))
+        for k in range(_adaptive_moment.cache_info().maxsize + 5):
+            kernel_moment("M0", h, k / 1000.0)
+        info = _adaptive_moment.cache_info()
+        assert info.currsize == info.maxsize and info.misses == info.maxsize + 5

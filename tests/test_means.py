@@ -16,6 +16,7 @@ from hhcheck import (
     proposition_check,
 )
 from hhcheck.means import lp_worst_decrease
+from hhcheck.suite import mean_chain_rows
 
 A = MeanKind("A")
 G = MeanKind("G")
@@ -71,6 +72,27 @@ class TestMeanFixtures:
         assert l == pytest.approx(1.0 / math.log(2.0), rel=1e-15)
         assert i == pytest.approx(4.0 / math.e, rel=1e-15)
         assert arith == pytest.approx(1.5, rel=1e-15)
+
+
+    def test_overflowing_ratio_keeps_l_and_i_finite(self):
+        # (b - a)/a overflows at (1e-300, 1e300); L was 0 and I was inf there
+        a, b = 1e-300, 1e300
+        l, i = mean(L, a, b), mean(I, a, b)
+        assert l == pytest.approx(b / (600.0 * math.log(10.0)), rel=1e-13)  # 7.238e296
+        assert i == pytest.approx(b / math.e, rel=1e-13)  # 3.679e299
+        values, holds = check_mean_chain(a, b)
+        assert holds and all(map(math.isfinite, values))
+        assert list(values) == sorted(values)
+        assert values[2] - values[1] > 0.0  # the G -> L margin
+        rows = mean_chain_rows(a, b)
+        assert [r[-1] for r in rows] == ["holds"] * 4
+
+    @pytest.mark.parametrize("a,b", [(1e-300, 1e7), (1e-300, 1.7e8), (1e-10, 1e297), (2.0, 3.0)])
+    def test_finite_ratio_keeps_its_formula(self, a, b):
+        r = (b - a) / a
+        assert math.isfinite(r)
+        assert mean(L, a, b) == (b - a) / math.log1p(r)
+        assert mean(I, a, b) == a * math.exp((b / (b - a)) * math.log1p(r) - 1.0)
 
 
 class TestMeanKindValidation:
@@ -172,8 +194,8 @@ class TestLpEdges:
         assert v > mean(LP(5.0), a, b)
 
     def test_nan_value_flags_the_decrease(self):
-        # at (1e-300, 1e300) L is 0 and I is inf, and L_0.5 .. L_5 are NaN;
-        # max() over the differences would keep 0 - inf = -inf
+        # at (1e-300, 1e300) L_0.5 .. L_5 are NaN; max() over the
+        # differences would drop every NaN after the first
         grid = (-1.0, 0.0, 0.5, 1.0, 2.0, 5.0)
         vals = [mean(L, 1e-300, 1e300), mean(I, 1e-300, 1e300)]
         vals += [mean(LP(p), 1e-300, 1e300) for p in grid[2:]]
