@@ -558,7 +558,8 @@ def _prove(g: Node, cls: ConvexityClass, dom: DomainInterval, samples: int,
         return None
     if plain:
         return _convex_proof(g, dom.lo, dom.hi)
-    return MembershipProof(1, 0.0) if differentiate(g) == Const(0.0) else None
+    d = differentiate(g)
+    return MembershipProof(1, 0.0) if type(d) is Const and d.value == 0.0 else None
 
 
 @lru_cache(maxsize=256)

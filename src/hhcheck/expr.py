@@ -2,7 +2,8 @@
 differentiation.
 
 The node set is deliberately small: constants, the variable, + - * / ^,
-exp, ln, abs and unary negation. Everything downstream feeds on |f'| and
+exp, ln, abs and unary negation, and nodes are interned: one object per
+tree, so equality is identity. Everything downstream feeds on |f'| and
 |f''| evaluated pointwise, so derivatives are symbolic (no finite-difference
 noise). Evaluation goes through one code generator: compile_fn turns a tree
 into straight-line Python, with one exec'd factory per tree shape and one
@@ -16,6 +17,8 @@ raises DomainError.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -30,10 +33,54 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# AST nodes. Frozen dataclasses give structural equality and hashing for free.
+# AST nodes, hash-consed (Ershov, 1958; Filliâtre and Conchon, Type-Safe
+# Modular Hash-Consing, 2006): the constructor returns the live node for an
+# equal tree, so there is one object per tree. Equality is identity and the
+# hash is the object's own, with no tree walk. A constant is stored as a
+# float and keyed with its sign, so Const(2) is Const(2.0) but Const(0.0) is
+# not Const(-0.0); any other node is keyed by its children, which are
+# interned already. The table holds its nodes weakly, and a pickled node is
+# rebuilt through the constructor.
+
+_NODES = weakref.WeakValueDictionary()  # key -> the live node
+_LOCK = threading.Lock()  # held to look again and make a node
+
 
 class Node:
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+    _fields = ()
+
+    def __new__(cls, *args):
+        if len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}")
+        if cls is Const:
+            value = float(args[0])
+            args, key = (value,), (cls, value, math.copysign(1.0, value))
+        else:
+            key = (cls, *args)
+        node = _NODES.get(key)
+        if node is not None:
+            return node
+        with _LOCK:  # look again: another thread may have made it since
+            node = _NODES.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(cls._fields, args):
+                    object.__setattr__(node, name, value)
+                _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"expression nodes are immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __call__(self, x: float) -> float:
         return evaluate(self, x)
@@ -42,64 +89,51 @@ class Node:
         return to_text(self)
 
 
-@dataclass(frozen=True)
 class Const(Node):
-    value: float
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
 class Var(Node):
-    name: str = "x"
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str = "x"):
+        return Node.__new__(cls, name)
 
 
-@dataclass(frozen=True)
 class Add(Node):
-    left: Node
-    right: Node
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Sub(Node):
-    left: Node
-    right: Node
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(Node):
-    left: Node
-    right: Node
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Div(Node):
-    left: Node
-    right: Node
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Pow(Node):
-    base: Node
-    exponent: Node
+    __slots__ = _fields = ("base", "exponent")
 
 
-@dataclass(frozen=True)
 class Exp(Node):
-    arg: Node
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class Ln(Node):
-    arg: Node
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class Abs(Node):
-    arg: Node
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class Neg(Node):
-    arg: Node
+    __slots__ = _fields = ("arg",)
 
 
 @dataclass(frozen=True)
@@ -197,17 +231,17 @@ def make({params}):
 """
 
 
-def _emit(node: Node, lines: list, consts: list, ops: dict, memo) -> str:
+def _emit(node: Node, lines: list, consts: list, ops: dict, memo: dict) -> str:
     """Append the statements computing node to lines and return the operand
-    that holds its value, with the backend's node templates ops. memo, a
-    dict or None, maps each subtree already emitted to its operand."""
+    that holds its value, with the backend's node templates ops. memo maps
+    each subtree already emitted to its operand."""
     kind = type(node)
     if kind is Const:
         consts.append(node.value)
         return f"c{len(consts) - 1}"
     if kind is Var:
         return "x"
-    if memo is not None and node in memo:
+    if node in memo:
         return memo[node]
     if kind not in ops:
         raise TypeError(f"not an expression node: {node!r}")
@@ -226,8 +260,7 @@ def _emit(node: Node, lines: list, consts: list, ops: dict, memo) -> str:
         for check in checks:
             lines.append(check(v))
         code = v
-    if memo is not None:
-        memo[node] = code
+    memo[node] = code
     return code
 
 
@@ -331,21 +364,22 @@ def _ipow(b, e):
 
 
 # Per backend: the statements that open fn, the node templates, the names
-# the code reads, how a constant enters it, and whether equal subtrees share
-# one value. Only intervals share: an enclosure holds for every equal
-# subtree, but a float value may not, since Const(0.0) == Const(-0.0).
+# the code reads and how a constant enters it. Both backends compute an
+# equal subtree once: equal trees are one node, so their values are the same
+# bits (a zero constant's sign is part of the node), and a failing subtree
+# raises at its first appearance in post-order either way.
 _BACKENDS = {
     "float": (("x = float(x)",
                "if not isfinite(x): raise DomainError(f'non-finite argument {x!r}')"),
               _FLOAT_OPS, {"DomainError": DomainError, "_pow": _pow, "exp": math.exp,
                            "log": math.log, "isfinite": math.isfinite},
-              lambda c: c, False),
+              lambda c: c),
     "interval": ((), _INTERVAL_OPS, {
         "DomainError": DomainError, "_iadd": _iadd, "_imul": _imul, "_idiv": _idiv,
         "_ipow": _ipow, "_iabs": _iabs, "_ineg": lambda a: (-a[1], -a[0]),
         "_iexp": lambda a: _libm(math.exp(a[0]), math.exp(a[1])),
         "_iln": lambda a: _libm(math.log(a[0]), math.log(a[1])),  # log raises at a[0] <= 0
-    }, lambda c: (c, c), True),
+    }, lambda c: (c, c)),
 }
 
 
@@ -359,36 +393,16 @@ def _factory(backend: str, body: str, nconsts: int) -> Callable:
 
 def _build(node: Node, backend: str) -> Callable:
     """Generate node's function in backend: a walk, and an exec per new shape."""
-    opening, ops, _, lift, share = _BACKENDS[backend]
+    opening, ops, _, lift = _BACKENDS[backend]
     lines, consts = list(opening), []
-    lines.append(f"return {_emit(node, lines, consts, ops, {} if share else None)}")
+    lines.append(f"return {_emit(node, lines, consts, ops, {})}")
     return _factory(backend, _INDENT + _INDENT.join(lines), len(consts))(*[lift(c) for c in consts])
 
 
 @lru_cache(maxsize=256)
-def _compiled(backend: str, node: Node) -> tuple:
-    """(node, its function in backend), for the first of the equal trees."""
-    return node, _build(node, backend)
-
-
-def _same_signs(a: Node, b: Node) -> bool:
-    """Whether the equal trees a and b have the same signs of zero constants."""
-    if a is b:
-        return True
-    kind = type(a)
-    if kind is Const:
-        return math.copysign(1.0, a.value) == math.copysign(1.0, b.value)
-    return kind is Var or all(map(_same_signs, vars(a).values(), vars(b).values()))
-
-
-def _generate(node: Node, backend: str = "float") -> Callable:
-    """node's function in backend, generated once per distinct tree. Equal
-    trees share it, but Const(0.0) == Const(-0.0) and the float backend
-    keeps a zero's sign (-0*x is -0.0 at x = 1), so a tree equal to the
-    cached one but for the sign of a zero constant gets its own function,
-    not cached."""
-    first, fn = _compiled(backend, node)
-    return fn if _same_signs(first, node) else _build(node, backend)
+def _compiled(backend: str, node: Node) -> Callable:
+    """node's function in backend, generated once per distinct tree."""
+    return _build(node, backend)
 
 
 def compile_fn(node: Node) -> Callable[[float], float]:
@@ -399,7 +413,7 @@ def compile_fn(node: Node) -> Callable[[float], float]:
     may compile a tree each time it needs it; a new tree of a known shape
     costs a walk, not an exec.
     """
-    return _generate(node)
+    return _compiled("float", node)
 
 
 def compile_interval(node: Node) -> Callable[[tuple], tuple]:
@@ -408,17 +422,17 @@ def compile_interval(node: Node) -> Callable[[tuple], tuple]:
     DomainError: where the float evaluator could raise on the interval, and
     where no finite enclosure is found. It shares compile_fn's caches,
     under the backend tag "interval"."""
-    return _generate(node, "interval")
+    return _compiled("interval", node)
 
 
 def evaluate(node: Node, x: float) -> float:
     """Evaluate at x: compile_fn(node)(x). Returns a finite float or raises
-    DomainError. A tree is generated once, and found again by equality on
+    DomainError. A tree is generated once, and found again by identity on
     each call; a caller that evaluates one tree at many points should call
     compile_fn once instead."""
-    # _generate, not compile_fn: a tracer that rebinds compile_fn then
+    # _compiled, not compile_fn: a tracer that rebinds compile_fn then
     # counts one evaluate() call as one evaluation, not as two
-    return _generate(node)(x)
+    return _compiled("float", node)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +442,9 @@ def evaluate(node: Node, x: float) -> float:
 # finite is not made: the node stays, and raises DomainError when evaluated,
 # so a tree built from finite constants keeps only finite ones.
 
-def _const(v: float) -> Const:
-    return Const(float(v))
-
-
 def add(a: Node, b: Node) -> Node:
     if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value + b.value):
-        return _const(v)
+        return Const(v)
     if isinstance(a, Const) and a.value == 0.0:
         return b
     if isinstance(b, Const) and b.value == 0.0:
@@ -444,7 +454,7 @@ def add(a: Node, b: Node) -> Node:
 
 def sub(a: Node, b: Node) -> Node:
     if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value - b.value):
-        return _const(v)
+        return Const(v)
     if isinstance(b, Const) and b.value == 0.0:
         return a
     if isinstance(a, Const) and a.value == 0.0:
@@ -454,15 +464,15 @@ def sub(a: Node, b: Node) -> Node:
 
 def mul(a: Node, b: Node) -> Node:
     if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value * b.value):
-        return _const(v)
+        return Const(v)
     if isinstance(a, Const):
         if a.value == 0.0:
-            return _const(0.0)
+            return Const(0.0)
         if a.value == 1.0:
             return b
     if isinstance(b, Const):
         if b.value == 0.0:
-            return _const(0.0)
+            return Const(0.0)
         if b.value == 1.0:
             return a
     return Mul(a, b)
@@ -472,13 +482,13 @@ def div(a: Node, b: Node) -> Node:
     if isinstance(b, Const) and b.value == 1.0:
         return a
     if isinstance(a, Const) and a.value == 0.0:
-        return _const(0.0)
+        return Const(0.0)
     return Div(a, b)
 
 
 def neg(a: Node) -> Node:
     if isinstance(a, Const) and math.isfinite(a.value):
-        return _const(-a.value)
+        return Const(-a.value)
     if isinstance(a, Neg):
         return a.arg
     return Neg(a)
@@ -487,17 +497,17 @@ def neg(a: Node) -> Node:
 def pow_(a: Node, b: Node) -> Node:
     if isinstance(b, Const):
         if b.value == 0.0:
-            return _const(1.0)
+            return Const(1.0)
         if b.value == 1.0:
             return a
         if isinstance(a, Const):
             try:
                 if math.isfinite(v := _pow(a.value, b.value)):
-                    return _const(v)
+                    return Const(v)
             except (DomainError, OverflowError):
                 pass
     if isinstance(a, Const) and a.value == 1.0:
-        return _const(1.0)
+        return Const(1.0)
     return Pow(a, b)
 
 
@@ -510,7 +520,7 @@ def differentiate(node: Node, order: int = 1) -> Node:
 
     abs differentiates to arg'/|arg| * arg, which evaluates to sign(arg)*arg'
     away from zero and raises DomainError exactly at a kink. Trees are
-    frozen, so equal calls share one result from a bounded cache; it keys
+    interned, so equal calls share one result from a bounded cache; it keys
     differentiate(f) and differentiate(f, 1) apart.
     """
     if order not in (1, 2):
@@ -523,9 +533,9 @@ def differentiate(node: Node, order: int = 1) -> Node:
 
 def _d(node: Node) -> Node:
     if isinstance(node, Const):
-        return _const(0.0)
+        return Const(0.0)
     if isinstance(node, Var):
-        return _const(1.0)
+        return Const(1.0)
     if isinstance(node, Add):
         return add(_d(node.left), _d(node.right))
     if isinstance(node, Sub):
@@ -540,7 +550,7 @@ def _d(node: Node) -> Node:
         du = _d(u)
         if isinstance(v, Const):
             c = v.value
-            return mul(mul(_const(c), pow_(u, _const(c - 1.0))), du)
+            return mul(mul(Const(c), pow_(u, Const(c - 1.0))), du)
         # general u^v = exp(v ln u), valid for u > 0 at evaluation time
         dv = _d(v)
         return mul(Pow(u, v), add(mul(dv, Ln(u)), div(mul(v, du), u)))

@@ -54,8 +54,9 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
     """Value of the mean; arguments are sorted first, so symmetry is exact.
 
     All kinds except A require positive arguments. Stable forms are used
-    (log1p/expm1 of (b-a)/a, or log(b) - log(a) for L and I where (b-a)/a
-    overflows) so that homogeneity holds to rounding error.
+    (log1p/expm1 of (b-a)/a; log(b) - log(a) for L and I where (b-a)/a
+    overflows, and for Lp where its form overflows) so that homogeneity
+    holds to rounding error.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"mean arguments must be finite, got ({a!r}, {b!r})")
@@ -80,7 +81,19 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
     if kind.tag == "I":
         return a * math.exp((b / (b - a)) * math.log1p(r) - 1.0)
     p = kind.p
-    return a * (math.expm1((p + 1.0) * math.log1p(r)) / ((p + 1.0) * r)) ** (1.0 / p)
+    try:
+        v = a * (math.expm1((p + 1.0) * math.log1p(r)) / ((p + 1.0) * r)) ** (1.0 / p)
+    except (OverflowError, ZeroDivisionError):
+        v = math.nan
+    if math.isfinite(v):
+        return v
+    # x = log(L_p/b) <= 0, from (L_p/b)^p = (1 - e^-t)/((p+1)(1 - e^-lr))
+    # with t = (p+1)*lr, term by term so that nothing overflows
+    lr = math.log(b) - math.log(a)
+    t = (p + 1.0) * lr
+    x = (max(-t, 0.0) + math.log(-math.expm1(-abs(t)) / abs(p + 1.0))
+         - math.log(-math.expm1(-lr))) / p
+    return b * math.exp(min(x, 0.0)) if x > -700.0 else math.exp(math.log(b) + x)
 
 
 def lp_kind(p: float) -> MeanKind:

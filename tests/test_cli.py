@@ -258,6 +258,20 @@ class TestGoldenBytes:
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    def test_verify_json_same_across_hash_seeds(self):
+        """Nodes hash by identity, so a dict or set of nodes iterated in hash
+        order would change the bytes from one process to the next; two fresh
+        processes with different string hash seeds print the seed-0 report
+        pinned above."""
+        seed0 = "e200509b0e1cb0d55db5281c81f826b03780586fb16d2c124ffded9caff7e03b"
+        cmd = [sys.executable, "-m", "hhcheck", "verify", "--seed", "0", "--format", "json"]
+        env = {k: v for k, v in os.environ.items() if k != "HHC_SEED"}
+        for hash_seed in ("0", "12345"):
+            proc = subprocess.run(cmd, capture_output=True, timeout=120,
+                                  env={**env, "PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 1
+            assert hashlib.sha256(proc.stdout).hexdigest() == seed0
+
     def test_verdict_column_sha256(self):
         """The verdict of every record of build_suite at seeds 0-9, one per
         line: a change to the verdict test or its slack that moves this hash
@@ -502,14 +516,29 @@ class TestSinglePipeline:
         assert (code, out) == (2, "")
         assert err.startswith("error: Lp needs a finite exponent p, got ")
 
-    def test_means_nan_lp_value_flags_the_lp_row(self, capsys):
-        # L_0.5 .. L_5 are NaN at this pair; the row used to hold at -inf
+    def test_means_nan_lp_value_flags_the_lp_row(self, capsys, monkeypatch):
+        # a mean that gives NaN at p = 2; the row used to hold at -inf
+        real = hhcheck.means.mean
+        monkeypatch.setattr(hhcheck.means, "mean",
+                            lambda kind, a, b: math.nan if kind.p == 2.0 else real(kind, a, b))
         code, out, _ = _run(capsys, "means", "--a", "1e-300", "--b", "1e300",
                             "--format", "json")
         row = json.loads(out)["cases"][-1]
         assert code == 1
         assert row["rule"] == "Lp-monotone" and row["verdict"] == "flagged"
         assert math.isnan(row["lhs"]) and math.isnan(row["margin"])
+
+    @pytest.mark.parametrize("argv", [("--a", "1e-300", "--b", "1e300"),
+                                      ("--a", "1e-300", "--b", "1e300", "--grid=-2,0.5"),
+                                      ("--a", "1", "--b", "1e300")])
+    def test_means_extreme_pairs_hold(self, capsys, argv):
+        # NaN L_p values flagged the first, a ZeroDivisionError traceback
+        # ended the second and "math range error" (exit 2) the third
+        code, out, err = _run(capsys, "means", *argv, "--format", "json")
+        rows = json.loads(out)["cases"]
+        assert (code, err) == (0, "")
+        assert [r["verdict"] for r in rows] == ["holds"] * len(rows)
+        assert rows[-1]["rule"] == "Lp-monotone"
 
     def test_means_and_prop_records_match_the_suite(self, capsys):
         suite = [c.as_dict() for c in build_suite(seed=42).cases if c.case_id.startswith("means-")]

@@ -1,7 +1,10 @@
 """Expression parsing, printing, evaluation, and symbolic differentiation."""
 
+import gc
 import math
 import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -80,6 +83,76 @@ class TestParse:
         for text in ("x^2", "x^3", "exp(x)", "-ln(x)", "1/x"):
             node = parse(text)
             assert parse(to_text(node)) == node
+
+    def test_equal_trees_are_one_node(self):
+        for text in ("x^2 + 3*x - 1", "exp(x)/(1 + x^2) - abs(x)", "-ln(x)*x", "7"):
+            assert parse(text) is parse(text)
+        assert Var() is Var("x") and Var("t") is not Var("x")
+        assert Const(0.0) is not Const(-0.0) and Const(-0.0) is Const(-0.0)
+        # a constant is a float, whatever number built it first
+        assert Const(7) is Const(7.0) and type(Const(9).value) is float
+        assert parse("x + -0") is not parse("x + 0")
+        assert Add(Var("x"), Const(1.0)) is parse("x + 1")
+        assert differentiate(parse("x^3")) is Mul(Const(3.0), Pow(Var("x"), Const(2.0)))
+        # repr names each field
+        assert repr(parse("x + 1")) == "Add(left=Var(name='x'), right=Const(value=1.0))"
+        assert repr(parse("-t^2", var="t")) == \
+            "Neg(arg=Pow(base=Var(name='t'), exponent=Const(value=2.0)))"
+        assert str(parse("x^-2 + x^0.5")) == "x^-2 + x^0.5" and parse("x^2")(3.0) == 9.0
+
+    def test_nodes_are_immutable(self):
+        node = parse("x + 1")
+        for name, value in (("left", Var("t")), ("right", Const(2.0)), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(node, name, value)
+        with pytest.raises(AttributeError):
+            Const(1.0).value = 2.0
+        with pytest.raises(AttributeError):
+            del node.left
+        assert node is parse("x + 1") and node.right is Const(1.0)
+
+    def test_pickling_reinterns(self):
+        node = parse("exp(x)/(1 + x^2) - abs(x) + -0*x")
+        assert pickle.loads(pickle.dumps(node)) is node
+        h = HFunction.custom(parse("t*(2-t)", var="t"))
+        assert pickle.loads(pickle.dumps(h)).expr is h.expr
+        # a node pickles as its class and fields, and carries no hash
+        assert node.__reduce__() == (Add, (node.left, node.right))
+        assert Const(-0.0).__reduce__() == (Const, (-0.0,))
+
+    def test_threads_build_one_node_per_tree(self):
+        # six threads build the same new trees at once; each tree must come
+        # out as one object in every thread
+        texts = [f"(x + {i}.125)*exp(x - {i}.375) + x^{i}.5" for i in range(300)]
+        results, barrier = [], threading.Barrier(6)
+
+        def build():
+            barrier.wait(timeout=30)
+            results.append([parse(text) for text in texts])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 6
+        for nodes in results[1:]:
+            assert all(a is b for a, b in zip(results[0], nodes))
+
+    def test_node_table_is_weak(self):
+        table = hhcheck.expr._NODES
+        gc.collect()
+        before = len(table)
+        nodes = [parse(f"x*{i}.5 + {i}.25") for i in range(10_000)]
+        assert len(table) >= before + 39_000  # two Const, Mul and Add for most i
+        del nodes
+        gc.collect()
+        assert len(table) <= before + 5
 
 
 class TestParseErrors:
@@ -331,9 +404,9 @@ class TestGeneratedEvaluator:
     @pytest.mark.parametrize("backend", sorted(_AT_ONE))
     @pytest.mark.parametrize("order", [("-0*x", "0*x"), ("0*x", "-0*x")])
     def test_compile_cache_keeps_signed_zeros_apart(self, cold_caches, backend, order):
-        # the two trees are equal, Const(-0.0) == Const(0.0), but their values
-        # at x = 1 differ in sign, whichever is compiled first
-        assert parse("-0*x") == parse("0*x")
+        # the two trees are distinct nodes, Const(-0.0) is not Const(0.0), and
+        # their values at x = 1 differ in sign, whichever is compiled first
+        assert parse("-0*x") is not parse("0*x")
         for text in order:
             sign = -1.0 if text.startswith("-") else 1.0
             assert {math.copysign(1.0, v) for v in self._AT_ONE[backend](parse(text))} == {sign}
@@ -349,6 +422,21 @@ class TestGeneratedEvaluator:
         h = HFunction.custom(parse("t*(2-t)", var="t"))
         copy = pickle.loads(pickle.dumps(h))
         assert copy == h and copy.fn is h.fn
+
+    def test_equal_subtrees_are_computed_once(self, cold_caches, monkeypatch):
+        # f'' of 1/x is -(-1*(x + x))/(x*x*(x*x)): the float code computes
+        # x*x once and reuses it, with the same values and errors as a
+        # walk that computes every subtree
+        bodies, real = [], hhcheck.expr._factory
+        monkeypatch.setattr(hhcheck.expr, "_factory",
+                            lambda backend, body, n: bodies.append(body) or real(backend, body, n))
+        node = differentiate(parse("1/x"), 2)
+        assert str(node) == "-(-1*(x + x))/(x*x*(x*x))"
+        fn = compile_fn(node)
+        (body,) = bodies
+        assert body.count("x * x") == 1
+        for x in (0.5, -3.0, 1e-5, 1e100, 0.0, -0.0, 1e-200, 1e200):
+            assert _outcome(fn, x) == _outcome(lambda v: _ref_evaluate(node, v), x)
 
     def test_factory_cache_stays_bounded(self):
         factory = hhcheck.expr._factory
@@ -554,8 +642,9 @@ class TestDifferentiate:
 def _constants(node):
     if isinstance(node, Const):
         return [node.value]
-    return [v for child in vars(node).values() if isinstance(child, Node)
-            for v in _constants(child)]
+    children = [getattr(node, name) for name in ("left", "right", "base", "exponent", "arg")
+                if hasattr(node, name)]
+    return [v for child in children if isinstance(child, Node) for v in _constants(child)]
 
 
 class TestFiniteFolding:

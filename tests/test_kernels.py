@@ -499,10 +499,11 @@ class TestMomentCache:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_signed_zero_in_h_cannot_reach_a_moment(self, cold_caches, alpha):
-        # h = 0*t and h = -0*t are equal, so they share cache entries; the
-        # sign of a zero never reaches a moment's value, in either order
+        # h = 0*t and h = -0*t are distinct, so they have their own cache
+        # entries; the sign of a zero never reaches a moment's value, in
+        # either order
         zero, neg = (HFunction.custom(parse(t, var="t")) for t in ("0*t", "-0*t"))
-        assert zero == neg and zero.fn(0.5) == 0.0 and str(neg.fn(0.5)) == "-0.0"
+        assert zero != neg and zero.fn(0.5) == 0.0 and str(neg.fn(0.5)) == "-0.0"
         hp = HolderPair.from_p(3.0)
 
         def moments(h):

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import hhcheck.means
 from hhcheck import (
     MEAN_TAGS,
     MeanKind,
@@ -93,6 +94,32 @@ class TestMeanFixtures:
         assert math.isfinite(r)
         assert mean(L, a, b) == (b - a) / math.log1p(r)
         assert mean(I, a, b) == a * math.exp((b / (b - a)) * math.log1p(r) - 1.0)
+
+
+    def test_overflowing_ratio_keeps_lp_finite(self):
+        # the form with expm1 and log1p of (b - a)/a gave NaN at p in
+        # {0.5, 1, 2, 5} and raised ZeroDivisionError at p = -2
+        a, b = 1e-300, 1e300
+        grid = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 5.0)
+        lp = {p: mean(LP(p), a, b) for p in grid if p not in (-1.0, 0.0)}
+        assert lp[-2.0] == pytest.approx(mean(G, a, b), rel=1e-13) and mean(G, a, b) == 1.0
+        assert lp[0.5] == pytest.approx(b / 2.25, rel=1e-13)
+        assert lp[1.0] == pytest.approx(mean(A, a, b), rel=1e-15)
+        assert lp[2.0] == pytest.approx(b / math.sqrt(3.0), rel=1e-13)
+        assert lp[5.0] == pytest.approx(b / 6.0 ** 0.2, rel=1e-13)
+        vals = [mean(hhcheck.means.lp_kind(p), a, b) for p in grid]
+        assert all(map(math.isfinite, vals)) and vals == sorted(vals)
+        assert lp_monotonicity_check(a, b, grid)
+        # (p + 1)*log1p((b - a)/a) overflowed expm1 here
+        assert mean(LP(5.0), 1.0, 1e300) == pytest.approx(1e300 / 6.0 ** 0.2, rel=1e-13)
+
+    @pytest.mark.parametrize("a,b", [(2.0, 3.0), (1e-3, 1e3), (1.0, 1e50), (1e-200, 1e-150)])
+    @pytest.mark.parametrize("p", [-3.0, -2.0, -0.5, 0.5, 1.0, 2.0, 5.0])
+    def test_finite_lp_keeps_its_formula(self, a, b, p):
+        r = (b - a) / a
+        expected = a * (math.expm1((p + 1.0) * math.log1p(r)) / ((p + 1.0) * r)) ** (1.0 / p)
+        assert math.isfinite(expected)
+        assert mean(LP(p), a, b) == expected
 
 
 class TestMeanKindValidation:
@@ -193,13 +220,13 @@ class TestLpEdges:
         assert 1.9 < v < 2.0
         assert v > mean(LP(5.0), a, b)
 
-    def test_nan_value_flags_the_decrease(self):
-        # at (1e-300, 1e300) L_0.5 .. L_5 are NaN; max() over the
+    def test_nan_value_flags_the_decrease(self, monkeypatch):
+        # a mean that gives NaN at p = 2 inside the grid: max() over the
         # differences would drop every NaN after the first
         grid = (-1.0, 0.0, 0.5, 1.0, 2.0, 5.0)
-        vals = [mean(L, 1e-300, 1e300), mean(I, 1e-300, 1e300)]
-        vals += [mean(LP(p), 1e-300, 1e300) for p in grid[2:]]
-        assert sum(map(math.isnan, vals)) == 4
+        real = hhcheck.means.mean
+        monkeypatch.setattr(hhcheck.means, "mean",
+                            lambda kind, a, b: math.nan if kind.p == 2.0 else real(kind, a, b))
         worst, _ = lp_worst_decrease(1e-300, 1e300, grid)
         assert math.isnan(worst)
         assert not lp_monotonicity_check(1e-300, 1e300, grid)
