@@ -29,9 +29,9 @@ guarantee; their verdicts are recorded empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .convexity import ConvexityClass, MembershipReport, hypothesis_membership, within
 from .errors import DomainError
@@ -93,8 +93,7 @@ class BoundInstance:
             raise ValueError(f"rule {self.rule_id} takes no Holder pair")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     rule_id: str
     lhs: float
     rhs: float
@@ -207,8 +206,7 @@ def _root_q(inner: float, q: float, rule: str) -> float:
     return inner ** (1.0 / q)
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(NamedTuple):
     """One deviation rule as data. With ends E = (D(a), D(b)) for order 1 or
     (D(a),) for order 2, Dm = D(xm) or D(b/m) and M the kernel moment:
 
@@ -250,8 +248,8 @@ _RULES = {
     "T6": _Rule(2, "M2", False, _PREFACTOR["T6"], "root", 6.0),
     "C4": _Rule(2, "C4", False, _PREFACTOR["T6"], "linear", 6.0, w=1.0),
 }
-_T1_TIGHT = replace(_RULES["T1"], k=1.0, w=2.0,
-                    note="tight variant in use; rhs uses the sharper bracket")
+_T1_TIGHT = _RULES["T1"]._replace(k=1.0, w=2.0,
+                                  note="tight variant in use; rhs uses the sharper bracket")
 
 
 def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float) -> BoundReport:
@@ -355,8 +353,7 @@ def verify(
         report = bound_first_derivative(inst, variant=variant, tol=tol)
     else:
         report = bound_second_derivative(inst, tol=tol)
-    return replace(
-        report,
+    return report._replace(
         membership=membership,
         hypothesis_verified=membership is not None and membership.ok,
         notes=report.notes + extra,

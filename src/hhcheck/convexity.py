@@ -49,11 +49,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, islice, product
 from operator import add, itemgetter, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError
 from .expr import (Abs, Const, DomainInterval, Node, Pow, compile_fn, compile_interval,
@@ -170,6 +170,9 @@ class HFunction:
         return type(self), (self.kind, self.s, self.expr)
 
 
+_IDENTITY_H = HFunction.identity()  # the default h of every ConvexityClass
+
+
 def evaluate_h(h: HFunction, t: float, alpha: float) -> float:
     """Return h(t)^alpha for t in (0,1), calling h.fn; alpha = 0 gives 1 by
     convention. A negative h(t) is a precondition failure."""
@@ -192,7 +195,7 @@ class ConvexityClass:
     """
 
     sense: str
-    h: HFunction = field(default_factory=HFunction.identity)
+    h: HFunction = _IDENTITY_H
     alpha: float = 1.0
     m: float = 1.0
     s: float = 1.0
@@ -222,8 +225,7 @@ class ConvexityClass:
         return ";".join(parts)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     x: float
     y: float
     lam: float
@@ -231,8 +233,7 @@ class Witness:
     rhs: float
 
 
-@dataclass(frozen=True)
-class MembershipProof:
+class MembershipProof(NamedTuple):
     """How a proof went: the pieces the domain was split into, and the least
     lower bound of g'' over them, for the function proven convex (|u| when
     g = |u|^q; 0.0 for a constant g)."""
@@ -241,8 +242,7 @@ class MembershipProof:
     least_g2: float
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """A search's verdict after samples_used triples, with the witness of a
     counterexample; or "proven", from hypothesis_membership's prover alone,
     with samples_used 0 and the proof record."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .convexity import HFunction, evaluate_h
 from .errors import DomainError, NonConvergenceError
@@ -64,8 +64,7 @@ class HolderPair:
         return cls(p, p / (p - 1.0))
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: float
     abs_error_estimate: float
     subdivisions: int
@@ -118,9 +117,11 @@ def _panel(lo: float, hi: float) -> tuple[float, tuple]:
     return hw, tuple(nodes)
 
 
-# the reference integrator's accuracy; integrate_adaptive alone reads these
+# the reference integrator's accuracy and work budget; integrate_adaptive
+# alone reads these
 _TOL = 1e-12
 _MAX_DEPTH = 60
+_MAX_PANELS = 1000
 
 
 def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
@@ -134,7 +135,9 @@ def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
     endpoints themselves are never evaluated. The error estimate per panel
     is |K15 - G7|, accepted at 1e-12 times the panel's width in u or at depth
     60; the converged flag is honest: it is set only when the accumulated
-    estimate meets 1e-12 and no panel stopped at depth 60.
+    estimate meets 1e-12 and no panel stopped at depth 60. After 1000
+    panels the run stops, with the panels left unsummed, and is not
+    converged, so no integrand can make it run on.
 
     The change of variable at a panel's nodes is read from _panel, an
     lru_cache made by the same operations per node, so no bit changes.
@@ -148,7 +151,7 @@ def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
     panels = 0
     depth_exhausted = False
     stack = [(0.0, 1.0, 0)]
-    while stack:
+    while stack and panels < _MAX_PANELS:
         lo, hi, depth = stack.pop()
         hw, nodes = _panel(lo, hi)
         val, err = _g7k15([fc(a + width * s) * width * jac for s, jac in nodes], hw)
@@ -163,7 +166,7 @@ def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
             mid = 0.5 * (lo + hi)
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
-    converged = (not depth_exhausted) and err_total <= _TOL
+    converged = not (stack or depth_exhausted) and err_total <= _TOL
     return IntegralResult(total, err_total, panels, converged)
 
 
@@ -181,8 +184,7 @@ def integral(f: Union[Node, Callable[[float], float]], a: float, b: float,
     return res
 
 
-@dataclass(frozen=True)
-class KernelMoment:
+class KernelMoment(NamedTuple):
     kind: str
     value: float
     method: str  # "closed-form" | "adaptive"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .convexity import relative_slack, within
 from .errors import DomainError
@@ -159,8 +159,7 @@ class PropositionInstance:
         return self.p / (self.p - 1.0)
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     id: str
     lhs: float
     rhs: float

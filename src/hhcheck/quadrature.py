@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bounds import _mean_integral
 from .convexity import ConvexityClass, MembershipReport, hypothesis_membership, within
@@ -125,8 +125,7 @@ def error_bound_trapezoid(f: Node, K: Partition, alpha: float, m: float, p: floa
     return total
 
 
-@dataclass(frozen=True)
-class QuadratureReport:
+class QuadratureReport(NamedTuple):
     rule: str  # "midpoint" | "trapezoid"
     value: float
     reference: float

@@ -23,7 +23,7 @@ assumption is not established; the numbers are still reported).
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from ._version import __version__
 from .bounds import (
@@ -61,13 +61,13 @@ QUAD_FUNCTIONS = (
 )
 
 _P_GRID = (1.5, 2.0, 4.0)
+_HOLDER_PAIRS = tuple(HolderPair.from_p(p) for p in _P_GRID)
 _PROP_P_GRID = (1.1, 1.5, 2.0, 4.0, 10.0)
 _LP_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 5.0)
 _MEMBERSHIP_SAMPLES = 500
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     case_id: str
     rule: str
     params: str
@@ -77,11 +77,10 @@ class CaseRecord:
     verdict: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     version: str
     seed: int
     cases: tuple
@@ -103,7 +102,10 @@ class SuiteReport:
         return cls(__version__, seed, tuple(cases), summary)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """Fresh containers, each record a dict: a record is a tuple, which
+        json would write as an array."""
+        return {"version": self.version, "seed": self.seed,
+                "cases": [c._asdict() for c in self.cases], "summary": dict(self.summary)}
 
 
 def _fmt(v) -> str:
@@ -187,8 +189,7 @@ def _bound_rows(rng: random.Random, seed: int, tol: float):
         a = rng.uniform(0.1, 1.5)
         b = a + rng.uniform(0.4, 1.5)
         for rule in RULE_IDS:
-            holder = (HolderPair.from_p(p) for p in _P_GRID) if rule in HOLDER_RULES else (None,)
-            for hp in holder:
+            for hp in _HOLDER_PAIRS if rule in HOLDER_RULES else (None,):
                 inst = BoundInstance(rule, f, a, b, cls, hp)
                 rep = verify_bound(inst, tol=tol, seed=seed, samples=_MEMBERSHIP_SAMPLES)
                 yield bound_row(name, inst, rep)

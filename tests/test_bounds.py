@@ -11,6 +11,7 @@ from hhcheck import (
     FIRST_DERIVATIVE_RULES,
     HFunction,
     HolderPair,
+    NonConvergenceError,
     RULE_IDS,
     SECOND_DERIVATIVE_RULES,
     bound_first_derivative,
@@ -27,6 +28,7 @@ from hhcheck import (
     verify,
 )
 from hhcheck.convexity import hypothesis_membership
+from hhcheck.kernels import _MAX_PANELS
 
 BASELINE = ConvexityClass("h_alpha_m")  # h = t, alpha = 1, m = 1
 SQ = parse("x^2")
@@ -353,6 +355,18 @@ class TestVerify:
         inst = BoundInstance("T4", SQ, 0.0, 1.0, BASELINE)
         rep = verify(inst, samples=200)
         assert any("twice-differentiable" in n for n in rep.notes)
+
+
+class TestIntegratorBudget:
+    """Integrals whose rounding noise never meets the per-panel test stop
+    at the panel budget: the run time is bounded by the budget."""
+
+    @pytest.mark.parametrize("f, a, b", [("exp(x)", 10.0, 11.0), ("1e9*x^2", 0.0, 1.0)])
+    def test_t4_reports_nonconvergence(self, f, a, b):
+        inst = BoundInstance("T4", parse(f), a, b, BASELINE)
+        with pytest.raises(NonConvergenceError,
+                           match=rf"^reference integral .* after {_MAX_PANELS} panels\)$"):
+            bound_second_derivative(inst)
 
 
 class TestDominanceSmoke:

@@ -136,6 +136,13 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: overflow\n"
 
+    @pytest.mark.parametrize("f, a, b", [("exp(x)", "10", "11"), ("1e9*x^2", "0", "1")])
+    def test_integrator_budget_exits_two(self, capsys, f, a, b):
+        code, out, err = _run(capsys, "bound", "--rule", "T4", f"--f={f}", "--a", a, "--b", b)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: reference integral over [{a}, {b}] did not converge")
+
     @pytest.mark.parametrize("argv", [
         ("bound", "--rule", "T2", "--f", "x^2", "--a", "0", "--b", "1", "--p", "inf"),
         ("quad", "--rule", "midpoint", "--f", "x^2", "--a", "0", "--b", "1", "--n", "4",

@@ -133,6 +133,18 @@ class TestIntegrateAdaptive:
         r = integrate_adaptive(lambda t: 1.0 / t, 0.0, 1.0)
         assert not r.converged
 
+    def test_panel_budget_bounds_the_work(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 1.0 / t
+
+        r = integrate_adaptive(f, 0.0, 1.0)
+        assert not r.converged
+        assert r.subdivisions == kernels._MAX_PANELS
+        assert len(calls) == 15 * kernels._MAX_PANELS
+
     def test_error_estimate_is_honest(self):
         r = integrate_adaptive(parse("exp(x)"), 0.0, 1.0)
         assert abs(r.value - (math.e - 1.0)) <= max(r.abs_error_estimate, 1e-13)
@@ -349,7 +361,8 @@ def _closure_g7k15(f, lo, hi):
 
 def _closure_integrate(f, a, b):
     """integrate_adaptive as it was before the node table: a closure g
-    evaluates the change of variable and its Jacobian at every node."""
+    evaluates the change of variable and its Jacobian at every node. It
+    stops at the same panel budget."""
     fc = compile_fn(f) if isinstance(f, hhcheck.Node) else f
     width = b - a
 
@@ -362,7 +375,7 @@ def _closure_integrate(f, a, b):
     total = err_total = 0.0
     panels, depth_exhausted = 0, False
     stack = [(0.0, 1.0, 0)]
-    while stack:
+    while stack and panels < kernels._MAX_PANELS:
         lo, hi, depth = stack.pop()
         val, err = _closure_g7k15(g, lo, hi)
         panels += 1
@@ -375,7 +388,7 @@ def _closure_integrate(f, a, b):
             mid = 0.5 * (lo + hi)
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
-    converged = (not depth_exhausted) and err_total <= kernels._TOL
+    converged = not (stack or depth_exhausted) and err_total <= kernels._TOL
     return hhcheck.IntegralResult(total, err_total, panels, converged)
 
 
