@@ -29,13 +29,13 @@ guarantee; their verdicts are recorded empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .convexity import ConvexityClass, MembershipReport, hypothesis_membership, within
 from .errors import DomainError
-from .expr import Abs, Const, DomainInterval, Node, Pow, compile_fn, differentiate, evaluate
+from .expr import (Abs, Const, DomainInterval, Node, Pow, Value, compile_fn, differentiate,
+                   evaluate)
 from .kernels import HolderPair, beta, integral, kernel_moment
 
 __all__ = [
@@ -65,32 +65,33 @@ _NOTE_EMPIRICAL = "no dominance guarantee for this rule; verdict recorded empiri
 _IDENTITY_SIDE = "identity-side integral over [0,1]"
 
 
-@dataclass(frozen=True)
-class BoundInstance:
+class BoundInstance(Value):
     """One (rule, function, interval, class, Holder pair) problem."""
 
-    rule_id: str
-    f: Node
-    a: float
-    b: float
-    cls: ConvexityClass
-    hp: Optional[HolderPair] = None
+    __slots__ = _fields = ("rule_id", "f", "a", "b", "cls", "hp")
 
-    def __post_init__(self):
-        if self.rule_id not in RULE_IDS:
-            raise ValueError(f"unknown rule {self.rule_id!r}; expected one of {RULE_IDS}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise ValueError(f"need finite a < b, got ({self.a!r}, {self.b!r})")
-        if self.cls.sense != "h_alpha_m":
+    def __init__(self, rule_id: str, f: Node, a: float, b: float, cls: ConvexityClass,
+                 hp: Optional[HolderPair] = None):
+        if rule_id not in RULE_IDS:
+            raise ValueError(f"unknown rule {rule_id!r}; expected one of {RULE_IDS}")
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"need finite a < b, got ({a!r}, {b!r})")
+        if cls.sense != "h_alpha_m":
             # every coefficient is a functional of (h, alpha, m)
             raise ValueError(
-                f"bound rules are parameterized by the h_alpha_m sense, got {self.cls.sense!r}"
+                f"bound rules are parameterized by the h_alpha_m sense, got {cls.sense!r}"
             )
-        if self.rule_id in HOLDER_RULES:
-            if self.hp is None:
-                raise ValueError(f"rule {self.rule_id} requires a Holder pair")
-        elif self.hp is not None:
-            raise ValueError(f"rule {self.rule_id} takes no Holder pair")
+        if rule_id in HOLDER_RULES:
+            if hp is None:
+                raise ValueError(f"rule {rule_id} requires a Holder pair")
+        elif hp is not None:
+            raise ValueError(f"rule {rule_id} takes no Holder pair")
+        object.__setattr__(self, "rule_id", rule_id)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "hp", hp)
 
 
 class BoundReport(NamedTuple):

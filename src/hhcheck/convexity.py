@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, islice, product
 from operator import add, itemgetter, mul
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError
-from .expr import (Abs, Const, DomainInterval, Node, Pow, compile_fn, compile_interval,
+from .expr import (Abs, Const, DomainInterval, Node, Pow, Value, compile_fn, compile_interval,
                    differentiate, neg)
 
 __all__ = [
@@ -116,8 +115,7 @@ _H_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class HFunction:
+class HFunction(Value):
     """Weight function h on (0,1). kind selects a family:
 
     identity h(t)=t, power h(t)=t^s with s in (0,1], constant_one h(t)=1,
@@ -127,18 +125,20 @@ class HFunction:
     fields, so ==, hash, repr and pickling see kind, s and expr only.
     """
 
-    kind: str
-    s: float = 1.0
-    expr: Optional[Node] = None
+    _fields = ("kind", "s", "expr")
+    __slots__ = _fields + ("fn", "exponent", "text")
 
-    def __post_init__(self):
-        if self.kind not in _H_KINDS:
-            raise ValueError(f"unknown h kind {self.kind!r}")
-        if self.kind == "power" and not (0.0 < self.s <= 1.0):
-            raise ValueError(f"power h needs s in (0,1], got {self.s!r}")
-        if self.kind == "custom" and self.expr is None:
+    def __init__(self, kind: str, s: float = 1.0, expr: Optional[Node] = None):
+        if kind not in _H_KINDS:
+            raise ValueError(f"unknown h kind {kind!r}")
+        if kind == "power" and not (0.0 < s <= 1.0):
+            raise ValueError(f"power h needs s in (0,1], got {s!r}")
+        if kind == "custom" and expr is None:
             raise ValueError("custom h needs an expression")
-        for name, value in zip(("fn", "exponent", "text"), _H_KINDS[self.kind](self)):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "expr", expr)
+        for name, value in zip(("fn", "exponent", "text"), _H_KINDS[kind](self)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -186,36 +186,37 @@ def evaluate_h(h: HFunction, t: float, alpha: float) -> float:
     return hv ** alpha
 
 
-@dataclass(frozen=True)
-class ConvexityClass:
+class ConvexityClass(Value):
     """Parameter bundle (sense, h, alpha, m, s) naming one convexity class.
 
     Fields irrelevant to the chosen sense must be left at their defaults
     (h identity, alpha = m = s = 1).
     """
 
-    sense: str
-    h: HFunction = _IDENTITY_H
-    alpha: float = 1.0
-    m: float = 1.0
-    s: float = 1.0
+    __slots__ = _fields = ("sense", "h", "alpha", "m", "s")
 
-    def __post_init__(self):
-        if self.sense not in SENSES:
-            raise ValueError(f"unknown sense {self.sense!r}; expected one of {SENSES}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0,1], got {self.alpha!r}")
-        if not (0.0 < self.m <= 1.0):
-            raise ValueError(f"m must lie in (0,1], got {self.m!r}")
-        if not (0.0 < self.s <= 1.0):
-            raise ValueError(f"s must lie in (0,1], got {self.s!r}")
-        used = SENSE_PARAMS[self.sense]
-        for name, value, default in (("h", self.h.kind, "identity"), ("alpha", self.alpha, 1),
-                                     ("m", self.m, 1), ("s", self.s, 1)):
+    def __init__(self, sense: str, h: HFunction = _IDENTITY_H, alpha: float = 1.0,
+                 m: float = 1.0, s: float = 1.0):
+        if sense not in SENSES:
+            raise ValueError(f"unknown sense {sense!r}; expected one of {SENSES}")
+        if not (0.0 <= alpha <= 1.0):
+            raise ValueError(f"alpha must lie in [0,1], got {alpha!r}")
+        if not (0.0 < m <= 1.0):
+            raise ValueError(f"m must lie in (0,1], got {m!r}")
+        if not (0.0 < s <= 1.0):
+            raise ValueError(f"s must lie in (0,1], got {s!r}")
+        used = SENSE_PARAMS[sense]
+        for name, value, default in (("h", h.kind, "identity"), ("alpha", alpha, 1),
+                                     ("m", m, 1), ("s", s, 1)):
             if name not in used and value != default:
                 raise ValueError(
-                    f"sense {self.sense!r} does not use {name}; leave it at {default}"
+                    f"sense {sense!r} does not use {name}; leave it at {default}"
                 )
+        object.__setattr__(self, "sense", sense)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
 
     def describe(self) -> str:
         parts = [f"sense={self.sense}"]

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable
 
 from .errors import DomainError, ParseError
@@ -136,8 +136,44 @@ class Neg(Node):
     __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
-class DomainInterval:
+class Value:
+    """Base of the immutable classes that check their input when built. Each
+    writes its own __init__, which checks and stores with object.__setattr__.
+    == and the hash see the _fields, within one class only. repr shows _args,
+    the constructor's parameters (by default the _fields), as a dataclass's
+    would, and pickling and copying call the constructor, so it checks again."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if "_fields" in cls.__dict__:  # else the class keeps its base's
+            get = attrgetter(*cls._fields)  # one name gives the value, not a 1-tuple
+            cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+            cls._args = cls.__dict__.get("_args", cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._args)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
+        return f"{type(self).__qualname__}({args})"
+
+
+class DomainInterval(Value):
     """A real interval with open/closed endpoint flags.
 
     The endpoints are stored as floats, and equality and the hash also see
@@ -147,21 +183,21 @@ class DomainInterval:
     domain needs nothing more.
     """
 
-    lo: float
-    hi: float
-    open_lo: bool = False
-    open_hi: bool = False
-    signs: tuple = field(init=False, repr=False)  # (copysign(1.0, lo), copysign(1.0, hi))
+    _args = ("lo", "hi", "open_lo", "open_hi")
+    __slots__ = _fields = _args + ("signs",)  # signs: (copysign(1.0, lo), copysign(1.0, hi))
 
-    def __post_init__(self):
-        for name, v in (("lo", self.lo), ("hi", self.hi)):
+    def __init__(self, lo: float, hi: float, open_lo: bool = False, open_hi: bool = False):
+        for name, v in (("lo", lo), ("hi", hi)):
             if not math.isfinite(v):
                 raise ValueError(f"interval endpoint {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
-        if not (self.lo < self.hi):
-            raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "signs", (math.copysign(1.0, self.lo),
-                                           math.copysign(1.0, self.hi)))
+        lo, hi = float(lo), float(hi)
+        if not (lo < hi):
+            raise ValueError(f"interval requires lo < hi, got [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "open_lo", open_lo)
+        object.__setattr__(self, "open_hi", open_hi)
+        object.__setattr__(self, "signs", (math.copysign(1.0, lo), math.copysign(1.0, hi)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ Gauss-Kronrod integrator supplies the value or reports non-convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Union
 
 from .convexity import HFunction, evaluate_h
 from .errors import DomainError, NonConvergenceError
-from .expr import Node, compile_fn
+from .expr import Node, Value, compile_fn
 
 __all__ = [
     "beta", "check_holder_exponent", "HolderPair", "IntegralResult", "KernelMoment",
@@ -46,17 +45,17 @@ def check_holder_exponent(p: float) -> float:
     return p
 
 
-@dataclass(frozen=True)
-class HolderPair:
+class HolderPair(Value):
     """Conjugate exponents with 1/p + 1/q = 1, built from a finite p > 1."""
 
-    p: float
-    q: float
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self):
-        check_holder_exponent(self.p)
-        if not (abs(1.0 / self.p + 1.0 / self.q - 1.0) <= 1e-12):  # False for q = nan
-            raise ValueError(f"(p={self.p!r}, q={self.q!r}) are not conjugate")
+    def __init__(self, p: float, q: float):
+        check_holder_exponent(p)
+        if not (abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12):  # False for q = nan
+            raise ValueError(f"(p={p!r}, q={q!r}) are not conjugate")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def from_p(cls, p: float) -> "HolderPair":

@@ -12,11 +12,11 @@ hold/flag outcomes; a failing instance is recorded, never raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .convexity import relative_slack, within
 from .errors import DomainError
+from .expr import Value
 from .kernels import beta, check_holder_exponent
 
 __all__ = [
@@ -30,21 +30,21 @@ PROPOSITION_IDS = ("P1", "P2", "P3", "P4")
 MEAN_CHAIN = ("H", "G", "L", "I", "A")  # non-decreasing for every positive pair
 
 
-@dataclass(frozen=True)
-class MeanKind:
-    tag: str
-    p: Optional[float] = None
+class MeanKind(Value):
+    __slots__ = _fields = ("tag", "p")
 
-    def __post_init__(self):
-        if self.tag not in MEAN_TAGS:
-            raise ValueError(f"unknown mean {self.tag!r}; expected one of {MEAN_TAGS}")
-        if self.tag == "Lp":
-            if self.p is None or not math.isfinite(self.p):
-                raise ValueError(f"Lp needs a finite exponent p, got {self.p!r}")
-            if self.p in (-1.0, 0.0):
+    def __init__(self, tag: str, p: Optional[float] = None):
+        if tag not in MEAN_TAGS:
+            raise ValueError(f"unknown mean {tag!r}; expected one of {MEAN_TAGS}")
+        if tag == "Lp":
+            if p is None or not math.isfinite(p):
+                raise ValueError(f"Lp needs a finite exponent p, got {p!r}")
+            if p in (-1.0, 0.0):
                 raise ValueError("Lp at p=-1 is L and at p=0 is I; use those tags")
-        elif self.p is not None:
-            raise ValueError(f"mean {self.tag} takes no exponent")
+        elif p is not None:
+            raise ValueError(f"mean {tag} takes no exponent")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "p", p)
 
     def describe(self) -> str:
         return f"L_{self.p:g}" if self.tag == "Lp" else self.tag
@@ -134,25 +134,25 @@ def lp_monotonicity_check(a: float, b: float, p_grid) -> bool:
     return within(worst, 0.0, eps)
 
 
-@dataclass(frozen=True)
-class PropositionInstance:
-    id: str
-    a: float
-    b: float
-    p: float
-    n: Optional[int] = None
+class PropositionInstance(Value):
+    __slots__ = _fields = ("id", "a", "b", "p", "n")
 
-    def __post_init__(self):
-        if self.id not in PROPOSITION_IDS:
-            raise ValueError(f"unknown proposition {self.id!r}")
-        if not (0.0 < self.a < self.b):
-            raise ValueError(f"need 0 < a < b, got ({self.a!r}, {self.b!r})")
-        check_holder_exponent(self.p)
-        if self.id == "P4":
-            if self.n is None:
+    def __init__(self, id: str, a: float, b: float, p: float, n: Optional[int] = None):
+        if id not in PROPOSITION_IDS:
+            raise ValueError(f"unknown proposition {id!r}")
+        if not (0.0 < a < b):
+            raise ValueError(f"need 0 < a < b, got ({a!r}, {b!r})")
+        check_holder_exponent(p)
+        if id == "P4":
+            if n is None:
                 raise ValueError("P4 needs the integer exponent n")
-        elif self.n is not None:
-            raise ValueError(f"{self.id} takes no exponent n")
+        elif n is not None:
+            raise ValueError(f"{id} takes no exponent n")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
 
     @property
     def q(self) -> float:

@@ -20,12 +20,11 @@ the reference integral cached in `bounds` and reports whether the bound held.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .bounds import _mean_integral
 from .convexity import ConvexityClass, MembershipReport, hypothesis_membership, within
-from .expr import Abs, DomainInterval, Node, compile_fn, differentiate
+from .expr import Abs, DomainInterval, Node, Value, compile_fn, differentiate
 from .kernels import beta, check_holder_exponent
 
 __all__ = [
@@ -35,14 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Strictly increasing points x_0 < ... < x_n with n >= 1 panels."""
 
-    points: tuple
+    __slots__ = _fields = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(float(x) for x in self.points)
+    def __init__(self, points: tuple):
+        pts = tuple(float(x) for x in points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError("a partition needs at least two points")

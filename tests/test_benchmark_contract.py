@@ -10,6 +10,8 @@ files by path and fail first.
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -143,3 +145,18 @@ def test_verify_suite_op_runs_and_checks(workloads):
     w = workloads.VerifySuite(7, str(ROOT))
     seed = w.next_input()
     assert w.check(seed, w.run(seed)) == 318
+
+
+def test_traced_cli_child_matches_the_cli():
+    """perfbench/cli_child.py runs one traced CLI process. Its tracer wraps
+    functions in every hhcheck module, so the CLI must have imported all of
+    them; with the tracer installed it answers as `python -m hhcheck` does."""
+    argv = ["check-class", "--f=x^2", "--sense", "convex", "--a", "0", "--b", "1",
+            "--format", "json"]
+    traced, plain = (subprocess.run([sys.executable, *cmd, *argv], capture_output=True,
+                                    text=True, timeout=120, cwd=ROOT)
+                     for cmd in ([str(ROOT / "perfbench" / "cli_child.py")], ["-m", "hhcheck"]))
+    assert plain.returncode == 0 and json.loads(plain.stdout)["cases"]
+    assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+    calls = json.loads(traced.stderr.splitlines()[-1])["calls"]
+    assert calls["cli.run"] == 1 and calls["convexity.check_membership"] == 1

@@ -1,6 +1,5 @@
 """Membership checking for the eight convexity senses."""
 
-import dataclasses
 import inspect
 import math
 import pickle
@@ -104,7 +103,7 @@ class TestHFunction:
         # HFunctions, each with its own compiled fn
         a, b = (HFunction.custom(parse(text, var="t")) for text in ("t*(2-t) + 0", "t*(2-t) + -0"))
         assert a.fn is not b.fn and a != b
-        assert [f.name for f in dataclasses.fields(HFunction)] == ["kind", "s", "expr"]
+        assert HFunction._fields == ("kind", "s", "expr")
         assert repr(HFunction.power(0.5)) == "HFunction(kind='power', s=0.5, expr=None)"
         for h in (a, HFunction.power(0.5), HFunction.identity()):
             copy = pickle.loads(pickle.dumps(h))
