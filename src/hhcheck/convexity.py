@@ -252,7 +252,6 @@ class MembershipReport(NamedTuple):
     samples_used: int
     witness: Optional[Witness]
     seed: int
-    exponent_reading: Optional[str] = None
     proof: Optional[MembershipProof] = None
 
     @property
@@ -487,15 +486,14 @@ def check_membership(
     caller that has made the checks; by default the search makes them.
     """
     gc, xs, gxs = checked or _preconditions(g, cls, dom, samples)
-    reading = "mu^(alpha*s)" if cls.sense.startswith("s_alpha_m") else None
     used = 0
     for triples, n, span in _scans(cls, dom, gc, xs, gxs, samples, seed, tol):
         found = None if span is None else _replay(islice(triples, *span), gc, cls, tol)
         if found is not None:
             i, w = found
-            return MembershipReport("counterexample", used + span[0] + i + 1, w, seed, reading)
+            return MembershipReport("counterexample", used + span[0] + i + 1, w, seed)
         used += n
-    return MembershipReport("no-counterexample-found", used, None, seed, reading)
+    return MembershipReport("no-counterexample-found", used, None, seed)
 
 
 # senses whose coefficients are plain convexity's at h = t and alpha = m = 1

@@ -249,7 +249,6 @@ _INTERVAL_OPS = {
     Ln: (lambda a: f"_iln({a})", ()), Abs: (lambda a: f"_iabs({a})", None),
     Neg: (lambda a: f"_ineg({a})", None),
 }
-_UNARY = frozenset({Exp, Ln, Abs, Neg})
 _INDENT = "\n            "
 _TEMPLATE = """\
 def make({params}):
@@ -268,9 +267,10 @@ def make({params}):
 
 
 def _emit(node: Node, lines: list, consts: list, ops: dict, memo: dict) -> str:
-    """Append the statements computing node to lines and return the operand
-    that holds its value, with the backend's node templates ops. memo maps
-    each subtree already emitted to its operand."""
+    """Append the statements computing node to lines, after those of its
+    operands in the order of its _fields, and return the operand that holds
+    its value, with the backend's node templates ops. memo maps each subtree
+    already emitted to its operand."""
     kind = type(node)
     if kind is Const:
         consts.append(node.value)
@@ -282,14 +282,10 @@ def _emit(node: Node, lines: list, consts: list, ops: dict, memo: dict) -> str:
     if kind not in ops:
         raise TypeError(f"not an expression node: {node!r}")
     template, checks = ops[kind]
-    if kind is Pow:
-        code = template(_emit(node.base, lines, consts, ops, memo),
-                        _emit(node.exponent, lines, consts, ops, memo))
-    elif kind in _UNARY:
-        code = template(_emit(node.arg, lines, consts, ops, memo))
-    else:
-        code = template(_emit(node.left, lines, consts, ops, memo),
-                        _emit(node.right, lines, consts, ops, memo))
+    operands = []
+    for name in kind._fields:
+        operands.append(_emit(getattr(node, name), lines, consts, ops, memo))
+    code = template(*operands)
     if checks is not None:
         v = f"v{len(lines)}"  # unique: each temporary appends at least one line
         lines.append(f"{v} = {code}")
@@ -602,16 +598,25 @@ def _d(node: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Parser. Grammar (whitespace insignificant):
-#   expr   := term (('+'|'-') term)*
-#   term   := factor (('*'|'/') factor)*
+# Parser, by precedence climbing (Pratt, Top Down Operator Precedence,
+# 1973). Grammar (whitespace insignificant):
+#   expr   := factor (BINOP factor)*   with _BINARY's precedences, each
+#                                      operator grouping left to right
 #   factor := '-' factor | base ('^' factor)?
 #   base   := NUMBER | VAR | '(' expr ')' | FUNC '(' expr ')'
 #   FUNC   := 'exp' | 'ln' | 'abs'
 # Prefix minus lives at factor level, so "-x^2" means -(x^2) and exponents
 # may themselves be negated ("x^-2").
+#
+# Two depths are bounded by _MAX_DEPTH, each counting a leaf as one level:
+# the parentheses, functions, prefix minus signs and exponents open around
+# a factor, checked on the way down, and the height of each node built,
+# checked on the way up. So neither the parser nor a walk of the tree
+# (printing, differentiating, compiling) runs out of stack.
 
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
 _FUNCS = {"exp": Exp, "ln": Ln, "abs": Abs}
+_MAX_DEPTH = 100
 
 
 class _Parser:
@@ -619,103 +624,101 @@ class _Parser:
         self.text = text
         self.var = var
         self.pos = 0
+        self.heights = {}  # node built -> the levels of its tree; a leaf's is 1
 
     def error(self, message: str, offset: int | None = None):
         raise ParseError(message, self.pos if offset is None else offset)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def check_depth(self, levels: int):
+        if levels > _MAX_DEPTH:
+            self.error(f"expression nested more than {_MAX_DEPTH} levels deep")
+
+    def node(self, kind: type, *args: Node) -> Node:
+        height = 1 + max(self.heights.get(arg, 1) for arg in args)
+        self.check_depth(height)
+        node = kind(*args)
+        self.heights[node] = height
+        return node
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
+        """The next character after whitespace, moving to it; "" at the end.
+        Each token is taken by moving past the character peek returned."""
+        t = self.text
+        while self.pos < len(t) and t[self.pos].isspace():
+            self.pos += 1
+        return t[self.pos:self.pos + 1]
 
     def parse(self) -> Node:
-        node = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected {self.text[self.pos]!r}")
+        node = self.expr(1)
+        if ch := self.peek():
+            self.error(f"unexpected {ch!r}")
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.take()
-                node = Add(node, self.term())
-            elif ch == "-":
-                self.take()
-                node = Sub(node, self.term())
-            else:
-                return node
+    def expr(self, level: int, least: int = 1) -> Node:
+        """Factors at level, joined by the binary operators of precedence
+        least or more."""
+        node = self.factor(level)
+        while (row := _BINARY.get(self.peek())) is not None and row[0] >= least:
+            self.pos += 1
+            node = self.node(row[1], node, self.expr(level, row[0] + 1))
+        return node
 
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.take()
-                node = Mul(node, self.factor())
-            elif ch == "/":
-                self.take()
-                node = Div(node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Node:
+    def factor(self, level: int) -> Node:
+        """A factor inside level - 1 parentheses, functions, prefix minus
+        signs and exponents."""
+        self.check_depth(level)
         if self.peek() == "-":
-            self.take()
-            inner = self.factor()
+            self.pos += 1
+            node = self.factor(level + 1)
             # fold a negated literal so "x^-2" prints back as written
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Neg(inner)
-        node = self.base()
+            return Const(-node.value) if isinstance(node, Const) else self.node(Neg, node)
+        node = self.base(level)
         if self.peek() == "^":
-            self.take()
-            return Pow(node, self.factor())
+            self.pos += 1
+            return self.node(Pow, node, self.factor(level + 1))
         return node
 
-    def base(self) -> Node:
+    def base(self, level: int) -> Node:
         ch = self.peek()
         if ch == "":
             self.error("unexpected end of input")
-        if ch == "(":
-            self.take()
-            node = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.take()
-            return node
         if ch.isdigit() or ch == ".":
             return self.number()
+        kind = None  # a parenthesized expr, else the function applied to it
         if ch.isalpha() or ch == "_":
-            return self.ident()
-        self.error(f"unexpected {ch!r}")
+            start, t = self.pos, self.text
+            while self.pos < len(t) and (t[self.pos].isalnum() or t[self.pos] == "_"):
+                self.pos += 1
+            name = t[start:self.pos]
+            if name == self.var:
+                return Var(self.var)
+            if name not in _FUNCS:
+                self.error(f"unknown identifier {name!r}", start)
+            if self.peek() != "(":
+                self.error(f"expected '(' after {name}")
+            kind = _FUNCS[name]
+        elif ch != "(":
+            self.error(f"unexpected {ch!r}")
+        self.pos += 1
+        node = self.expr(level + 1)
+        if self.peek() != ")":
+            self.error("expected ')'")
+        self.pos += 1
+        return node if kind is None else self.node(kind, node)
 
     def number(self) -> Const:
-        self.skip_ws()
-        start = self.pos
-        t = self.text
+        start, t = self.pos, self.text
         while self.pos < len(t) and (t[self.pos].isdigit() or t[self.pos] == "."):
             self.pos += 1
-        if self.pos < len(t) and t[self.pos] in "eE":
+        if t[self.pos:self.pos + 1] in ("e", "E"):
             mark = self.pos
             self.pos += 1
-            if self.pos < len(t) and t[self.pos] in "+-":
+            if t[self.pos:self.pos + 1] in ("+", "-"):
                 self.pos += 1
-            if self.pos < len(t) and t[self.pos].isdigit():
-                while self.pos < len(t) and t[self.pos].isdigit():
-                    self.pos += 1
-            else:
+            if not t[self.pos:self.pos + 1].isdigit():
                 self.pos = mark  # not an exponent after all
+            while self.pos < len(t) and t[self.pos].isdigit():
+                self.pos += 1
         lit = t[start:self.pos]
         try:
             value = float(lit)
@@ -725,95 +728,55 @@ class _Parser:
             self.error(f"number literal {lit!r} overflows a float", start)
         return Const(value)
 
-    def ident(self) -> Node:
-        self.skip_ws()
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and (t[self.pos].isalnum() or t[self.pos] == "_"):
-            self.pos += 1
-        name = t[start:self.pos]
-        if name == self.var:
-            return Var(self.var)
-        if name in _FUNCS:
-            if self.peek() != "(":
-                self.error(f"expected '(' after {name}")
-            self.take()
-            node = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.take()
-            return _FUNCS[name](node)
-        self.error(f"unknown identifier {name!r}", start)
-
 
 def parse(text: str, var: str = "x") -> Node:
-    """Parse expression text over the given variable name."""
+    """Parse expression text over the given variable name. Text nested more
+    than _MAX_DEPTH levels deep raises ParseError."""
     if not isinstance(text, str):
         raise TypeError("expression text must be a string")
     return _Parser(text, var).parse()
 
 
 # ---------------------------------------------------------------------------
-# Printing. Parenthesization is chosen so parse(to_text(e)) is structurally
-# equal to e. Precedence: + - (1) < * / (2) < unary - (3) < ^ (4) < atom (5).
+# Printing. Parenthesization is chosen so parse(to_text(e)) is e, but where
+# the text cannot tell: -0.0 prints as 0, and Neg(Const(2.0)) as -2, which
+# parses to Const(-2.0). Precedence: + - (1) < * / (2) < unary - (3) < ^ (4)
+# < atom (5). A leaf binds as an atom, but a negative constant binds as
+# unary minus, as it reads, so "(-2)^2" keeps its parentheses. Per kind: its
+# precedence, the text before its operands, and per operand, in the order of
+# its _fields: its name, the least precedence at which it prints without
+# parentheses and the text after it. The parser's rows give the binary
+# operators (grouping left to right, so only the right operand needs a
+# higher precedence, and + and - print spaced) and the functions.
 
-def _prec(node: Node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return 1
-    if isinstance(node, (Mul, Div)):
-        return 2
-    if isinstance(node, Neg):
-        return 3
-    if isinstance(node, Pow):
-        return 4
-    return 5
-
-
-def _fmt_const(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+_PRINT = {
+    **{kind: (prec, "", (("left", prec, f" {op} " if prec == 1 else op), ("right", prec + 1, "")))
+       for op, (prec, kind) in _BINARY.items()},
+    Neg: (3, "-", (("arg", 3, ""),)),
+    Pow: (4, "", (("base", 5, "^"), ("exponent", 3, ""))),
+    **{kind: (5, name + "(", (("arg", 1, ")"),)) for name, kind in _FUNCS.items()},
+}
 
 
 def to_text(node: Node) -> str:
-    if isinstance(node, Const):
-        return _fmt_const(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, (Add, Sub)):
-        op = " + " if isinstance(node, Add) else " - "
-        left = to_text(node.left)
-        right = to_text(node.right)
-        if _prec(node.right) <= 1:
-            right = f"({right})"
-        return f"{left}{op}{right}"
-    if isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        left = to_text(node.left)
-        right = to_text(node.right)
-        if _prec(node.left) < 2:
-            left = f"({left})"
-        if _prec(node.right) <= 2:
-            right = f"({right})"
-        return f"{left}{op}{right}"
-    if isinstance(node, Neg):
-        inner = to_text(node.arg)
-        if _prec(node.arg) <= 2:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
-        base = to_text(node.base)
-        expo = to_text(node.exponent)
-        if _prec(node.base) <= 4:
-            base = f"({base})"
-        if _prec(node.exponent) < 3:
-            expo = f"({expo})"
-        return f"{base}^{expo}"
-    if isinstance(node, Exp):
-        return f"exp({to_text(node.arg)})"
-    if isinstance(node, Ln):
-        return f"ln({to_text(node.arg)})"
-    if isinstance(node, Abs):
-        return f"abs({to_text(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
+    """node as text that parse reads back as node (but for a zero's sign and
+    a negated constant, see above)."""
+    return _text(node)[0]
 
+
+def _text(node: Node) -> tuple[str, int]:
+    """node's text and the precedence at which it binds."""
+    kind = type(node)
+    if kind is Const:
+        v = node.value
+        text = str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+        return text, 3 if text[0] == "-" else 5
+    if kind is Var:
+        return node.name, 5
+    if kind not in _PRINT:
+        raise TypeError(f"not an expression node: {node!r}")
+    prec, text, operands = _PRINT[kind]
+    for name, least, after in operands:
+        operand, binds = _text(getattr(node, name))
+        text += (operand if binds >= least else f"({operand})") + after
+    return text, prec

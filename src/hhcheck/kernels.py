@@ -26,9 +26,6 @@ __all__ = [
     "integrate_adaptive", "integral", "kernel_moment", "KERNEL_KINDS",
 ]
 
-KERNEL_KINDS = ("M0", "M1", "M2", "C2", "C4")
-
-
 def beta(x: float, y: float) -> float:
     """Euler Beta function via log-gamma; relative error well under 1e-12
     for arguments up to 50."""
@@ -173,12 +170,15 @@ def integral(f: Union[Node, Callable[[float], float]], a: float, b: float,
              what: str, *args) -> IntegralResult:
     """integrate_adaptive(f, a, b) that converged; otherwise raise
     NonConvergenceError naming what.format(*args), the estimate and the panel
-    count. The name is formatted only on failure."""
+    count, and whether the panel budget was spent: the estimate then leaves
+    out the panels not summed. The name is formatted only on failure."""
     res = integrate_adaptive(f, a, b)
     if not res.converged:
+        spent = ("over the summed panels; the budget was spent "
+                 if res.subdivisions >= _MAX_PANELS else "")
         raise NonConvergenceError(
             f"{what.format(*args)} did not converge "
-            f"(estimate {res.abs_error_estimate:.3e} after {res.subdivisions} panels)"
+            f"(estimate {res.abs_error_estimate:.3e} {spent}after {res.subdivisions} panels)"
         )
     return res
 
@@ -188,6 +188,25 @@ class KernelMoment(NamedTuple):
     value: float
     method: str  # "closed-form" | "adaptive"
     abs_error_estimate: float
+
+
+def _c_form(v: float, q: float) -> float:
+    """C2's closed form at v = u/q, and C4's at v = u/q + 1/q."""
+    return 1.0 / (v + 1.0) - (1.0 / q) / (v + 2.0)
+
+
+# One row per kind: the closed form for h^alpha(t) = t^u, in (u, q); the
+# weight w(t, q) of the integrand w(t, q) * h(t)^a; and whether a is alpha/q,
+# for a kind that takes a Holder pair, or alpha.
+_KERNELS = {
+    "M0": (lambda u, q: 1.0 / (u + 1.0), lambda t, q: 1.0, False),
+    "M1": (lambda u, q: 1.0 / ((u + 1.0) * (u + 2.0)), lambda t, q: 1.0 - t, False),
+    "M2": (lambda u, q: 1.0 / ((u + 2.0) * (u + 3.0)), lambda t, q: t * (1.0 - t), False),
+    "C2": (lambda u, q: _c_form(u / q, q), lambda t, q: 1.0 - t / q, True),
+    "C4": (lambda u, q: _c_form(u / q + 1.0 / q, q),
+           lambda t, q: t ** (1.0 / q) * (1.0 - t / q), True),
+}
+KERNEL_KINDS = tuple(_KERNELS)
 
 
 def kernel_moment(kind: str, h: HFunction, alpha: float,
@@ -203,11 +222,12 @@ def kernel_moment(kind: str, h: HFunction, alpha: float,
     Equal h differ at most in a zero's sign, which no moment's value sees,
     so a served moment has a fresh one's bits.
     """
-    if kind not in KERNEL_KINDS:
+    if kind not in _KERNELS:
         raise ValueError(f"unknown kernel kind {kind!r}")
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0,1], got {alpha!r}")
-    if kind in ("C2", "C4"):
+    closed_form, _, holder = _KERNELS[kind]
+    if holder:
         if hp is None:
             raise ValueError(f"kernel {kind} requires a Holder pair")
         q = hp.q
@@ -216,37 +236,15 @@ def kernel_moment(kind: str, h: HFunction, alpha: float,
             raise ValueError(f"kernel {kind} takes no Holder pair")
         q = None
 
-    if h.exponent is not None:
-        u = h.exponent * alpha  # h^alpha(t) = t^u
-        if kind == "M0":
-            value = 1.0 / (u + 1.0)
-        elif kind == "M1":
-            value = 1.0 / ((u + 1.0) * (u + 2.0))
-        elif kind == "M2":
-            value = 1.0 / ((u + 2.0) * (u + 3.0))
-        elif kind == "C2":
-            v = u / q
-            value = 1.0 / (v + 1.0) - (1.0 / q) / (v + 2.0)
-        else:  # C4
-            w = u / q + 1.0 / q
-            value = 1.0 / (w + 1.0) - (1.0 / q) / (w + 2.0)
-        return KernelMoment(kind, value, "closed-form", 0.0)
-
+    if h.exponent is not None:  # h^alpha(t) = t^u
+        return KernelMoment(kind, closed_form(h.exponent * alpha, q), "closed-form", 0.0)
     return _adaptive_moment(kind, h, alpha, q)
 
 
 @lru_cache(maxsize=64)
 def _adaptive_moment(kind: str, h: HFunction, alpha: float, q: float | None) -> KernelMoment:
-    if kind == "M0":
-        integrand = lambda t: evaluate_h(h, t, alpha)
-    elif kind == "M1":
-        integrand = lambda t: (1.0 - t) * evaluate_h(h, t, alpha)
-    elif kind == "M2":
-        integrand = lambda t: t * (1.0 - t) * evaluate_h(h, t, alpha)
-    elif kind == "C2":
-        integrand = lambda t: (1.0 - t / q) * evaluate_h(h, t, alpha / q)
-    else:
-        integrand = lambda t: t ** (1.0 / q) * (1.0 - t / q) * evaluate_h(h, t, alpha / q)
-
-    res = integral(integrand, 0.0, 1.0, "kernel {} for h={} alpha={:g}", kind, h, alpha)
+    _, weight, holder = _KERNELS[kind]
+    a = alpha / q if holder else alpha
+    res = integral(lambda t: weight(t, q) * evaluate_h(h, t, a), 0.0, 1.0,
+                   "kernel {} for h={} alpha={:g}", kind, h, alpha)
     return KernelMoment(kind, res.value, "adaptive", res.abs_error_estimate)

@@ -136,6 +136,20 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: overflow\n"
 
+    @pytest.mark.parametrize("f, offset", [
+        ("(" * 300 + "x" + ")" * 300, 100),
+        ("-" * 600 + "x^2", 100),
+        ("+".join(["x"] * 1200), 201),
+    ], ids=["parentheses", "minus-signs", "sum"])
+    def test_too_deep_expression_exits_two(self, capsys, f, offset):
+        # each of these overflowed the stack, in the parser, in the code
+        # generator or in a tree walk, and exited 1 with a traceback
+        code, out, err = _run(capsys, "check-class", f"--f={f}", "--sense", "convex",
+                              "--a", "0.5", "--b", "1", "--samples", "10")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: expression nested more than 100 levels deep (offset {offset})\n"
+
     @pytest.mark.parametrize("f, a, b", [("exp(x)", "10", "11"), ("1e9*x^2", "0", "1")])
     def test_integrator_budget_exits_two(self, capsys, f, a, b):
         code, out, err = _run(capsys, "bound", "--rule", "T4", f"--f={f}", "--a", a, "--b", b)

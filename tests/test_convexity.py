@@ -259,14 +259,6 @@ class TestIndividualSenses:
             )
             assert rep.ok, f"constant failed at alpha={alpha}"
 
-    def test_exponent_reading_reported(self):
-        rep = check_membership(
-            parse("x^2"),
-            ConvexityClass("s_alpha_m_second", alpha=0.5, m=1.0, s=0.5),
-            POS,
-        )
-        assert rep.exponent_reading is not None
-
     def test_h_plain_linear_weight(self):
         rep = check_membership(
             parse("x^2"), ConvexityClass("h_plain", h=HFunction.identity()), POS
@@ -496,7 +488,6 @@ def _oracle_sense_sides(cls, g, x, y, lam):
 
 
 def _oracle_membership(g, cls, dom, samples, seed, tol):
-    reading = "mu^(alpha*s)" if cls.sense.startswith("s_alpha_m") else None
     if cls.sense in NONNEG_DOMAIN_SENSES and dom.lo < 0.0:
         raise PreconditionError(
             f"sense {cls.sense!r} is defined on [0,inf); domain starts at {dom.lo!r}"
@@ -533,9 +524,8 @@ def _oracle_membership(g, cls, dom, samples, seed, tol):
                 f"(x={x!r}, y={y!r}, lam={lam!r}): {exc}"
             ) from None
         if lhs > rhs + tol:
-            return MembershipReport("counterexample", used, Witness(x, y, lam, lhs, rhs),
-                                    seed, reading)
-    return MembershipReport("no-counterexample-found", len(triples), None, seed, reading)
+            return MembershipReport("counterexample", used, Witness(x, y, lam, lhs, rhs), seed)
+    return MembershipReport("no-counterexample-found", len(triples), None, seed)
 
 
 def _outcome(search):
@@ -546,7 +536,7 @@ def _outcome(search):
         return ("raised", type(exc).__name__, str(exc))
     w = rep.witness
     where = None if w is None else tuple(float(v).hex() for v in (w.x, w.y, w.lam, w.lhs, w.rhs))
-    return (rep.verdict, rep.samples_used, where, rep.seed, rep.exponent_reading)
+    return (rep.verdict, rep.samples_used, where, rep.seed)
 
 
 # members and non-members that are non-negative on [0, inf), as the h and
@@ -1080,7 +1070,7 @@ class TestProver:
         rep, note = hypothesis_membership(parse("x^2"), ConvexityClass("plain_convex"),
                                           DomainInterval(0.0, 1.0), 500, 3, 1e-9)
         assert note is None and rep.ok
-        assert rep == MembershipReport("proven", 0, None, 3, None, MembershipProof(1, 2.0))
+        assert rep == MembershipReport("proven", 0, None, 3, MembershipProof(1, 2.0))
 
     def test_sign_split_proves_a_negative_argument(self):
         # |-1/x| is 1/x on [1, 2], and |2x| is 2x on [0, 1], whose enclosure

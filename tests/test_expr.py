@@ -36,7 +36,7 @@ from hhcheck import (
     to_text,
 )
 from hhcheck.expr import compile_interval
-from hhcheck.expr import _pow, add, mul, neg, pow_, sub
+from hhcheck.expr import _MAX_DEPTH, _pow, add, mul, neg, pow_, sub
 
 
 class TestParse:
@@ -686,6 +686,65 @@ class TestFiniteFolding:
         assert differentiate(parse("3*x^2"), 2) == Const(6.0)
 
 
+# to_text's output, pinned: a change to any printed text fails a test. The
+# derivatives are those of the TestToText inputs and of suite.CATALOG.
+_PRINTED = {
+    "x^2 + 3*x - 1": "x^2 + 3*x - 1",
+    "exp(x)/(1 + x^2)": "exp(x)/(1 + x^2)",
+    "-ln(x)*x": "-ln(x)*x",
+    "abs(x - 2)^3": "abs(x - 2)^3",
+    "1/(x*(2 - x))": "1/(x*(2 - x))",
+    "x^-2 + x^0.5": "x^-2 + x^0.5",
+    "10 - 4 - 3": "10 - 4 - 3",
+    "10 - (4 - 3)": "10 - (4 - 3)",
+    "12/4/3": "12/4/3",
+    "12/(4/3)": "12/(4/3)",
+    "2^3^2": "2^3^2",
+    "(2^3)^2": "(2^3)^2",
+    "-x^2": "-x^2",
+    "(-x)^2": "(-x)^2",
+    "x*-2": "x*-2",
+    "--x": "--x",
+    "-(x + 1)*(x - 1)": "-(x + 1)*(x - 1)",
+    "x^(1/2)": "x^(1/2)",
+    "2.5e-7*x + 1e300": "2.5e-07*x + 1e+300",
+    "(-2)^2": "(-2)^2",
+    "-(exp(x)*ln(x + 2))": "-(exp(x)*ln(x + 2))",
+    "abs(x^-2)": "abs(x^-2)",
+}
+_PRINTED_DERIVATIVES = {
+    ("x^2 + 3*x - 1", 1): "2*x + 3",
+    ("x^2 + 3*x - 1", 2): "2",
+    ("exp(x)/(1 + x^2)", 1): "(exp(x)*(1 + x^2) - exp(x)*(2*x))/((1 + x^2)*(1 + x^2))",
+    ("exp(x)/(1 + x^2)", 2):
+        "((exp(x)*(1 + x^2) + exp(x)*(2*x) - (exp(x)*(2*x) + exp(x)*2))*((1 + x^2)*(1 + x^2)) - "
+        "(exp(x)*(1 + x^2) - exp(x)*(2*x))*(2*x*(1 + x^2) + (1 + x^2)*(2*x)))/((1 + x^2)*(1 + "
+        "x^2)*((1 + x^2)*(1 + x^2)))",
+    ("-ln(x)*x", 1): "-(1/x)*x + -ln(x)",
+    ("-ln(x)*x", 2): "-(-1/(x*x))*x + -(1/x) + -(1/x)",
+    ("abs(x - 2)^3", 1): "3*abs(x - 2)^2*((x - 2)/abs(x - 2))",
+    ("abs(x - 2)^3", 2):
+        "3*(2*abs(x - 2)*((x - 2)/abs(x - 2)))*((x - 2)/abs(x - 2)) + 3*abs(x - 2)^2*((abs(x - "
+        "2) - (x - 2)*((x - 2)/abs(x - 2)))/(abs(x - 2)*abs(x - 2)))",
+    ("1/(x*(2 - x))", 1): "-(2 - x + x*-1)/(x*(2 - x)*(x*(2 - x)))",
+    ("1/(x*(2 - x))", 2):
+        "(2*(x*(2 - x)*(x*(2 - x))) - -(2 - x + x*-1)*((2 - x + x*-1)*(x*(2 - x)) + x*(2 - x)*(2 "
+        "- x + x*-1)))/(x*(2 - x)*(x*(2 - x))*(x*(2 - x)*(x*(2 - x))))",
+    ("x^-2 + x^0.5", 1): "-2*x^-3 + 0.5*x^-0.5",
+    ("x^-2 + x^0.5", 2): "-2*(-3*x^-4) + 0.5*(-0.5*x^-1.5)",
+    ("x^2", 1): "2*x",
+    ("x^2", 2): "2",
+    ("x^3", 1): "3*x^2",
+    ("x^3", 2): "3*(2*x)",
+    ("exp(x)", 1): "exp(x)",
+    ("exp(x)", 2): "exp(x)",
+    ("-ln(x)", 1): "-(1/x)",
+    ("-ln(x)", 2): "-(-1/(x*x))",
+    ("1/x", 1): "-1/(x*x)",
+    ("1/x", 2): "-(-1*(x + x))/(x*x*(x*x))",
+}
+
+
 class TestToText:
     def test_round_trip_preserves_value(self):
         texts = [
@@ -711,3 +770,103 @@ class TestToText:
         assert parse(to_text(node)) == node
         node = Abs(Pow(Var("x"), Const(-2.0)))
         assert parse(to_text(node)) == node
+
+    @pytest.mark.parametrize("text,var,node", [
+        ("(-2)^2", "x", Pow(Const(-2.0), Const(2.0))),
+        ("(-1)^2*t", "t", Mul(Pow(Const(-1.0), Const(2.0)), Var("t"))),
+        ("(-3)^x", "x", Pow(Const(-3.0), Var("x"))),
+    ])
+    def test_negative_constant_base_keeps_its_parentheses(self, text, var, node):
+        # printed as "-2^2", the text would read as -(2^2)
+        assert parse(text, var=var) is node
+        assert to_text(node) == text
+
+    @pytest.mark.parametrize("text", sorted(_PRINTED))
+    def test_printed_text_is_pinned(self, text):
+        assert to_text(parse(text)) == _PRINTED[text]
+
+    @pytest.mark.parametrize("text,order", sorted(_PRINTED_DERIVATIVES))
+    def test_printed_derivative_is_pinned(self, text, order):
+        assert to_text(differentiate(parse(text), order)) == _PRINTED_DERIVATIVES[text, order]
+
+
+def _subtrees(node):
+    yield node
+    for name in node._fields:
+        child = getattr(node, name)
+        if isinstance(child, Node):
+            yield from _subtrees(child)
+
+
+def _value(node, x):
+    try:
+        return compile_fn(node)(x)
+    except DomainError:
+        return DomainError
+
+
+class TestRoundTrip:
+    """parse(to_text(t)) has t's values, and is t itself but where the
+    printed text cannot say which: the sign of a zero constant, and a
+    negated constant, which parses back folded."""
+
+    @example(node=Pow(Const(-2.0), Var("x")), xs=[3.0])
+    @example(node=Neg(Const(-0.0)), xs=[0.0])
+    @example(node=Mul(Const(-0.0), Pow(Const(-1.5), Const(2.0))), xs=[1.0])
+    @settings(max_examples=400, deadline=None)
+    @given(node=_TREES, xs=st.lists(_XS, min_size=1, max_size=4))
+    def test_parse_inverts_to_text(self, node, xs):
+        again = parse(to_text(node))
+        nodes = list(_subtrees(node))
+        if Const(-0.0) not in nodes and not any(type(n) is Neg and type(n.arg) is Const
+                                                for n in nodes):
+            assert again is node
+        for x in xs:
+            assert _value(again, x) == _value(node, x)
+
+
+def _shapes(depth):
+    """One text per shape, nested depth levels deep: a leaf is one level,
+    and each operator, function and pair of parentheses one more."""
+    inner = depth - 1
+    return {
+        "sum": "+".join(["x"] * depth), "product": "*".join(["x"] * depth),
+        "quotient": "/".join(["x"] * depth), "power": "^".join(["x"] * depth),
+        "negation": "-" * inner + "x", "parentheses": "(" * inner + "x" + ")" * inner,
+        **{name: f"{name}(" * inner + "x" + ")" * inner for name in ("abs", "exp", "ln")},
+    }
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", sorted(_shapes(1)))
+    def test_each_shape_at_the_bound_is_handled(self, shape):
+        f = parse(_shapes(_MAX_DEPTH)[shape])
+        assert parse(to_text(f)) is f
+        for g in (f, differentiate(f, 2)):
+            compile_interval(g)
+            try:
+                compile_fn(g)(0.75)
+            except DomainError:
+                pass
+        with pytest.raises(ParseError, match=rf"^expression nested more than {_MAX_DEPTH} "
+                                             r"levels deep \(offset \d+\)$"):
+            parse(_shapes(_MAX_DEPTH + 1)[shape])
+
+    def test_nesting_and_height_are_bounded_apart(self):
+        # parentheses make no node, so the sum in them is bounded by its own
+        # height alone
+        inner = "(" * (_MAX_DEPTH - 1) + "+".join(["x"] * _MAX_DEPTH) + ")" * (_MAX_DEPTH - 1)
+        assert parse(inner) is parse(_shapes(_MAX_DEPTH)["sum"])
+        for text in ("(" + inner + ")", inner.replace("x", "x+x", 1)):
+            with pytest.raises(ParseError, match="nested more than"):
+                parse(text)
+
+    def test_built_trees_print_and_compile_one_frame_per_level(self):
+        # the bound is the parser's; a walk of a tree built directly still
+        # takes one frame per level
+        x = Var("x")
+        chain, total = x, x
+        for _ in range(800):
+            chain, total = Sub(x, chain), Add(total, x)
+        assert to_text(chain).count("(") == 799
+        assert compile_fn(total)(1.0) == 801.0

@@ -169,9 +169,15 @@ class TestIntegral:
         assert integral(f, 0.0, 1.0, "x^2") == integrate_adaptive(f, 0.0, 1.0)
 
     def test_nonconvergence_names_what_estimate_and_panels(self):
-        pattern = r"^probe did not converge \(estimate \S+ after \d+ panels\)$"
+        # 1/t spends the panel budget, so the estimate leaves panels out
+        pattern = (r"^probe did not converge \(estimate \S+ over the summed panels; "
+                   r"the budget was spent after 1000 panels\)$")
         with pytest.raises(NonConvergenceError, match=pattern):
             integral(lambda t: 1.0 / t, 0.0, 1.0, "probe")
+        # a jump of 1e20 bisects to the depth limit well within the budget
+        pattern = r"^step did not converge \(estimate \S+ after \d+ panels\)$"
+        with pytest.raises(NonConvergenceError, match=pattern):
+            integral(lambda t: 0.0 if t < 1.0 / 3.0 else 1e20, 0.0, 1.0, "step")
 
     def test_every_caller_reports_through_it(self):
         with pytest.raises(NonConvergenceError, match=r"^kernel M0 for h=1/t alpha=1 did not"
@@ -329,6 +335,104 @@ class TestKernelMoments:
             kernel_moment("C2", IDENTITY, 1.0)  # needs a Holder pair
         with pytest.raises(ValueError):
             kernel_moment("M0", IDENTITY, 1.0, hp=HolderPair.from_p(2.0))
+
+
+# kernel_moment's value per (h, kind), over alpha in (0, 0.25, 1) and, for
+# C2 and C4, q in (1.5, 2, 3) within each alpha, pinned to the bit: the
+# closed forms for t, t^0.5 and 1, the adaptive integrals for t*(2 - t).
+_MOMENT_HEX = {
+    ("t", "M0"): (
+        "0x1.0000000000000p+0", "0x1.999999999999ap-1", "0x1.0000000000000p-1",
+    ),
+    ("t", "M1"): (
+        "0x1.0000000000000p-1", "0x1.6c16c16c16c17p-2", "0x1.5555555555555p-3",
+    ),
+    ("t", "M2"): (
+        "0x1.5555555555555p-3", "0x1.1811811811812p-3", "0x1.5555555555555p-4",
+    ),
+    ("t", "C2"): (
+        "0x1.5555555555556p-1", "0x1.8000000000000p-1", "0x1.aaaaaaaaaaaabp-1",
+        "0x1.1951951951951p-1", "0x1.4ea3f94ea3f94p-1", "0x1.86b204b9e5380p-1",
+        "0x1.6666666666668p-2", "0x1.dddddddddddddp-2", "0x1.36db6db6db6dcp-1",
+    ),
+    ("t", "C4"): (
+        "0x1.6666666666668p-2", "0x1.dddddddddddddp-2", "0x1.36db6db6db6dcp-1",
+        "0x1.3d9ab1f7c93dap-2", "0x1.b31b31b31b31cp-2", "0x1.22ca83e4ff7b2p-1",
+        "0x1.d41d41d41d41ep-3", "0x1.5555555555556p-2", "0x1.e666666666668p-2",
+    ),
+    ("t^0.5", "M0"): (
+        "0x1.0000000000000p+0", "0x1.c71c71c71c71cp-1", "0x1.5555555555555p-1",
+    ),
+    ("t^0.5", "M1"): (
+        "0x1.0000000000000p-1", "0x1.ac5701ac5701bp-2", "0x1.1111111111111p-2",
+    ),
+    ("t^0.5", "M2"): (
+        "0x1.5555555555555p-3", "0x1.34679ace01346p-3", "0x1.d41d41d41d41dp-4",
+    ),
+    ("t^0.5", "C2"): (
+        "0x1.5555555555556p-1", "0x1.8000000000000p-1", "0x1.aaaaaaaaaaaabp-1",
+        "0x1.34c67f9b2ce61p-1", "0x1.65c2da1ff165cp-1", "0x1.97ed9c1b95d6ap-1",
+        "0x1.db6db6db6db6ep-2", "0x1.27d27d27d27d3p-1", "0x1.6816816816816p-1",
+    ),
+    ("t^0.5", "C4"): (
+        "0x1.6666666666668p-2", "0x1.dddddddddddddp-2", "0x1.36db6db6db6dcp-1",
+        "0x1.50e682c5439a0p-2", "0x1.c78e1c78e1c79p-2", "0x1.2c81054eccf6ap-1",
+        "0x1.1c71c71c71c72p-2", "0x1.8ef606a63bd81p-2", "0x1.1111111111111p-1",
+    ),
+    ("1", "M0"): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ),
+    ("1", "M1"): (
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+    ),
+    ("1", "M2"): (
+        "0x1.5555555555555p-3", "0x1.5555555555555p-3", "0x1.5555555555555p-3",
+    ),
+    ("1", "C2"): (
+        "0x1.5555555555556p-1", "0x1.8000000000000p-1", "0x1.aaaaaaaaaaaabp-1",
+        "0x1.5555555555556p-1", "0x1.8000000000000p-1", "0x1.aaaaaaaaaaaabp-1",
+        "0x1.5555555555556p-1", "0x1.8000000000000p-1", "0x1.aaaaaaaaaaaabp-1",
+    ),
+    ("1", "C4"): (
+        "0x1.6666666666668p-2", "0x1.dddddddddddddp-2", "0x1.36db6db6db6dcp-1",
+        "0x1.6666666666668p-2", "0x1.dddddddddddddp-2", "0x1.36db6db6db6dcp-1",
+        "0x1.6666666666668p-2", "0x1.dddddddddddddp-2", "0x1.36db6db6db6dcp-1",
+    ),
+    ("t*(2 - t)", "M0"): (
+        "0x1.0000000000000p+0", "0x1.bf7f714d46b96p-1", "0x1.5555555555555p-1",
+    ),
+    ("t*(2 - t)", "M1"): (
+        "0x1.ffffffffffffep-2", "0x1.9999999999999p-2", "0x1.fffffffffffffp-3",
+    ),
+    ("t*(2 - t)", "M2"): (
+        "0x1.5555555555555p-3", "0x1.33c61f6d2b83fp-3", "0x1.ddddddddddddep-4",
+    ),
+    ("t*(2 - t)", "C2"): (
+        "0x1.5555555555556p-1", "0x1.8000000000000p-1", "0x1.aaaaaaaaaaaabp-1",
+        "0x1.2db827b2ceabcp-1", "0x1.6014df912db83p-1", "0x1.93d6dbaba93dap-1",
+        "0x1.c91ad2da89995p-2", "0x1.1e652ff776be1p-1", "0x1.5f2ab9a453d0ap-1",
+    ),
+    ("t*(2 - t)", "C4"): (
+        "0x1.6666666666666p-2", "0x1.ddddddddddddfp-2", "0x1.36db6db6db6dbp-1",
+        "0x1.501855e2fd677p-2", "0x1.c617e34c1963ep-2", "0x1.2b6a81e73fa4cp-1",
+        "0x1.1e793d57b0a76p-2", "0x1.8eb304664ffa2p-2", "0x1.0f2df5d98e004p-1",
+    ),
+}
+_PIN_H = {"t": IDENTITY, "t^0.5": SQRT_T, "1": ONE,
+          "t*(2 - t)": HFunction.custom(parse("t*(2-t)", var="t"))}
+
+
+@pytest.mark.parametrize("h_text,kind", sorted(_MOMENT_HEX))
+def test_kernel_moment_bits_are_pinned(h_text, kind):
+    h = _PIN_H[h_text]
+    assert h.describe() == h_text
+    if kind in ("C2", "C4"):
+        hps = [HolderPair.from_p(p) for p in (3.0, 2.0, 1.5)]  # q = 1.5, 2, 3
+        assert [hp.q for hp in hps] == [1.5, 2.0, 3.0]
+        got = [kernel_moment(kind, h, a, hp).value.hex() for a in (0.0, 0.25, 1.0) for hp in hps]
+    else:
+        got = [kernel_moment(kind, h, a).value.hex() for a in (0.0, 0.25, 1.0)]
+    assert tuple(got) == _MOMENT_HEX[h_text, kind]
 
 
 @pytest.fixture(scope="module")
