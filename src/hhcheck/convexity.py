@@ -23,15 +23,11 @@ each kind of h means (h itself, the power-family exponent the kernels read,
 the text of h) is one row of _H_KINDS, read once when the HFunction is built;
 a custom h is compiled then.
 
-A search scans each block of triples, the grid and then each block of up to
-500 random draws, in definition order: x, then y, then lam on the grid,
-draw order after it. It builds only what it scans, a grid row's distinct
-combination points or a block of draws, when it reaches it, and evaluates
-g once at each grid point, each Y and each distinct combination point, and
-once per random term. So the first hit of a block is the witness; it is
-replayed alone, calling g and h in the order of the sense's definition, and
-a block in which an evaluation or a weight fails is replayed whole, for the
-error of its first failing triple.
+A search checks one triple at a time, the grid and then the random draws,
+in definition order: x, then y, then lam on the grid, draw order after it.
+Within a triple it calls g and h in the order of the sense's definition,
+so the first counterexample is the witness and the first failing
+evaluation is the error.
 
 The bound rules and the quadrature check their hypotheses through
 hypothesis_membership, an lru_cache that checks each distinct hypothesis
@@ -50,8 +46,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import compress, count, islice, product
-from operator import add, itemgetter, mul
+from itertools import product
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError
@@ -92,8 +87,8 @@ def within(lhs: float, rhs: float, slack: float) -> bool:
     """The verdict test: lhs <= rhs + slack; a NaN on either side fails it.
 
     The membership search writes its counterexample test lhs > rhs + tol
-    inline instead, in its scan (`_first_hit`) and its replay (`_replay`),
-    where a function call costs more than the comparison itself.
+    inline instead, in check_membership's loop, where a function call costs
+    more than the comparison itself.
     """
     return lhs <= rhs + slack
 
@@ -306,131 +301,27 @@ def _lam_grid(sense: str) -> list[float]:
     return lams if sense in _OPEN_SENSES else [0.0] + lams + [1.0]
 
 
-# what a failing g or weight raises; a block in which one fails is replayed,
-# which raises the error of its first failing triple
-_FAILURES = (DomainError, PreconditionError, ArithmeticError)
-# random triples are drawn in blocks of this many, each when the scan reaches it
-_BLOCK = 500
-
-
-def _draw_block(rng, n, dom, sense):
-    """The next n random triples of rng, less the open senses' lam outside
-    (1e-12, 1-1e-12), as the sequences (x, y, lam)."""
-    lo, span, rand = dom.lo, dom.hi - dom.lo, rng.random
-    u = [rand() for _ in range(3 * n)]
-    # a triple is uniform(lo, hi), uniform(lo, hi), uniform(0.0, 1.0), and
-    # uniform(a, b) is a + (b - a) * random(), bit for bit
-    xs, ys, lams = [lo + span * r for r in u[0::3]], [lo + span * r for r in u[1::3]], u[2::3]
-    if sense in _OPEN_SENSES:
-        # keep a buffer so 1-lam cannot round to an endpoint of (0,1)
-        keep = [1e-12 < lam < 1.0 - 1e-12 for lam in lams]
-        xs, ys, lams = (list(compress(v, keep)) for v in (xs, ys, lams))
-    return xs, ys, lams
-
-
-def _first_hit(lhs, wgx, wgy, tol) -> Optional[int]:
-    """The index of the first triple with lhs > (wx*g(x) + wy*g(Y)) + tol,
-    given lhs, wx*g(x) and wy*g(Y) per triple; None when there is none."""
-    for i, v, a, b in zip(count(), lhs, wgx, wgy):
-        if v > a + b + tol:  # not within(); see its docstring
-            return i
-    return None
-
-
-def _grid_hit(cls, lams, gc, xs, gxs, tol) -> Optional[int]:
-    """The index of the first grid triple that is a counterexample; None
-    for a clean grid. g is evaluated once at each grid point (gxs = g on
-    xs, or None), at each Y and at each distinct combination point, one x
-    row at a time: a row's points are computed when it is scanned, so a
-    hit stops computing and evaluating."""
-    c_of, wx_of, wy_of, y_over_m, _ = _COEFFICIENTS[cls.sense]
-    wxs = [wx_of(cls, lam) for lam in lams]
-    wys = [wy_of(cls, lam, wx) for lam, wx in zip(lams, wxs)]
-    cys = [c * y for y in xs for c in [c_of(cls, lam) for lam in lams]]
-    if gxs is None:
-        gxs = [gc(x) for x in xs]
-    # at m = 1, y/m is y bit for bit, so g at the Y is gxs
-    gys = [gc(y / cls.m) for y in xs] if y_over_m and cls.m != 1.0 else gxs
-    wgys = [wy * gy for gy in gys for wy in wys]
-    slot, gz = {}, []  # combination point -> its index in gz, and g there; the dict
-    get = slot.get  # merges 0.0 and -0.0, where g differs at most in a zero's sign
-    for k, (x, gx) in enumerate(zip(xs, gxs)):
-        row = []
-        for z in map(add, [lam * x for lam in lams] * len(xs), cys):
-            i = get(z)
-            if i is None:
-                i = slot[z] = len(gz)
-                gz.append(gc(z))
-            row.append(i)
-        i = _first_hit(itemgetter(*row)(gz), [wx * gx for wx in wxs] * len(xs), wgys, tol)
-        if i is not None:
-            return k * len(wgys) + i
-    return None
-
-
-def _scans(cls, dom, gc, xs, gxs, samples, seed, tol):
-    """Each block of triples in turn, the grid and then the random blocks,
-    as (triples, n, span): its n triples in definition order, and the
-    (start, stop) of those to replay: the first counterexample alone, the
-    whole block when an evaluation or a weight fails, or None for a clean
-    block. A random block is drawn when it is reached; a failing block ends
-    the search, so no block is drawn after it."""
-    lams = _lam_grid(cls.sense)
-    n = len(xs) * len(xs) * len(lams)
-    try:
-        i = _grid_hit(cls, lams, gc, xs, gxs, tol)
-        span = None if i is None else (i, i + 1)
-    except _FAILURES:
-        span = (0, n)
-    yield product(xs, xs, lams), n, span
-    c_of, wx_of, wy_of, y_over_m, _ = _COEFFICIENTS[cls.sense]
+def _triples(dom: DomainInterval, xs: list[float], sense: str, samples: int, seed: int):
+    """The triples (x, y, lam) a search checks, in definition order: the
+    grid, x then y then lam, and then `samples` seeded random draws, less
+    the open senses' lam outside (1e-12, 1-1e-12)."""
+    yield from product(xs, xs, _lam_grid(sense))
     rng = random.Random(seed)
-    for start in range(0, samples, _BLOCK):
-        bxs, bys, blams = _draw_block(rng, min(_BLOCK, samples - start), dom, cls.sense)
-        try:
-            wxs = [wx_of(cls, lam) for lam in blams]
-            wys = [wy_of(cls, lam, wx) for lam, wx in zip(blams, wxs)]
-            zs = [lam * x + c_of(cls, lam) * y for x, y, lam in zip(bxs, bys, blams)]
-            yargs = [y / cls.m for y in bys] if y_over_m and cls.m != 1.0 else bys
-            i = _first_hit(map(gc, zs), map(mul, wxs, map(gc, bxs)),
-                           map(mul, wys, map(gc, yargs)), tol)
-            span = None if i is None else (i, i + 1)
-        except _FAILURES:
-            span = (0, len(blams))
-        yield zip(bxs, bys, blams), len(blams), span
-
-
-def _replay(triples, gc, p: ConvexityClass, tol):
-    """Evaluate the triples one at a time, calling g and h in the order of
-    the sense's definition: (index, Witness) of the first counterexample,
-    or None. A failing g or weight raises, a DomainError as the
-    PreconditionError that names the triple."""
-    c_of, wx_of, wy_of, y_over_m, wx_late = _COEFFICIENTS[p.sense]
-    try:
-        for i, (x, y, lam) in enumerate(triples):
-            c = c_of(p, lam)
-            if not wx_late:
-                wx = wx_of(p, lam)
-            lhs = gc(lam * x + c * y)
-            if wx_late:
-                wx = wx_of(p, lam)
-            gx = gc(x)
-            wy = wy_of(p, lam, wx)
-            rhs = wx * gx + wy * gc(y / p.m if y_over_m else y)
-            if lhs > rhs + tol:  # not within(); see its docstring
-                return i, Witness(x, y, lam, lhs, rhs)
-    except DomainError as exc:
-        raise PreconditionError(
-            f"domain too narrow for the combination or y/m argument "
-            f"(x={x!r}, y={y!r}, lam={lam!r}): {exc}"
-        ) from None
-    return None
+    lo, span, rand = dom.lo, dom.hi - dom.lo, rng.random
+    closed = sense not in _OPEN_SENSES
+    for _ in range(samples):
+        # a draw is uniform(lo, hi), uniform(lo, hi), uniform(0.0, 1.0), and
+        # uniform(a, b) is a + (b - a) * random(), bit for bit
+        x, y, lam = lo + span * rand(), lo + span * rand(), rand()
+        # the buffer keeps 1-lam from rounding to an endpoint of (0,1)
+        if closed or 1e-12 < lam < 1.0 - 1e-12:
+            yield x, y, lam
 
 
 def _preconditions(g: Node, cls: ConvexityClass, dom: DomainInterval, samples: int):
     """The checks a search makes first, with its errors: samples >= 0, dom in
     [0, inf) and g >= 0 at the grid points where the sense needs them.
-    Returns g compiled, the grid points and g on them (or None)."""
+    Returns g compiled and the grid points."""
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples!r}")
     if cls.sense in _NONNEG_DOMAIN_SENSES and dom.lo < 0.0:
@@ -439,9 +330,7 @@ def _preconditions(g: Node, cls: ConvexityClass, dom: DomainInterval, samples: i
         )
     gc = compile_fn(g)
     xs = _grid_points(dom, 21)
-    gxs = None
     if cls.sense in _NONNEG_SENSES:
-        gxs = []
         for x in xs:
             try:
                 v = gc(x)
@@ -452,8 +341,7 @@ def _preconditions(g: Node, cls: ConvexityClass, dom: DomainInterval, samples: i
                     f"sense {cls.sense!r} requires a non-negative function; "
                     f"g({x!r}) = {v!r}"
                 )
-            gxs.append(v)
-    return gc, xs, gxs
+    return gc, xs
 
 
 def check_membership(
@@ -471,28 +359,35 @@ def check_membership(
     Deterministic pass first: a 21 x 21 grid in (x, y) crossed with lam in
     {0.1, ..., 0.9} (endpoints 0 and 1 added for closed-interval senses).
     Then `samples` seeded random triples (0 keeps the grid pass alone), so
-    the outcome depends only on the seed. Within a triple, g and h are
-    called in the order of the sense's definition.
-
-    The grid and then each block of random draws is scanned in definition
-    order (x, then y, then lam; draw order). A search builds only what it
-    scans: the combination points of a grid row when it reaches the row,
-    a block of draws when it reaches the block. The first counterexample
-    of a block is replayed alone for its witness; a block in which an
-    evaluation or a weight fails is replayed whole, so samples_used and the
-    error message are those of the first failing triple.
+    the outcome depends only on the seed. The triples are checked one at a
+    time in definition order (x, then y, then lam on the grid; draw order
+    after it), calling g and h in the order of the sense's definition: the
+    first counterexample is the witness, and a DomainError of g is raised
+    as the PreconditionError that names its triple.
 
     checked is what _preconditions returned for these arguments, from a
     caller that has made the checks; by default the search makes them.
     """
-    gc, xs, gxs = checked or _preconditions(g, cls, dom, samples)
-    used = 0
-    for triples, n, span in _scans(cls, dom, gc, xs, gxs, samples, seed, tol):
-        found = None if span is None else _replay(islice(triples, *span), gc, cls, tol)
-        if found is not None:
-            i, w = found
-            return MembershipReport("counterexample", used + span[0] + i + 1, w, seed)
-        used += n
+    gc, xs = checked or _preconditions(g, cls, dom, samples)
+    c_of, wx_of, wy_of, y_over_m, wx_late = _COEFFICIENTS[cls.sense]
+    try:
+        for used, (x, y, lam) in enumerate(_triples(dom, xs, cls.sense, samples, seed), 1):
+            c = c_of(cls, lam)
+            if not wx_late:
+                wx = wx_of(cls, lam)
+            lhs = gc(lam * x + c * y)
+            if wx_late:
+                wx = wx_of(cls, lam)
+            gx = gc(x)
+            wy = wy_of(cls, lam, wx)
+            rhs = wx * gx + wy * gc(y / cls.m if y_over_m else y)
+            if lhs > rhs + tol:  # not within(); see its docstring
+                return MembershipReport("counterexample", used, Witness(x, y, lam, lhs, rhs), seed)
+    except DomainError as exc:
+        raise PreconditionError(
+            f"domain too narrow for the combination or y/m argument "
+            f"(x={x!r}, y={y!r}, lam={lam!r}): {exc}"
+        ) from None
     return MembershipReport("no-counterexample-found", used, None, seed)
 
 

@@ -54,9 +54,9 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
     """Value of the mean; arguments are sorted first, so symmetry is exact.
 
     All kinds except A require positive arguments. Stable forms are used
-    (log1p/expm1 of (b-a)/a; log(b) - log(a) for L and I where (b-a)/a
-    overflows, and for Lp where its form overflows) so that homogeneity
-    holds to rounding error.
+    (log1p/expm1 of (b-a)/a, and for Lp at |p| < 1e-2 of (Lp/a)^p - 1;
+    log(b) - log(a) for L and I where (b-a)/a overflows, and for Lp where
+    its form overflows) so that homogeneity holds to rounding error.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"mean arguments must be finite, got ({a!r}, {b!r})")
@@ -82,7 +82,16 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
         return a * math.exp((b / (b - a)) * math.log1p(r) - 1.0)
     p = kind.p
     try:
-        v = a * (math.expm1((p + 1.0) * math.log1p(r)) / ((p + 1.0) * r)) ** (1.0 / p)
+        if abs(p) < 1e-2:
+            # L_p = a*(1 + t)^(1/p) = a*exp(u*log1p(t)/t) with t = p*u,
+            # u = ((1+r)/r*l*E(p*l) - 1)/(p+1), l = log1p(r), E(x) = expm1(x)/x:
+            # 1 + t is never rounded, and p enters through E and log1p(t)/t,
+            # which are near 1, so a tiny or subnormal p loses no digits
+            l = math.log1p(r)
+            u = ((1.0 + r) / r * l * _over(math.expm1, p * l) - 1.0) / (p + 1.0)
+            v = a * math.exp(u * _over(math.log1p, p * u))
+        else:
+            v = a * (math.expm1((p + 1.0) * math.log1p(r)) / ((p + 1.0) * r)) ** (1.0 / p)
     except (OverflowError, ZeroDivisionError):
         v = math.nan
     if math.isfinite(v):
@@ -94,6 +103,11 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
     x = (max(-t, 0.0) + math.log(-math.expm1(-abs(t)) / abs(p + 1.0))
          - math.log(-math.expm1(-lr))) / p
     return b * math.exp(min(x, 0.0)) if x > -700.0 else math.exp(math.log(b) + x)
+
+
+def _over(f, x: float) -> float:
+    """f(x)/x, and 1.0 at x = 0, where expm1 and log1p have slope 1."""
+    return f(x) / x if x else 1.0
 
 
 def lp_kind(p: float) -> MeanKind:

@@ -293,6 +293,15 @@ class TestGoldenBytes:
             assert proc.returncode == 1
             assert hashlib.sha256(proc.stdout).hexdigest() == seed0
 
+    def test_verify_json_sha256_seeds_0_to_59(self):
+        """The json report of build_suite at each of seeds 0-59, in order,
+        fed to one sha256: any moved byte of any of the 60 reports moves it."""
+        digest = hashlib.sha256()
+        for seed in range(60):
+            digest.update(emit_report(build_suite(seed), "json").encode())
+        assert digest.hexdigest() == \
+            "323cbbe094108ab846353c8ea524f3d45a12dc537da4ef70ee8bfac572862a5d"
+
     def test_verdict_column_sha256(self):
         """The verdict of every record of build_suite at seeds 0-9, one per
         line: a change to the verdict test or its slack that moves this hash
@@ -551,10 +560,14 @@ class TestSinglePipeline:
 
     @pytest.mark.parametrize("argv", [("--a", "1e-300", "--b", "1e300"),
                                       ("--a", "1e-300", "--b", "1e300", "--grid=-2,0.5"),
-                                      ("--a", "1", "--b", "1e300")])
+                                      ("--a", "1", "--b", "1e300"),
+                                      ("--a", "1", "--b", "2", "--grid=0,1e-300"),
+                                      ("--a", "0.1", "--b", "50", "--grid=-1e-12,0,1e-12")])
     def test_means_extreme_pairs_hold(self, capsys, argv):
         # NaN L_p values flagged the first, a ZeroDivisionError traceback
-        # ended the second and "math range error" (exit 2) the third
+        # ended the second and "math range error" (exit 2) the third; L_p at
+        # a tiny p was a (1.0 against I = 1.4715) or 0.0, which flagged the
+        # last two
         code, out, err = _run(capsys, "means", *argv, "--format", "json")
         rows = json.loads(out)["cases"]
         assert (code, err) == (0, "")

@@ -447,7 +447,7 @@ def test_samples_are_drawn_lazily():
 # ---------------------------------------------------------------------------
 # Oracle: the membership search as one function per triple, each triple
 # evaluated from scratch (eight branches, grid pass, then every random triple
-# drawn up-front). check_membership caches grid values and draws lazily; it
+# drawn up-front). check_membership draws lazily, one triple at a time; it
 # must agree with this bit for bit, failures included.
 
 def _oracle_sense_sides(cls, g, x, y, lam):
@@ -643,8 +643,7 @@ def test_property_search_matches_oracle(sense, data, g, dom, samples, seed, tol)
 
 
 # ---------------------------------------------------------------------------
-# The grid scan reads g from a memo of distinct combination points, so a
-# lam-major scan, or one that evaluates ahead, would meet these hits and
+# A lam-major scan, or one that evaluates ahead, would meet these hits and
 # failures in another order than the definition; the outcome must be the
 # oracle's.
 
@@ -747,47 +746,25 @@ def _record_g_calls(monkeypatch) -> list:
     return args
 
 
-def test_non_negative_sense_evaluates_each_grid_point_once(monkeypatch):
-    """The non-negativity check's values of g on the grid feed the grid
-    pass, so a clean h_alpha_m search with no random triples calls g once per
-    grid point, plus once per distinct non-zero combination point (a grid
-    point that is also a combination point counts under both)."""
-    # with m = 0.1 on [10, 11] only one grid point is a combination point
+@pytest.mark.parametrize("cls", [ConvexityClass(sense) for sense in SENSES] + [
+    ConvexityClass("h_alpha_m", m=0.1), ConvexityClass("s_alpha_m_second", m=0.5)],
+    ids=lambda cls: cls.sense if cls.m == 1.0 else f"{cls.sense}-m{cls.m:g}")
+def test_clean_search_evaluates_g_three_times_per_triple(monkeypatch, cls):
+    """A member search calls g at the combination point, at x and at Y once
+    per triple checked, after the 21 grid values of the non-negativity check
+    of the senses that make it."""
     g, dom = parse("x^2"), DomainInterval(10.0, 11.0)
-    cls = ConvexityClass("h_alpha_m", alpha=1.0, m=0.1)
     args = _record_g_calls(monkeypatch)
-    rep = check_membership(g, cls, dom, samples=0)
-    xs = _grid_points(dom, 21)
-    lams = [0.1 * k for k in range(1, 10)]
-    zs = {lam * x + cls.m * (1.0 - lam) * y for lam in lams for x in xs for y in xs} - {0.0}
-    assert rep.ok and rep.samples_used == 21 * 21 * 9
-    assert all(args.count(x) == 1 + (x in zs) for x in xs)
-    assert len(args) == len(xs) + len(zs)
-
-
-@pytest.mark.parametrize("sense", ["s_alpha_m_first", "s_alpha_m_second"])
-def test_y_over_m_sense_at_m_one_evaluates_each_grid_point_once(monkeypatch, sense):
-    """At m = 1, y/m is y, so the grid pass reads g(y/m) from the values of
-    the non-negativity check: a clean search with no random triples calls g
-    once per grid point, plus once per distinct non-zero combination point."""
-    g, dom = parse("x^2"), DomainInterval(10.0, 11.0)
-    cls = ConvexityClass(sense)  # alpha = m = s = 1
-    args = _record_g_calls(monkeypatch)
-    rep = check_membership(g, cls, dom, samples=0)
-    xs = _grid_points(dom, 21)
-    lams = [0.0] + [0.1 * k for k in range(1, 10)] + [1.0]
-    zs = {lam * x + (1.0 - lam) * y for lam in lams for x in xs for y in xs} - {0.0}
-    assert rep.ok and rep.samples_used == 21 * 21 * 11
-    assert all(args.count(x) == 1 + (x in zs) for x in xs)
-    assert len(args) == len(xs) + len(zs) == 430
+    rep = check_membership(g, cls, dom, samples=100)
+    assert rep.ok and rep.samples_used > 21 * 21 * 9
+    assert len(args) == 3 * rep.samples_used + (21 if cls.sense in NONNEG_SENSES else 0)
 
 
 def test_build_suite_membership_work(monkeypatch, cold_caches):
     """A machine-independent guard on the membership checks: calls of the
-    compiled g and h, triples checked (sum of samples_used), grid
-    combination points computed, proofs and their pieces, for one suite
-    with cold caches."""
-    evals, triples, points, proofs = [0], [0], [0], []
+    compiled g and h, triples checked (sum of samples_used), proofs and
+    their pieces, for one suite with cold caches."""
+    evals, triples, proofs = [0], [0], []
     real_compile, real_check, real_prove = (
         convexity.compile_fn, convexity.check_membership, convexity._prove)
 
@@ -810,22 +787,16 @@ def test_build_suite_membership_work(monkeypatch, cold_caches):
             proofs.append(proof)
         return proof
 
-    def counting_add(z, cy):  # the grid scan's lam*x + c*y, one per triple of a row
-        points[0] += 1
-        return z + cy
-
     monkeypatch.setattr(convexity, "compile_fn", counting_compile)
     monkeypatch.setattr(convexity, "check_membership", summing_check)
     monkeypatch.setattr(convexity, "_prove", recording_prove)
-    monkeypatch.setattr(convexity, "add", counting_add)
     build_suite(42)
     # 248,674 when each grid triple called g; 87,142 and 203,742 triples
     # when all 48 hypotheses were searched
-    assert evals[0] == 1436  # 756 of them the grid checks of the 36 proven h_alpha_m rows
+    # 756 of them the grid checks of the 36 proven h_alpha_m rows, and 3 per
+    # triple checked; 1,436 when the grid scan read g from a memo
+    assert evals[0] == 906
     assert triples[0] == 50  # the 4 searches hit at grid triples 12, 13, 12 and 13
-    # each search computes the 21 x 11 points of its first x row only; the
-    # 2 shared plans of the whole grid computed 21 x 21 x 11 each
-    assert points[0] == 4 * 21 * 11
     assert len(proofs) == 44
     assert sum(p.pieces for p in proofs) == 116
 
@@ -900,11 +871,11 @@ class TestVerdictPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Random triples are drawn in blocks of _BLOCK, each when the scan reaches
-# it. Whichever block a hit, a failure or a skipped lam falls in, at either
-# side of a block boundary, each outcome must still be the oracle's.
+# Hits, failures and skipped lams on either side of multiples of _BLOCK
+# random draws, the block size of an earlier blocked scan: each outcome must
+# still be the oracle's.
 
-_BLOCK = convexity._BLOCK
+_BLOCK = 500
 _BLOCK_SAMPLES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK // 2)
 
 
@@ -1003,18 +974,14 @@ def test_first_hit_in_the_fourth_random_block(cold_caches):
     assert out[0] == "counterexample" and 3 * _BLOCK < out[1] - 21 * 21 * 11 <= 4 * _BLOCK
 
 
-def test_grid_hit_stops_evaluating_in_its_row(monkeypatch, cold_caches):
-    """A grid scan evaluates g one x row at a time: a search that hits in
-    row r calls g at the 21 grid points, once at each distinct combination
-    point of rows 0..r, and 3 times to replay the hit."""
+def test_grid_hit_stops_evaluating_at_its_triple(monkeypatch, cold_caches):
+    """A search evaluates one triple at a time: a search that hits at its
+    k-th triple calls g 3k times."""
     g, cls, dom = parse("-x^2"), ConvexityClass("plain_convex"), DomainInterval(-1.0, 0.5)
     args = _record_g_calls(monkeypatch)
     rep = check_membership(g, cls, dom, samples=2000)
-    xs, lams = _grid_points(dom, 21), convexity._lam_grid(cls.sense)
-    row = xs.index(rep.witness.x)
-    zs = {lam * x + (1.0 - lam) * y for x in xs[:row + 1] for y in xs for lam in lams}
-    assert not rep.ok and rep.samples_used <= (row + 1) * 21 * 11
-    assert len(args) <= 21 + len(zs) + 3
+    assert not rep.ok and rep.samples_used < 21 * 11
+    assert len(args) == 3 * rep.samples_used
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Classical means, the ordering chain, and the four consequence checks."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -219,6 +220,26 @@ class TestLpEdges:
         v = mean(LP(200.0), a, b)
         assert 1.9 < v < 2.0
         assert v > mean(LP(5.0), a, b)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.1, 50.0), (3.0, 3.5), (1e-3, 1e3),
+                                     (100.0, 100.0001)])
+    @pytest.mark.parametrize("p", [1e-300, -1e-300, 5e-324, -5e-324, 1e-20, -1e-20, 1e-12,
+                                   1e-8, -1e-8, 1e-4, -1e-3, 0.0099, -0.0099])
+    def test_tiny_p_matches_a_decimal_reference(self, a, b, p):
+        # L_p at 80 digits; below |p| = 1e-30 that form loses its digits,
+        # and L_p is I to far more than double precision
+        da, db = Decimal(a), Decimal(b)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            if abs(p) <= 1e-30:
+                ref = ((db * db.ln() - da * da.ln()) / (db - da) - 1).exp()
+            else:
+                dp = Decimal(p)
+                base = (((dp + 1) * db.ln()).exp() - ((dp + 1) * da.ln()).exp()) \
+                    / ((dp + 1) * (db - da))
+                ref = (base.ln() / dp).exp()
+            err = abs((Decimal(mean(LP(p), a, b)) - ref) / ref)
+        assert err <= Decimal("1e-13")
 
     def test_nan_value_flags_the_decrease(self, monkeypatch):
         # a mean that gives NaN at p = 2 inside the grid: max() over the
