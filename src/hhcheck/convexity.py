@@ -363,23 +363,36 @@ def check_membership(
     time in definition order (x, then y, then lam on the grid; draw order
     after it), calling g and h in the order of the sense's definition: the
     first counterexample is the witness, and a DomainError of g is raised
-    as the PreconditionError that names its triple.
+    as the PreconditionError that names its triple. A grid lam's weights
+    are computed, in that order, at its first triple and kept for the
+    rest of the grid, so a weight that fails ends the search there; each
+    draw computes its own.
 
     checked is what _preconditions returned for these arguments, from a
     caller that has made the checks; by default the search makes them.
     """
     gc, xs = checked or _preconditions(g, cls, dom, samples)
     c_of, wx_of, wy_of, y_over_m, wx_late = _COEFFICIENTS[cls.sense]
+    grid = len(xs) ** 2 * len(_lam_grid(cls.sense))
+    weights = {}  # grid lam -> (c, wx, wy), stored at the lam's first triple
     try:
         for used, (x, y, lam) in enumerate(_triples(dom, xs, cls.sense, samples, seed), 1):
-            c = c_of(cls, lam)
-            if not wx_late:
-                wx = wx_of(cls, lam)
-            lhs = gc(lam * x + c * y)
-            if wx_late:
-                wx = wx_of(cls, lam)
-            gx = gc(x)
-            wy = wy_of(cls, lam, wx)
+            w = weights.get(lam)
+            if w is not None:
+                c, wx, wy = w
+                lhs = gc(lam * x + c * y)
+                gx = gc(x)
+            else:
+                c = c_of(cls, lam)
+                if not wx_late:
+                    wx = wx_of(cls, lam)
+                lhs = gc(lam * x + c * y)
+                if wx_late:
+                    wx = wx_of(cls, lam)
+                gx = gc(x)
+                wy = wy_of(cls, lam, wx)
+                if used <= grid:
+                    weights[lam] = c, wx, wy
             rhs = wx * gx + wy * gc(y / cls.m if y_over_m else y)
             if lhs > rhs + tol:  # not within(); see its docstring
                 return MembershipReport("counterexample", used, Witness(x, y, lam, lhs, rhs), seed)

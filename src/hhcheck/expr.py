@@ -553,48 +553,59 @@ def differentiate(node: Node, order: int = 1) -> Node:
     abs differentiates to arg'/|arg| * arg, which evaluates to sign(arg)*arg'
     away from zero and raises DomainError exactly at a kink. Trees are
     interned, so equal calls share one result from a bounded cache; it keys
-    differentiate(f) and differentiate(f, 1) apart.
+    differentiate(f) and differentiate(f, 1) apart. Within a call each
+    distinct subtree is differentiated once, so the work is linear in the
+    tree's distinct nodes, however often a derivative repeats them.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    d = _d(node)
+    memo = {}
+    d = _d(node, memo)
     if order == 2:
-        d = _d(d)
+        d = _d(d, memo)
     return d
 
 
-def _d(node: Node) -> Node:
+def _d(node: Node, memo: dict) -> Node:
+    """node's derivative; memo maps each subtree already differentiated to
+    its derivative."""
     if isinstance(node, Const):
         return Const(0.0)
     if isinstance(node, Var):
         return Const(1.0)
+    if node in memo:
+        return memo[node]
     if isinstance(node, Add):
-        return add(_d(node.left), _d(node.right))
-    if isinstance(node, Sub):
-        return sub(_d(node.left), _d(node.right))
-    if isinstance(node, Mul):
-        return add(mul(_d(node.left), node.right), mul(node.left, _d(node.right)))
-    if isinstance(node, Div):
-        num = sub(mul(_d(node.left), node.right), mul(node.left, _d(node.right)))
-        return div(num, mul(node.right, node.right))
-    if isinstance(node, Pow):
+        d = add(_d(node.left, memo), _d(node.right, memo))
+    elif isinstance(node, Sub):
+        d = sub(_d(node.left, memo), _d(node.right, memo))
+    elif isinstance(node, Mul):
+        d = add(mul(_d(node.left, memo), node.right), mul(node.left, _d(node.right, memo)))
+    elif isinstance(node, Div):
+        num = sub(mul(_d(node.left, memo), node.right), mul(node.left, _d(node.right, memo)))
+        d = div(num, mul(node.right, node.right))
+    elif isinstance(node, Pow):
         u, v = node.base, node.exponent
-        du = _d(u)
+        du = _d(u, memo)
         if isinstance(v, Const):
             c = v.value
-            return mul(mul(Const(c), pow_(u, Const(c - 1.0))), du)
-        # general u^v = exp(v ln u), valid for u > 0 at evaluation time
-        dv = _d(v)
-        return mul(Pow(u, v), add(mul(dv, Ln(u)), div(mul(v, du), u)))
-    if isinstance(node, Exp):
-        return mul(Exp(node.arg), _d(node.arg))
-    if isinstance(node, Ln):
-        return div(_d(node.arg), node.arg)
-    if isinstance(node, Abs):
-        return mul(_d(node.arg), div(node.arg, Abs(node.arg)))
-    if isinstance(node, Neg):
-        return neg(_d(node.arg))
-    raise TypeError(f"not an expression node: {node!r}")
+            d = mul(mul(Const(c), pow_(u, Const(c - 1.0))), du)
+        else:
+            # general u^v = exp(v ln u), valid for u > 0 at evaluation time
+            dv = _d(v, memo)
+            d = mul(Pow(u, v), add(mul(dv, Ln(u)), div(mul(v, du), u)))
+    elif isinstance(node, Exp):
+        d = mul(Exp(node.arg), _d(node.arg, memo))
+    elif isinstance(node, Ln):
+        d = div(_d(node.arg, memo), node.arg)
+    elif isinstance(node, Abs):
+        d = mul(_d(node.arg, memo), div(node.arg, Abs(node.arg)))
+    elif isinstance(node, Neg):
+        d = neg(_d(node.arg, memo))
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    memo[node] = d
+    return d
 
 
 # ---------------------------------------------------------------------------

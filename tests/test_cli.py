@@ -157,6 +157,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: reference integral over [{a}, {b}] did not converge")
 
+    @pytest.mark.parametrize("rule, code", [
+        (("T4",), 0), (("T5", "--p", "2"), 0), (("C3", "--p", "2"), 0), (("C4", "--p", "2"), 1),
+    ], ids=["T4", "T5", "C3", "C4"])
+    def test_long_product_finishes(self, rule, code):
+        # the prover differentiates the 100-factor product four times, and
+        # each derivative repeats the subtrees of the last: differentiated at
+        # every occurrence, the work grows faster than n^4 and a run takes
+        # over a minute; once per distinct subtree, well under a second
+        f = "*".join(["x"] * 100)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhcheck", "bound", "--rule", *rule, "--a", "0.5",
+             "--b", "1", f"--f={f}"],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert (proc.returncode, proc.stderr) == (code, "")
+
     @pytest.mark.parametrize("argv", [
         ("bound", "--rule", "T2", "--f", "x^2", "--a", "0", "--b", "1", "--p", "inf"),
         ("quad", "--rule", "midpoint", "--f", "x^2", "--a", "0", "--b", "1", "--n", "4",
