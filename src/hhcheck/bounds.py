@@ -29,6 +29,7 @@ guarantee; their verdicts are recorded empirically.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -232,13 +233,22 @@ class _Rule(NamedTuple):
     note: Optional[str] = None
 
 
+def _beta_root(p: float, bpp: float) -> float:
+    """beta(p+1, p+1)^(1/p) from bpp = beta(p+1, p+1). Past p ~ 510 beta is
+    below the least normal float (0.0 from p ~ 537), so the root is taken
+    in log space from log-gamma there."""
+    if bpp >= sys.float_info.min:
+        return bpp ** (1.0 / p)
+    return math.exp((2.0 * math.lgamma(p + 1.0) - math.lgamma(2.0 * p + 2.0)) / p)
+
+
 # prefactors as functions of (L, p, beta(p+1,p+1)); each C rule shares its T rule's
 _PREFACTOR = {
     "T1": lambda L, p, _: L / 4.0,
     "T2": lambda L, p, _: L / (4.0 * (p + 1.0) ** (1.0 / p)),
     "T3": lambda L, p, _: L / 2.0 ** ((2.0 * p + 1.0) / p),
     "T4": lambda L, p, _: L * L / 2.0,
-    "T5": lambda L, p, bpp: 0.5 * L * L * bpp ** (1.0 / p),
+    "T5": lambda L, p, bpp: 0.5 * L * L * _beta_root(p, bpp),
     "T6": lambda L, p, _: L * L / (2.0 * 6.0 ** (1.0 / p)),
 }
 _RULES = {

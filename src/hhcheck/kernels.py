@@ -86,17 +86,19 @@ _WG = (0.129484966168869693, 0.279705391489276668, 0.381830050505118945)
 _WG0 = 0.417959183673469388
 
 
+_K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G2, _G4, _G6 = _WG
+
+
 def _g7k15(fs: list, hw: float) -> tuple[float, float]:
-    """(K15, |K15 - G7|) from a panel's half-width and 15 values in _panel's order."""
-    k15 = _WGK0 * fs[0]
-    g7 = _WG0 * fs[0]
-    for i in range(7):
-        pair = fs[2 * i + 1] + fs[2 * i + 2]
-        k15 += _WGK[i] * pair
-        if i % 2 == 1:
-            g7 += _WG[i // 2] * pair
-    k15 *= hw
-    g7 *= hw
+    """(K15, |K15 - G7|) from a panel's half-width and 15 values in _panel's
+    order: the center, then each node pair c -+ hw*_XGK[i]. Each sum adds
+    the center term first and the pairs in order."""
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14 = fs
+    p2, p4, p6 = f3 + f4, f7 + f8, f11 + f12
+    k15 = (_WGK0 * f0 + _K1 * (f1 + f2) + _K2 * p2 + _K3 * (f5 + f6) + _K4 * p4
+           + _K5 * (f9 + f10) + _K6 * p6 + _K7 * (f13 + f14)) * hw
+    g7 = (_WG0 * f0 + _G2 * p2 + _G4 * p4 + _G6 * p6) * hw
     return k15, abs(k15 - g7)
 
 
@@ -113,11 +115,38 @@ def _panel(lo: float, hi: float) -> tuple[float, tuple]:
     return hw, tuple(nodes)
 
 
-# the reference integrator's accuracy and work budget; integrate_adaptive
-# alone reads these
+# the integrator's accuracy and work budget; the panel loop alone reads these
 _TOL = 1e-12
 _MAX_DEPTH = 60
 _MAX_PANELS = 1000
+
+
+def _adapt(values: Callable[[float, float, tuple], list]) -> IntegralResult:
+    """The one panel loop: adaptive bisection of u in (0, 1) with a
+    Gauss-Kronrod 7/15 pair per panel. values(lo, hi, nodes) returns the
+    panel's 15 scaled integrand values at _panel's nodes of (lo, hi)."""
+    total = 0.0
+    err_total = 0.0
+    panels = 0
+    depth_exhausted = False
+    stack = [(0.0, 1.0, 0)]
+    while stack and panels < _MAX_PANELS:
+        lo, hi, depth = stack.pop()
+        hw, nodes = _panel(lo, hi)
+        val, err = _g7k15(values(lo, hi, nodes), hw)
+        panels += 1
+        budget = _TOL * (hi - lo)
+        if err <= budget or depth >= _MAX_DEPTH:
+            total += val
+            err_total += err
+            if err > budget:
+                depth_exhausted = True
+        else:
+            mid = 0.5 * (lo + hi)
+            stack.append((mid, hi, depth + 1))
+            stack.append((lo, mid, depth + 1))
+    converged = not (stack or depth_exhausted) and err_total <= _TOL
+    return IntegralResult(total, err_total, panels, converged)
 
 
 def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
@@ -142,37 +171,14 @@ def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
         raise ValueError(f"integration requires a < b, got ({a!r}, {b!r})")
     fc = compile_fn(f) if isinstance(f, Node) else f
     width = b - a
-    total = 0.0
-    err_total = 0.0
-    panels = 0
-    depth_exhausted = False
-    stack = [(0.0, 1.0, 0)]
-    while stack and panels < _MAX_PANELS:
-        lo, hi, depth = stack.pop()
-        hw, nodes = _panel(lo, hi)
-        val, err = _g7k15([fc(a + width * s) * width * jac for s, jac in nodes], hw)
-        panels += 1
-        budget = _TOL * (hi - lo)
-        if err <= budget or depth >= _MAX_DEPTH:
-            total += val
-            err_total += err
-            if err > budget:
-                depth_exhausted = True
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
-    converged = not (stack or depth_exhausted) and err_total <= _TOL
-    return IntegralResult(total, err_total, panels, converged)
+    return _adapt(lambda lo, hi, nodes: [fc(a + width * s) * width * jac for s, jac in nodes])
 
 
-def integral(f: Union[Node, Callable[[float], float]], a: float, b: float,
-             what: str, *args) -> IntegralResult:
-    """integrate_adaptive(f, a, b) that converged; otherwise raise
-    NonConvergenceError naming what.format(*args), the estimate and the panel
-    count, and whether the panel budget was spent: the estimate then leaves
-    out the panels not summed. The name is formatted only on failure."""
-    res = integrate_adaptive(f, a, b)
+def _converged(res: IntegralResult, what: str, args: tuple) -> IntegralResult:
+    """res if it converged; otherwise raise NonConvergenceError naming
+    what.format(*args), the estimate and the panel count, and whether the
+    panel budget was spent: the estimate then leaves out the panels not
+    summed. The name is formatted only on failure."""
     if not res.converged:
         spent = ("over the summed panels; the budget was spent "
                  if res.subdivisions >= _MAX_PANELS else "")
@@ -181,6 +187,13 @@ def integral(f: Union[Node, Callable[[float], float]], a: float, b: float,
             f"(estimate {res.abs_error_estimate:.3e} {spent}after {res.subdivisions} panels)"
         )
     return res
+
+
+def integral(f: Union[Node, Callable[[float], float]], a: float, b: float,
+             what: str, *args) -> IntegralResult:
+    """integrate_adaptive(f, a, b) that converged; otherwise raise
+    NonConvergenceError as _converged says."""
+    return _converged(integrate_adaptive(f, a, b), what, args)
 
 
 class KernelMoment(NamedTuple):
@@ -196,15 +209,30 @@ def _c_form(v: float, q: float) -> float:
 
 
 # One row per kind: the closed form for h^alpha(t) = t^u, in (u, q); the
-# weight w(t, q) of the integrand w(t, q) * h(t)^a; and whether a is alpha/q,
-# for a kind that takes a Holder pair, or alpha.
+# panel's 15 integrand values (w(t, q) * h(t)^a) * jac from its (t, jac)
+# nodes and h at them; and whether a is alpha/q, for a kind that takes a
+# Holder pair, or alpha. hv ** a is 1.0 at a = 0, as evaluate_h's is, and
+# M0 leaves out its weight 1.0, since 1.0 * x is x.
 _KERNELS = {
-    "M0": (lambda u, q: 1.0 / (u + 1.0), lambda t, q: 1.0, False),
-    "M1": (lambda u, q: 1.0 / ((u + 1.0) * (u + 2.0)), lambda t, q: 1.0 - t, False),
-    "M2": (lambda u, q: 1.0 / ((u + 2.0) * (u + 3.0)), lambda t, q: t * (1.0 - t), False),
-    "C2": (lambda u, q: _c_form(u / q, q), lambda t, q: 1.0 - t / q, True),
+    "M0": (lambda u, q: 1.0 / (u + 1.0),
+           lambda nodes, hs, a, q: [hv ** a * jac for (t, jac), hv in zip(nodes, hs)],
+           False),
+    "M1": (lambda u, q: 1.0 / ((u + 1.0) * (u + 2.0)),
+           lambda nodes, hs, a, q: [(1.0 - t) * hv ** a * jac
+                                    for (t, jac), hv in zip(nodes, hs)],
+           False),
+    "M2": (lambda u, q: 1.0 / ((u + 2.0) * (u + 3.0)),
+           lambda nodes, hs, a, q: [t * (1.0 - t) * hv ** a * jac
+                                    for (t, jac), hv in zip(nodes, hs)],
+           False),
+    "C2": (lambda u, q: _c_form(u / q, q),
+           lambda nodes, hs, a, q: [(1.0 - t / q) * hv ** a * jac
+                                    for (t, jac), hv in zip(nodes, hs)],
+           True),
     "C4": (lambda u, q: _c_form(u / q + 1.0 / q, q),
-           lambda t, q: t ** (1.0 / q) * (1.0 - t / q), True),
+           lambda nodes, hs, a, q: [t ** (1.0 / q) * (1.0 - t / q) * hv ** a * jac
+                                    for (t, jac), hv in zip(nodes, hs)],
+           True),
 }
 KERNEL_KINDS = tuple(_KERNELS)
 
@@ -241,10 +269,28 @@ def kernel_moment(kind: str, h: HFunction, alpha: float,
     return _adaptive_moment(kind, h, alpha, q)
 
 
+class _Fn(NamedTuple):
+    fn: Callable[[float], float]  # all that evaluate_h reads of an h
+
+
+@lru_cache(maxsize=64)
+def _h_table(fn: Callable[[float], float], lo: float, hi: float) -> tuple:
+    """h at the 15 nodes t = s(u) of the panel (lo, hi), filled in node order
+    through evaluate_h (h(t) ** 1.0 is h(t)), so its range check and its
+    errors are those of a call per node. Keyed by h's function, so an entry keeps no tree alive;
+    the moments of one h share its panels."""
+    h = _Fn(fn)
+    return tuple([evaluate_h(h, t, 1.0) for t, _ in _panel(lo, hi)[1]])
+
+
 @lru_cache(maxsize=64)
 def _adaptive_moment(kind: str, h: HFunction, alpha: float, q: float | None) -> KernelMoment:
-    _, weight, holder = _KERNELS[kind]
+    # the bits of integral(lambda t: w(t, q) * evaluate_h(h, t, a), 0.0, 1.0,
+    # ...): on (0, 1) a node is t = 0.0 + 1.0 * s = s and the factor width
+    # = 1.0 changes no bit
+    _, panel_values, holder = _KERNELS[kind]
     a = alpha / q if holder else alpha
-    res = integral(lambda t: weight(t, q) * evaluate_h(h, t, a), 0.0, 1.0,
-                   "kernel {} for h={} alpha={:g}", kind, h, alpha)
+    fn = h.fn
+    res = _adapt(lambda lo, hi, nodes: panel_values(nodes, _h_table(fn, lo, hi), a, q))
+    res = _converged(res, "kernel {} for h={} alpha={:g}", (kind, h, alpha))
     return KernelMoment(kind, res.value, "adaptive", res.abs_error_estimate)

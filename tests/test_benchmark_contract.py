@@ -124,9 +124,13 @@ def test_traced_rule_sweep_counts_every_custom_h_evaluation(tracer, workloads, c
     # a custom h compiles when the op builds its class, after the tracer is
     # installed, so the kernel integrands' evaluations of h are still counted.
     # The ten rules need 6 distinct moments (M1 for T1/T3, M0 for T2/T5, M0
-    # at alpha/q for C1/C3, M2 for T4/T6, C2, C4), each integrated once. The
-    # quad reads the reference integral of f that the rules cached, so its
-    # own 7-panel integral (105 evaluations, one compile) does not run
+    # at alpha/q for C1/C3, M2 for T4/T6, C2, C4), each integrated once.
+    # Their runs visit 19 distinct panels, and h is tabulated once per panel
+    # at its 15 nodes: 285 evaluations of h, where a call per node of every
+    # moment made 1,350. The other 610 evaluations are f's and its
+    # derivatives'. The quad reads the reference integral of f that the
+    # rules cached, so its own 7-panel integral (105 evaluations, one
+    # compile) does not run
     w = workloads.RuleSweep(7, str(ROOT))
     spec = {"f": "x^3", "k": 0, "a": 0.5, "b": 1.5, "h": ("expr", "t*(2-t)"), "alpha": 0.5,
             "m": 0.9, "p": 2.0, "n": 4, "quad": "midpoint", "variant": "statement"}
@@ -136,8 +140,8 @@ def test_traced_rule_sweep_counts_every_custom_h_evaluation(tracer, workloads, c
         assert w.check(spec, w.run(spec)) == 13
     finally:
         tr.uninstall()
-    assert tr.counts["expr.evals"] == 1960
-    assert tr.counts["convexity.evaluate_h.calls"] == 1350
+    assert tr.counts["expr.evals"] == 895
+    assert tr.counts["convexity.evaluate_h.calls"] == 285
     assert tr.calls["expr.compile_fn"] == 27
 
 

@@ -194,6 +194,35 @@ class TestRuleFixtures:
         assert rep.margin < -0.1
 
 
+class TestLargeP:
+    """beta(p+1, p+1) leaves the normal floats near p = 510 and is 0.0 from
+    p ~ 537; T5's and C3's factor beta^(1/p) does not (it tends to 1/4)."""
+
+    @pytest.mark.parametrize("rule", ["T5", "C3"])
+    @pytest.mark.parametrize("p", [600.0, 2000.0])
+    def test_rows_hold(self, rule, p):
+        rep = _run(rule, SQ, 0.5, 1.0, p=p)
+        assert rep.components["beta_pp"] == 0.0
+        assert rep.holds and rep.rhs > 0.06
+
+    @pytest.mark.parametrize("p", [505.0, 520.0, 530.0, 600.0, 2000.0])
+    def test_prefactor_is_the_log_gamma_root(self, p):
+        rep = _run("T5", SQ, 0.5, 1.0, p=p)
+        root = math.exp((2.0 * math.lgamma(p + 1.0) - math.lgamma(2.0 * p + 2.0)) / p)
+        assert rep.components["prefactor"] == pytest.approx(0.5 * 0.5 * 0.5 * root, rel=1e-12)
+
+    @pytest.mark.parametrize("rule,f,p,rhs", [
+        ("T5", SQ, 2.0, "0x1.75e9746a0b094p-5"),
+        ("C3", SQ, 2.0, "0x1.75e9746a0b094p-5"),
+        ("T5", EXP, 2.0, "0x1.a448abd2c8acbp-5"),
+        ("C3", EXP, 2.0, "0x1.76e4508e2c751p-5"),
+        ("T5", EXP, 1.5, "0x1.9f10a3393306dp-5"),
+        ("C3", EXP, 4.0, "0x1.aead1b0d06796p-5"),
+    ])
+    def test_suite_p_keeps_its_bits(self, rule, f, p, rhs):
+        assert _run(rule, f, 0.5, 1.0, p=p).rhs.hex() == rhs
+
+
 class TestRecomposition:
     """rhs must recompose from the reported components."""
 

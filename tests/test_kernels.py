@@ -584,17 +584,17 @@ def _ten_rules(h, alpha=0.5, m=0.9, p=2.0, f="x^3", a=0.5, b=1.5):
 
 class TestMomentCache:
     def test_ten_rules_integrate_six_moments(self, monkeypatch, cold_caches):
-        # the reference integral of f is warmed first, so every counted
-        # integral is a moment: M1(alpha) for T1/T3, M0(alpha) for T2/T5,
-        # M0(alpha/q) for C1/C3, M2(alpha) for T4/T6, C2 and C4
+        # the reference integral of f is warmed first, so every counted run
+        # of the panel loop is a moment: M1(alpha) for T1/T3, M0(alpha) for
+        # T2/T5, M0(alpha/q) for C1/C3, M2(alpha) for T4/T6, C2 and C4
         _mean_integral(parse("x^3"), 0.5, 1.5)
-        calls, real = [], kernels.integrate_adaptive
+        calls, real = [], kernels._adapt
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(kernels, "integrate_adaptive", counting)
+        monkeypatch.setattr(kernels, "_adapt", counting)
         _ten_rules(HFunction.custom(parse("t*(2-t)", var="t")))
         assert len(calls) == 6
         info = _adaptive_moment.cache_info()
@@ -662,3 +662,105 @@ class TestMomentCache:
             kernel_moment("M0", h, k / 1000.0)
         info = _adaptive_moment.cache_info()
         assert info.currsize == info.maxsize and info.misses == info.maxsize + 5
+
+
+# -- h tabulated per panel ----------------------------------------------------
+
+_ORACLE_WEIGHTS = {
+    "M0": lambda t, q: 1.0,
+    "M1": lambda t, q: 1.0 - t,
+    "M2": lambda t, q: t * (1.0 - t),
+    "C2": lambda t, q: 1.0 - t / q,
+    "C4": lambda t, q: t ** (1.0 / q) * (1.0 - t / q),
+}
+
+
+def _oracle_moment(kind, h, alpha, q):
+    """A kernel moment as one integral that calls h per node of every panel:
+    the weight times evaluate_h(h, t, a), through integrate_adaptive."""
+    weight = _ORACLE_WEIGHTS[kind]
+    a = alpha / q if kind in ("C2", "C4") else alpha
+    res = integral(lambda t: weight(t, q) * hhcheck.evaluate_h(h, t, a), 0.0, 1.0,
+                   "kernel {} for h={} alpha={:g}", kind, h, alpha)
+    return res.value.hex(), res.abs_error_estimate.hex()
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        return type(exc), str(exc)
+
+
+_H_TEMPLATES = (
+    "{c}*t + {d}*t^2",          # may be negative: PreconditionError
+    "exp({c}*t)",
+    "(t + {d})^{e}",
+    "ln(1 + {d}*t)",
+    "t/({d} + t)",
+    "(t - {d})^0.5",            # undefined below t = d: DomainError
+    "1/(t - 0.5) + {d}",        # the center node of (0, 1) is t = 0.5
+)
+
+
+@st.composite
+def _moment_cases(draw):
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    if draw(st.integers(0, 9)) == 0:
+        h = HFunction.reciprocal()
+    else:
+        text = draw(st.sampled_from(_H_TEMPLATES)).format(
+            c=draw(st.floats(-2.0, 2.0).map(lambda v: round(v, 3))),
+            d=draw(st.floats(0.05, 0.95).map(lambda v: round(v, 3))),
+            e=draw(st.floats(0.25, 3.0).map(lambda v: round(v, 3))))
+        h = HFunction.custom(parse(text, var="t"))
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-9, 1e-2))
+    hp = HolderPair.from_p(draw(st.floats(1.05, 20.0))) if kind in ("C2", "C4") else None
+    return kind, h, alpha, hp
+
+
+class TestHTable:
+    """kernel_moment reads h from a table per panel; every value, estimate
+    and failure is that of the integral that calls h per node."""
+
+    @given(_moment_cases())
+    def test_moment_equals_the_per_node_oracle(self, case):
+        kind, h, alpha, hp = case
+        _adaptive_moment.cache_clear()
+
+        def moment():
+            mom = kernel_moment(kind, h, alpha, hp=hp)
+            return mom.value.hex(), mom.abs_error_estimate.hex()
+
+        q = hp.q if hp is not None else None
+        assert _outcome(moment) == _outcome(lambda: _oracle_moment(kind, h, alpha, q))
+
+    @pytest.mark.parametrize("h,alpha,error", [
+        ("t - 0.5", 0.5, hhcheck.PreconditionError),
+        ("(t - 0.3)^0.5", 0.5, DomainError),
+        (None, 1.0, NonConvergenceError),
+    ])
+    def test_each_failure_is_the_oracles(self, cold_caches, h, alpha, error):
+        h = HFunction.reciprocal() if h is None else HFunction.custom(parse(h, var="t"))
+        for kind in ("M0", "M1"):
+            with pytest.raises(error) as got:
+                kernel_moment(kind, h, alpha)
+            with pytest.raises(error) as want:
+                _oracle_moment(kind, h, alpha, None)
+            assert str(got.value) == str(want.value)
+
+    def test_ten_rules_tabulate_h_once_per_panel(self, monkeypatch, cold_caches):
+        # the six moments visit 19 distinct panels; h is evaluated at the 15
+        # nodes of each once, where a call per node of every moment's
+        # integrand made 1,350 evaluations
+        calls, real = [0], kernels.evaluate_h
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "evaluate_h", counting)
+        _ten_rules(HFunction.custom(parse("t*(2-t)", var="t")))
+        assert calls[0] == 19 * 15
+        info = kernels._h_table.cache_info()
+        assert (info.currsize, info.misses) == (19, 19)
