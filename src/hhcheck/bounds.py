@@ -233,22 +233,23 @@ class _Rule(NamedTuple):
     note: Optional[str] = None
 
 
-def _beta_root(p: float, bpp: float) -> float:
-    """beta(p+1, p+1)^(1/p) from bpp = beta(p+1, p+1). Past p ~ 510 beta is
-    below the least normal float (0.0 from p ~ 537), so the root is taken
-    in log space from log-gamma there."""
+def _beta_root(p: float) -> float:
+    """beta(p+1, p+1)^(1/p). Past p ~ 510 beta is below the least normal
+    float (0.0 from p ~ 537), so the root is taken in log space from
+    log-gamma there."""
+    bpp = beta(p + 1.0, p + 1.0)
     if bpp >= sys.float_info.min:
         return bpp ** (1.0 / p)
     return math.exp((2.0 * math.lgamma(p + 1.0) - math.lgamma(2.0 * p + 2.0)) / p)
 
 
-# prefactors as functions of (L, p, beta(p+1,p+1)); each C rule shares its T rule's
+# prefactors as functions of (L, p, beta(p+1,p+1)^(1/p)); each C rule shares its T rule's
 _PREFACTOR = {
     "T1": lambda L, p, _: L / 4.0,
     "T2": lambda L, p, _: L / (4.0 * (p + 1.0) ** (1.0 / p)),
     "T3": lambda L, p, _: L / 2.0 ** ((2.0 * p + 1.0) / p),
     "T4": lambda L, p, _: L * L / 2.0,
-    "T5": lambda L, p, bpp: 0.5 * L * L * _beta_root(p, bpp),
+    "T5": lambda L, p, root: 0.5 * L * L * root,
     "T6": lambda L, p, _: L * L / (2.0 * 6.0 ** (1.0 / p)),
 }
 _RULES = {
@@ -286,10 +287,10 @@ def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float) -> BoundReport:
     mom = kernel_moment(rule.kernel, h, alpha / q if rule.alpha_over_q else alpha,
                         hp=hp if rule.kernel in ("C2", "C4") else None).value
     comp[f"moment_{rule.kernel}" + ("_alpha_over_q" if rule.alpha_over_q else "")] = mom
-    bpp = None
+    root = None
     if rule.beta:
-        comp["beta_pp"] = bpp = beta(p + 1.0, p + 1.0)
-    comp["prefactor"] = rule.prefactor(L, p, bpp)
+        comp["beta_root"] = root = _beta_root(p)
+    comp["prefactor"] = rule.prefactor(L, p, root)
     if rule.bracket == "root":
         base = m * dm ** q
         brackets = [_root_q((e ** q - base) * mom + base / rule.k, q, inst.rule_id)

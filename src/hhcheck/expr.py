@@ -553,17 +553,16 @@ def differentiate(node: Node, order: int = 1) -> Node:
     abs differentiates to arg'/|arg| * arg, which evaluates to sign(arg)*arg'
     away from zero and raises DomainError exactly at a kink. Trees are
     interned, so equal calls share one result from a bounded cache; it keys
-    differentiate(f) and differentiate(f, 1) apart. Within a call each
-    distinct subtree is differentiated once, so the work is linear in the
-    tree's distinct nodes, however often a derivative repeats them.
+    differentiate(f) and differentiate(f, 1) apart. differentiate(f, 2)
+    differentiates differentiate(f), which the cache usually holds. Within a
+    call each distinct subtree is differentiated once, so the work is linear
+    in the tree's distinct nodes, however often a derivative repeats them.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    memo = {}
-    d = _d(node, memo)
     if order == 2:
-        d = _d(d, memo)
-    return d
+        return _d(differentiate(node), {})
+    return _d(node, {})
 
 
 def _d(node: Node, memo: dict) -> Node:

@@ -14,6 +14,7 @@ Gauss-Kronrod integrator supplies the value or reports non-convergence.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Callable, NamedTuple, Union
 
@@ -102,50 +103,74 @@ def _g7k15(fs: list, hw: float) -> tuple[float, float]:
     return k15, abs(k15 - g7)
 
 
+def _nodes(lo: float, hi: float) -> tuple[float, list]:
+    """(half-width, the 15 nodes u = c, c -+ hw*_XGK[i] of the panel)."""
+    c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return hw, [c] + [v for x in _XGK for v in (c - hw * x, c + hw * x)]
+
+
 @lru_cache(maxsize=128)
 def _panel(lo: float, hi: float) -> tuple[float, tuple]:
-    """(half-width, (s(u), s'(u)) at the nodes u = c, c -+ hw*_XGK[i] of the
-    panel), s(u) = u^3 (10 - 15u + 6u^2). Panels are dyadic pieces of [0, 1],
-    so few occur; the bound caps a run that bisects deep."""
-    c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    """(half-width, (s(u), s'(u)) at the panel's nodes u), s(u) = u^3 (10 -
+    15u + 6u^2). Panels are dyadic pieces of [0, 1], so few occur; the
+    bound caps a run that bisects deep."""
+    hw, us = _nodes(lo, hi)
     nodes = []
-    for u in [c] + [v for x in _XGK for v in (c - hw * x, c + hw * x)]:
+    for u in us:
         u2 = u * u
         nodes.append((u2 * u * (10.0 - 15.0 * u + 6.0 * u2), 30.0 * u2 * (1.0 - u) * (1.0 - u)))
     return hw, tuple(nodes)
 
 
-# the integrator's accuracy and work budget; the panel loop alone reads these
+@lru_cache(maxsize=64)
+def _plain_panel(lo: float, hi: float) -> tuple[float, tuple]:
+    """_panel's table without the change of variable: (u, 1.0) at the
+    panel's nodes. The bound is the plain pass's budget."""
+    hw, us = _nodes(lo, hi)
+    return hw, tuple([(u, 1.0) for u in us])
+
+
+# the integrator's accuracy and work budget, read by the panel loop and by
+# integrate_adaptive alone. A run converges when its summed estimate is
+# within _TOL, absolute or relative to the integral (the QUADPACK QAG test);
+# a panel is settled at _TOL times its width in u, or once its estimate is
+# rounding noise, _ROUNDING times the sum of its |values| times its
+# half-width.
 _TOL = 1e-12
+_ROUNDING = 50.0 * sys.float_info.epsilon
 _MAX_DEPTH = 60
 _MAX_PANELS = 1000
+_PLAIN_PANELS = 64  # integrate_adaptive's budget before it takes the map
 
 
-def _adapt(values: Callable[[float, float, tuple], list]) -> IntegralResult:
+def _adapt(values: Callable[[float, float, tuple], list], table: Callable,
+           max_panels: int = _MAX_PANELS) -> IntegralResult:
     """The one panel loop: adaptive bisection of u in (0, 1) with a
-    Gauss-Kronrod 7/15 pair per panel. values(lo, hi, nodes) returns the
-    panel's 15 scaled integrand values at _panel's nodes of (lo, hi)."""
+    Gauss-Kronrod 7/15 pair per panel and at most max_panels panels.
+    table(lo, hi) is _panel or _plain_panel, and values(lo, hi, nodes)
+    returns the panel's 15 scaled integrand values at its nodes."""
     total = 0.0
     err_total = 0.0
     panels = 0
     depth_exhausted = False
     stack = [(0.0, 1.0, 0)]
-    while stack and panels < _MAX_PANELS:
+    while stack and panels < max_panels:
         lo, hi, depth = stack.pop()
-        hw, nodes = _panel(lo, hi)
-        val, err = _g7k15(values(lo, hi, nodes), hw)
+        hw, nodes = table(lo, hi)
+        fs = values(lo, hi, nodes)
+        val, err = _g7k15(fs, hw)
         panels += 1
-        budget = _TOL * (hi - lo)
-        if err <= budget or depth >= _MAX_DEPTH:
+        settled = err <= _TOL * (hi - lo) or err <= _ROUNDING * hw * sum(map(abs, fs))
+        if settled or depth >= _MAX_DEPTH:
             total += val
             err_total += err
-            if err > budget:
-                depth_exhausted = True
+            depth_exhausted = depth_exhausted or not settled
         else:
             mid = 0.5 * (lo + hi)
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
-    converged = not (stack or depth_exhausted) and err_total <= _TOL
+    converged = (not (stack or depth_exhausted)
+                 and err_total <= max(_TOL, _TOL * abs(total)))
     return IntegralResult(total, err_total, panels, converged)
 
 
@@ -153,25 +178,39 @@ def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
                        b: float) -> IntegralResult:
     """Adaptive bisection with a Gauss-Kronrod 7/15 pair per panel.
 
-    The integrand is first pushed through the quintic change of variable
-    x = a + (b-a) u^3 (10 - 15u + 6u^2), whose derivative vanishes to second
-    order at both endpoints. All quadrature nodes stay strictly inside the
-    interval, so endpoint singularities of integrable type are tamed and the
-    endpoints themselves are never evaluated. The error estimate per panel
-    is |K15 - G7|, accepted at 1e-12 times the panel's width in u or at depth
-    60; the converged flag is honest: it is set only when the accumulated
-    estimate meets 1e-12 and no panel stopped at depth 60. After 1000
-    panels the run stops, with the panels left unsummed, and is not
-    converged, so no integrand can make it run on.
+    A smooth integrand converges on plain panels, x = a + (b-a) u: the run
+    tries them first, within 64 panels. If they do not converge, it
+    integrates again through the quintic change of variable x = a + (b-a)
+    u^3 (10 - 15u + 6u^2), whose derivative vanishes to second order at both
+    endpoints, so an integrable endpoint singularity (t^(1/24), or ln t at
+    0) converges. The Gauss-Kronrod nodes are interior to each panel, so
+    neither pass evaluates f at a or b unless a node rounds to one.
 
-    The change of variable at a panel's nodes is read from _panel, an
-    lru_cache made by the same operations per node, so no bit changes.
+    The error estimate per panel is |K15 - G7|. A panel is accepted at 1e-12
+    times its width in u, when the estimate is at the rounding level of its
+    values, or at depth 60. The converged flag is honest: it is set only
+    when the accumulated estimate is within 1e-12, absolute or relative to
+    the integral, and no panel stopped at depth 60. The two passes share a
+    budget of 1000 panels, and subdivisions counts both; a run that spends
+    it stops, with the panels left unsummed, and is not converged, so no
+    integrand can make it run on.
+
+    The nodes of a panel are read from _panel (with the change of variable)
+    or _plain_panel, lru_caches made by the same operations per node.
     """
     if not (a < b):
         raise ValueError(f"integration requires a < b, got ({a!r}, {b!r})")
     fc = compile_fn(f) if isinstance(f, Node) else f
     width = b - a
-    return _adapt(lambda lo, hi, nodes: [fc(a + width * s) * width * jac for s, jac in nodes])
+
+    def values(lo, hi, nodes):
+        return [fc(a + width * s) * width * jac for s, jac in nodes]
+
+    plain = _adapt(values, _plain_panel, _PLAIN_PANELS)
+    if plain.converged:
+        return plain
+    mapped = _adapt(values, _panel, _MAX_PANELS - plain.subdivisions)
+    return mapped._replace(subdivisions=plain.subdivisions + mapped.subdivisions)
 
 
 def _converged(res: IntegralResult, what: str, args: tuple) -> IntegralResult:
@@ -285,12 +324,13 @@ def _h_table(fn: Callable[[float], float], lo: float, hi: float) -> tuple:
 
 @lru_cache(maxsize=64)
 def _adaptive_moment(kind: str, h: HFunction, alpha: float, q: float | None) -> KernelMoment:
-    # the bits of integral(lambda t: w(t, q) * evaluate_h(h, t, a), 0.0, 1.0,
-    # ...): on (0, 1) a node is t = 0.0 + 1.0 * s = s and the factor width
-    # = 1.0 changes no bit
+    # the bits of the mapped pass alone of integrate_adaptive(lambda t: w(t, q)
+    # * evaluate_h(h, t, a), 0.0, 1.0): t^a needs the change of variable, so
+    # the moments skip the plain pass. On (0, 1) a node is t = 0.0 + 1.0 * s
+    # = s and the factor width = 1.0 changes no bit
     _, panel_values, holder = _KERNELS[kind]
     a = alpha / q if holder else alpha
     fn = h.fn
-    res = _adapt(lambda lo, hi, nodes: panel_values(nodes, _h_table(fn, lo, hi), a, q))
+    res = _adapt(lambda lo, hi, nodes: panel_values(nodes, _h_table(fn, lo, hi), a, q), _panel)
     res = _converged(res, "kernel {} for h={} alpha={:g}", (kind, h, alpha))
     return KernelMoment(kind, res.value, "adaptive", res.abs_error_estimate)

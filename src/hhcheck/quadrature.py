@@ -82,9 +82,11 @@ def midpoint_rule(f: Node, K: Partition) -> float:
 
 def trapezoid_rule(f: Node, K: Partition) -> float:
     fc = compile_fn(f)
+    pts = K.points
+    fs = [fc(x) for x in pts]  # once per point, in order
     total = 0.0
-    for u, v in zip(K.points, K.points[1:]):
-        total += 0.5 * (fc(u) + fc(v)) * (v - u)
+    for u, v, fu, fv in zip(pts, pts[1:], fs, fs[1:]):
+        total += 0.5 * (fu + fv) * (v - u)
     return total
 
 
@@ -98,10 +100,12 @@ def error_bound_midpoint(f: Node, K: Partition, p: float, variant: str = "statem
         coeff = 0.5 / 2.0 ** ((2.0 * p + 1.0) / p)
     else:
         coeff = 1.0 / 2.0 ** ((3.0 * p + 1.0) / p)
+    pts = K.points
+    ds = [abs(fp(x)) for x in pts]  # once per point, in order
     total = 0.0
-    for u, v in zip(K.points, K.points[1:]):
+    for u, v, du, dv in zip(pts, pts[1:], ds, ds[1:]):
         h = v - u
-        total += coeff * h * h * (abs(fp(u)) + abs(fp(v)))
+        total += coeff * h * h * (du + dv)
     return total
 
 

@@ -127,10 +127,12 @@ def test_traced_rule_sweep_counts_every_custom_h_evaluation(tracer, workloads, c
     # at alpha/q for C1/C3, M2 for T4/T6, C2, C4), each integrated once.
     # Their runs visit 19 distinct panels, and h is tabulated once per panel
     # at its 15 nodes: 285 evaluations of h, where a call per node of every
-    # moment made 1,350. The other 610 evaluations are f's and its
-    # derivatives'. The quad reads the reference integral of f that the
-    # rules cached, so its own 7-panel integral (105 evaluations, one
-    # compile) does not run
+    # moment made 1,350. The other 127 evaluations are f's and its
+    # derivatives': 60 at the nodes of the reference integral and the two
+    # lemma integrals, which converge on one plain panel each (through the
+    # change of variable they took 7 or more), and 67 at single points. The
+    # quad reads the reference integral of f that the rules cached, so its
+    # own integral (15 evaluations, one compile) does not run
     w = workloads.RuleSweep(7, str(ROOT))
     spec = {"f": "x^3", "k": 0, "a": 0.5, "b": 1.5, "h": ("expr", "t*(2-t)"), "alpha": 0.5,
             "m": 0.9, "p": 2.0, "n": 4, "quad": "midpoint", "variant": "statement"}
@@ -140,7 +142,7 @@ def test_traced_rule_sweep_counts_every_custom_h_evaluation(tracer, workloads, c
         assert w.check(spec, w.run(spec)) == 13
     finally:
         tr.uninstall()
-    assert tr.counts["expr.evals"] == 895
+    assert tr.counts["expr.evals"] == 412
     assert tr.counts["convexity.evaluate_h.calls"] == 285
     assert tr.calls["expr.compile_fn"] == 27
 

@@ -1,6 +1,7 @@
 """Deviation bounds: chain, lemmas, the ten rules, and verify()."""
 
 import math
+import random
 
 import pytest
 
@@ -11,7 +12,6 @@ from hhcheck import (
     FIRST_DERIVATIVE_RULES,
     HFunction,
     HolderPair,
-    NonConvergenceError,
     RULE_IDS,
     SECOND_DERIVATIVE_RULES,
     bound_first_derivative,
@@ -28,7 +28,7 @@ from hhcheck import (
     verify,
 )
 from hhcheck.convexity import hypothesis_membership
-from hhcheck.kernels import _MAX_PANELS
+from hhcheck.suite import CATALOG
 
 BASELINE = ConvexityClass("h_alpha_m")  # h = t, alpha = 1, m = 1
 SQ = parse("x^2")
@@ -202,7 +202,7 @@ class TestLargeP:
     @pytest.mark.parametrize("p", [600.0, 2000.0])
     def test_rows_hold(self, rule, p):
         rep = _run(rule, SQ, 0.5, 1.0, p=p)
-        assert rep.components["beta_pp"] == 0.0
+        assert 0.24 < rep.components["beta_root"] < 0.25  # beta(p+1, p+1) itself is 0.0
         assert rep.holds and rep.rhs > 0.06
 
     @pytest.mark.parametrize("p", [505.0, 520.0, 530.0, 600.0, 2000.0])
@@ -237,6 +237,47 @@ class TestRecomposition:
             recomposed = comp["prefactor"] * comp["bracket"]
         assert recomposed == pytest.approx(rep.rhs, abs=1e-12)
         assert rep.margin == pytest.approx(rep.rhs - rep.lhs, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0, 600.0])  # the suite's p, and beta = 0.0
+    @pytest.mark.parametrize("rule", RULE_IDS)
+    def test_rhs_rebuilds_from_the_components(self, rule, p):
+        # every factor of the rhs is read from components, as the module
+        # docstring writes the rule; only p comes from the instance
+        cls = ConvexityClass("h_alpha_m", h=HFunction.power(0.5), alpha=0.5, m=0.9)
+        holder = rule not in ("T1", "T4")
+        rep = _run(rule, EXP, 0.5, 1.5, p=p if holder else None, cls=cls)
+        c = rep.components
+        L, m = c["length"], c["m"]
+        q = c["q"] if holder else None
+        mom = next(v for k, v in c.items() if k.startswith("moment_"))
+        if rule in FIRST_DERIVATIVE_RULES:
+            ends, dm = (c["d1_a"], c["d1_b"]), c["d1_mid"]
+        else:
+            ends, dm = (c["d2_a"],), c["d2_b_over_m"]
+
+        def roots(k):
+            return sum(((e ** q - m * dm ** q) * mom + m * dm ** q / k) ** (1.0 / q)
+                       for e in ends)
+
+        def linear(w, k):
+            return (sum(ends) - w * m * dm) * mom + m / k * dm
+
+        if rule in ("T5", "C3"):
+            root = math.exp((2.0 * math.lgamma(p + 1.0) - math.lgamma(2.0 * p + 2.0)) / p)
+            assert c["beta_root"] == pytest.approx(root, rel=1e-12)
+        rhs = {
+            "T1": lambda: L / 4.0 * linear(-2.0, 2.0),
+            "T2": lambda: L / (4.0 * (p + 1.0) ** (1.0 / p)) * roots(1.0),
+            "C1": lambda: L / (4.0 * (p + 1.0) ** (1.0 / p)) * linear(2.0, 0.5),
+            "T3": lambda: L / 2.0 ** ((2.0 * p + 1.0) / p) * roots(2.0),
+            "C2": lambda: L / 2.0 ** ((2.0 * p + 1.0) / p) * linear(2.0, 1.0),
+            "T4": lambda: L * L / 2.0 * linear(1.0, 6.0),
+            "T5": lambda: L * L / 2.0 * c["beta_root"] * roots(1.0),
+            "C3": lambda: L * L / 2.0 * c["beta_root"] * linear(1.0, 1.0),
+            "T6": lambda: L * L / (2.0 * 6.0 ** (1.0 / p)) * roots(6.0),
+            "C4": lambda: L * L / (2.0 * 6.0 ** (1.0 / p)) * linear(1.0, 6.0),
+        }[rule]()
+        assert rhs == pytest.approx(rep.rhs, rel=1e-12)
 
     @pytest.mark.parametrize("rule", RULE_IDS)
     def test_component_keys_are_documented_shape(self, rule):
@@ -387,15 +428,41 @@ class TestVerify:
 
 
 class TestIntegratorBudget:
-    """Integrals whose rounding noise never meets the per-panel test stop
-    at the panel budget: the run time is bounded by the budget."""
+    """Two repros whose rounding noise never met the absolute per-panel test
+    once spent the 1,000-panel budget and raised NonConvergenceError. With
+    the relative acceptance test and the rounding-level stop they converge,
+    to the exact trapezoid deviation and the T4 rhs at h = t, alpha = m = 1,
+    (L^2/2) (D2(a) + D2(b)) / 12."""
 
     @pytest.mark.parametrize("f, a, b", [("exp(x)", 10.0, 11.0), ("1e9*x^2", 0.0, 1.0)])
     def test_t4_reports_nonconvergence(self, f, a, b):
-        inst = BoundInstance("T4", parse(f), a, b, BASELINE)
-        with pytest.raises(NonConvergenceError,
-                           match=rf"^reference integral .* after {_MAX_PANELS} panels\)$"):
-            bound_second_derivative(inst)
+        rep = bound_second_derivative(BoundInstance("T4", parse(f), a, b, BASELINE))
+        if f == "exp(x)":
+            e10, e11 = math.exp(10.0), math.exp(11.0)
+            lhs, rhs = 1.5 * e10 - 0.5 * e11, (e10 + e11) / 24.0  # |(f(a)+f(b))/2 - mean|
+        else:
+            lhs = rhs = 1e9 / 6.0  # T4 is an equality for x^2
+        assert rep.lhs == pytest.approx(lhs, rel=1e-12)
+        assert rep.rhs == pytest.approx(rhs, rel=1e-14)
+        assert rep.holds
+
+
+class TestScale:
+    """f -> c f scales every integral by c. Once |f| (b - a) passed ~1e4 the
+    absolute per-panel test could not be met and a rule raised
+    NonConvergenceError; the relative test and the rounding-level stop keep
+    every catalog rule row finite from c = 1e-12 to 1e12."""
+
+    @pytest.mark.parametrize("text", [text for text, _ in CATALOG])
+    def test_no_rule_row_raises_at_any_scale(self, text):
+        rng = random.Random(text)
+        a = rng.uniform(0.1, 1.0)
+        b = a + rng.uniform(0.2, 2.0)
+        for k in range(-12, 13):
+            f = parse(f"1e{k}*({text})")
+            for rule in RULE_IDS:
+                rep = _run(rule, f, a, b, p=None if rule in ("T1", "T4") else 2.0)
+                assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs), (text, k, rule)
 
 
 class TestDominanceSmoke:

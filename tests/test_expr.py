@@ -599,6 +599,21 @@ class TestDifferentiate:
         assert differentiate(f, 1) is not first
         assert differentiate(f, 1) == differentiate(f)
 
+    @pytest.mark.parametrize("text", ["x^3*exp(x)", "exp(x)/(1 + x^2)", "-ln(x)*x",
+                                      "abs(x - 2)^3", "(x+1)^x", "x*x*x*x*x"])
+    def test_second_derivative_differentiates_the_cached_first(self, cold_caches, text):
+        # the same interned tree as two passes sharing one memo, and the
+        # first derivative is read from the cache, not computed again
+        f = parse(text)
+        memo = {}
+        two_passes = hhcheck.expr._d(hhcheck.expr._d(f, memo), memo)
+        first = differentiate(f)
+        info = differentiate.cache_info()
+        assert differentiate(f, 2) is two_passes
+        after = differentiate.cache_info()
+        assert (after.misses - info.misses, after.hits - info.hits) == (1, 1)
+        assert differentiate(first) is two_passes
+
     def test_build_suite_differentiates_each_function_and_order_once(self, cold_caches):
         build_suite(42)
         info = differentiate.cache_info()

@@ -1,6 +1,7 @@
 """Composite rules, a priori error bounds, and certified integration."""
 
 import math
+import random
 
 import pytest
 
@@ -17,8 +18,9 @@ from hhcheck import (
     trapezoid_rule,
     uniform_partition,
 )
-from hhcheck import kernels
+from hhcheck import kernels, quadrature
 from hhcheck.convexity import hypothesis_membership
+from hhcheck.expr import compile_fn, differentiate
 
 SQ = parse("x^2")
 EXP = parse("exp(x)")
@@ -287,12 +289,92 @@ class TestReferenceIntegral:
         assert work[0] == 1 and first.reference == second.reference
 
 
+def _per_panel(f, K, rule):
+    """The trapezoid rule or the midpoint bound's sum as it was written per
+    panel, calling f (or f') at both ends of every panel."""
+    if rule == "trapezoid":
+        fc = compile_fn(f)
+        total = 0.0
+        for u, v in zip(K.points, K.points[1:]):
+            total += 0.5 * (fc(u) + fc(v)) * (v - u)
+        return total
+    fp = compile_fn(differentiate(f))
+    coeff = 0.5 / 2.0 ** ((2.0 * 2.0 + 1.0) / 2.0)  # p = 2, statement
+    total = 0.0
+    for u, v in zip(K.points, K.points[1:]):
+        h = v - u
+        total += coeff * h * h * (abs(fp(u)) + abs(fp(v)))
+    return total
+
+
+def _outcome(call):
+    try:
+        return call().hex()
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        return type(exc), str(exc)
+
+
+class TestOnePointOneEvaluation:
+    """trapezoid_rule and error_bound_midpoint evaluate once per point of the
+    partition; every value and every first failure is the per-panel sum's."""
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "midpoint"])
+    def test_same_bits_and_errors(self, rule):
+        rng = random.Random(31)
+        ours = (trapezoid_rule if rule == "trapezoid"
+                else lambda f, K: error_bound_midpoint(f, K, 2.0))
+        # the last two are undefined below x = 0.6 and on (0.8, 1.0): a
+        # failure at the first point or at an inner one
+        for text in ("x^3+x", "exp(-0.7*x)+x^2", "1/(x+0.3)", "x*ln(x)", "ln(x - 0.6)",
+                     "((x - 0.9)^2 - 0.01)^0.5"):
+            f = parse(text)
+            for n in (1, 2, 5, 17):
+                a = rng.uniform(0.1, 0.8)
+                pts = sorted(rng.uniform(a, a + 1.5) for _ in range(n - 1))
+                K = Partition((a, *pts, a + 1.5))
+                assert _outcome(lambda: ours(f, K)) == _outcome(lambda: _per_panel(f, K, rule))
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        calls = []
+        real = quadrature.compile_fn
+
+        def counting(node):
+            fn = real(node)
+            return lambda x: calls.append(x) or fn(x)
+
+        monkeypatch.setattr(quadrature, "compile_fn", counting)
+        K = uniform_partition(0.5, 1.5, 8)
+        trapezoid_rule(EXP, K)
+        error_bound_midpoint(EXP, K, 2.0)
+        assert calls == list(K.points) * 2
+
+
 def test_build_suite_integral_work(monkeypatch, cold_caches):
     """A machine-independent guard on the integrator: adaptive integrals
     and their panels for one suite with cold caches."""
     work = _count_integrals(monkeypatch)
     build_suite(42)
-    assert work == [53, 465]  # the 45 quad rows integrate their 3 functions once each
+    # the 45 quad rows integrate their 3 functions once each; every integral
+    # converges on plain panels, 1 to 9 of them
+    assert work == [53, 85]
+
+
+def test_build_suite_integrals_never_take_the_map(monkeypatch, cold_caches):
+    """Every integral of build_suite at seeds 0-59 converges on the plain
+    pass: no run of the panel loop reads the change of variable (the
+    suite's kernel moments are closed forms)."""
+    tables, real = [], kernels._adapt
+
+    def recording(values, table, max_panels=kernels._MAX_PANELS):
+        res = real(values, table, max_panels)
+        tables.append((table, res.converged, res.subdivisions))
+        return res
+
+    monkeypatch.setattr(kernels, "_adapt", recording)
+    for seed in range(60):
+        build_suite(seed)
+    assert tables and {t for t, _, _ in tables} == {kernels._plain_panel}
+    assert all(ok and n <= kernels._PLAIN_PANELS for _, ok, n in tables)
 
 
 class TestConvergenceOrder:
