@@ -360,7 +360,8 @@ def verify(
     """
     _check_variant(inst.rule_id, variant)
     membership, failure = hypothesis_membership(
-        hypothesis_function(inst), inst.cls, hypothesis_domain(inst), samples, seed, tol)
+        hypothesis_function(inst), inst.cls, hypothesis_domain(inst), samples, seed, tol,
+        f=inst.f)
     extra = (failure,) if failure else ()
     if membership is not None and not membership.ok:
         extra = ("hypothesis membership counterexample found",)

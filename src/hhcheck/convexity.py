@@ -34,8 +34,9 @@ hypothesis_membership, an lru_cache that checks each distinct hypothesis
 once (a DomainInterval's equality sees its endpoint signs). It proves what
 it can before it searches: g convex, for the classes that are plain
 convexity at their parameters, by enclosing g'' on pieces of the domain
-(expr.compile_interval), and g constant, for alpha_m at m = 1. Anything
-else is searched; check_membership, and so check-class, only searches.
+with interval Taylor coefficients of the f that g is built from, and g
+constant, for alpha_m at m = 1. Anything else is searched;
+check_membership, and so check-class, only searches.
 
 Every record verdict (bounds, quadrature, lemma rows, means) is decided by
 `within`, with an absolute slack (the verdict tol) or `relative_slack`.
@@ -50,8 +51,8 @@ from itertools import product
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError
-from .expr import (Abs, Const, DomainInterval, Node, Pow, Value, compile_fn, compile_interval,
-                   differentiate, neg)
+from .expr import (Abs, Const, DomainInterval, Node, Pow, Value, _jet, _mul, compile_fn,
+                   differentiate)
 
 __all__ = [
     "HFunction", "ConvexityClass", "MembershipReport", "MembershipProof", "Witness",
@@ -232,7 +233,7 @@ class Witness(NamedTuple):
 class MembershipProof(NamedTuple):
     """How a proof went: the pieces the domain was split into, and the least
     lower bound of g'' over them, for the function proven convex (|u| when
-    g = |u|^q; 0.0 for a constant g)."""
+    g = |u|^q; 0.0 for a constant g), rounded down from (k+2)! s*c_(k+2)."""
 
     pieces: int
     least_g2: float
@@ -410,68 +411,73 @@ _PIECES = 64  # the most pieces a proof may split its domain into
 
 
 @lru_cache(maxsize=64)
-def _convex_proof(g: Node, lo: float, hi: float) -> Optional[MembershipProof]:
-    """A proof that g, defined on [lo, hi], is convex there, or None.
+def _convex_proof(g: Node, lo: float, hi: float, f: Optional[Node] = None,
+                  convex: bool = True) -> Optional[MembershipProof]:
+    """A proof that g, defined on [lo, hi], is >= 0 and convex there (or
+    constant, if not convex), or None.
 
     |u|^q with q >= 1 is convex where |u| is, since t^q is convex and
     nondecreasing on [0, inf) (Boyd and Vandenberghe, Convex Optimization,
-    2004, 3.2.4): the Holder rows of one derivative share one proof. |u| is u
-    or -u where u keeps one sign. Then g' must enclose on [lo, hi], and g''
-    is enclosed on pieces, bisected under the budget, until each lower bound
-    is >= 0 (Moore, 1966; Tucker, Validated Numerics, 2011)."""
+    2004, 3.2.4): the Holder rows of one derivative share one proof. g is
+    |u| or u; u is f^(k) if it is differentiate(f, k), k = 1 or 2, else take
+    f = u, k = 0. f's Taylor coefficients c_j on [lo, hi] decide: c_k keeps
+    one sign s (is >= 0, if g is u), so g = s*u; g is constant if c_(k+1) is
+    0, and convex if s*c_(k+2), g''/(k+2)!, is >= 0 on pieces, bisected
+    under the budget (Moore, 1966; Tucker, Validated Numerics, 2011)."""
     if (type(g) is Pow and type(g.base) is Abs and type(g.exponent) is Const
-            and g.exponent.value >= 1.0):
-        return _convex_proof(g.base, lo, hi)
+            and (g.exponent.value >= 1.0 or not convex)):
+        return _convex_proof(g.base, lo, hi, f, convex)
+    absolute = type(g) is Abs
+    u, k = (g.arg if absolute else g), 0
+    if absolute and f is not None:  # identity tests: trees are interned
+        u, k = next(((f, j) for j in (1, 2) if u is differentiate(f, j)), (u, 0))
+    order = k + 2 if convex else k + 1
     try:
-        if type(g) is Abs:
-            ulo, uhi = compile_interval(g.arg)((lo, hi))
-            if not (ulo >= 0.0 or uhi <= 0.0):
-                return None
-            g = g.arg if ulo >= 0.0 else neg(g.arg)
-        compile_interval(differentiate(g))((lo, hi))
-        g2 = compile_interval(differentiate(g, 2))
-        todo, pieces, least = [(lo, hi)], 0, math.inf
+        c = _jet(u, lo, hi, order)
+        sign = 1.0 if c[k][0] >= 0.0 else -1.0 if absolute and c[k][1] <= 0.0 else 0.0
+        if not sign:
+            return None
+        if not convex:
+            return MembershipProof(1, 0.0) if c[k + 1] == (0.0, 0.0) else None
+        todo, pieces, least = [(lo, hi, c)], 0, math.inf
         while todo:
-            a, b = todo.pop()
-            low = g2((a, b))[0]
+            a, b, c = todo.pop()
+            c2 = (c or _jet(u, a, b, order))[order]
+            low = c2[0] if sign > 0.0 else -c2[1]
             if low >= 0.0:
                 pieces, least = pieces + 1, min(least, low)
                 continue
             mid = 0.5 * (a + b)
             if pieces + len(todo) + 2 > _PIECES or not a < mid < b:
                 return None
-            todo += [(mid, b), (a, mid)]
+            todo += [(mid, b, None), (a, mid, None)]
     except DomainError:  # a piece with no enclosure ends the proof
         return None
-    return MembershipProof(pieces, least)
+    return MembershipProof(pieces, _mul(least, float(math.factorial(order)))[0])
 
 
 def _prove(g: Node, cls: ConvexityClass, dom: DomainInterval, samples: int,
-           checked: Optional[tuple] = None) -> Optional[MembershipProof]:
-    """A proof that g is in cls on dom, or None; it needs g >= 0 and the
-    search's preconditions, made here unless the caller passes what
-    _preconditions returned for them. A convex g is in the classes that are
-    plain convexity at their parameters; a constant g (its derivative folds
-    to 0) is in alpha_m at m = 1 for every alpha, where both sides are g."""
+           checked: Optional[tuple] = None, f: Optional[Node] = None
+           ) -> Optional[MembershipProof]:
+    """A proof that g is in cls on dom, or None; it needs the search's
+    preconditions, made here unless the caller passes what _preconditions
+    returned for them, and g >= 0, which _convex_proof proves. A convex g is
+    in the classes that are plain convexity at their parameters; a constant
+    g is in alpha_m at m = 1 for every alpha, where both sides are g."""
     plain = cls.sense in _PLAIN_SENSES and cls.h.kind == "identity" and cls.alpha == cls.m == 1.0
     if not plain and (cls.sense != "alpha_m" or cls.m != 1.0):
         return None
     try:
         if checked is None:
             _preconditions(g, cls, dom, samples)
-        if compile_interval(g)((dom.lo, dom.hi))[0] < 0.0:
-            return None
-    except (PreconditionError, DomainError):  # the search reports a failed precondition
+    except PreconditionError:  # the search reports a failed precondition
         return None
-    if plain:
-        return _convex_proof(g, dom.lo, dom.hi)
-    d = differentiate(g)
-    return MembershipProof(1, 0.0) if type(d) is Const and d.value == 0.0 else None
+    return _convex_proof(g, dom.lo, dom.hi, f, plain)
 
 
 @lru_cache(maxsize=256)
 def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
-                          samples: int, seed: int, tol: float):
+                          samples: int, seed: int, tol: float, *, f: Optional[Node] = None):
     """The membership of g in cls on dom, for a rule's hypothesis, as
     (report, None); a failed precondition gives (None, reason) instead of
     raising, so the hypothesis is reported unverified.
@@ -480,6 +486,8 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
     check there. A hypothesis that the prover then proves is reported
     "proven" without a search; any other goes to
     check_membership(g, cls, dom, samples, seed, tol) with the checks made.
+    A caller that builds g from f, as |f'| or |f''| or a power of one,
+    passes f, so that the prover reads f's Taylor coefficients, not g's.
 
     Every argument is a frozen value and the outcome is deterministic in
     them, so one check serves every rule and quadrature that assumes the
@@ -492,7 +500,7 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
         checked = _preconditions(g, cls, dom, samples)
     except PreconditionError as exc:
         return None, f"membership precondition failed: {exc}"
-    proof = _prove(g, cls, dom, samples, checked)
+    proof = _prove(g, cls, dom, samples, checked, f)
     if proof is not None:
         return MembershipReport("proven", 0, None, seed, proof=proof), None
     try:

@@ -11,7 +11,7 @@ function per distinct tree, each in a bounded cache. For a tree with finite
 constants (the parser admits no other) the result returns a finite float or
 raises DomainError, for every x including non-finite ones. compile_interval
 is its second backend: it encloses a tree's values on an interval of x, or
-raises DomainError.
+raises DomainError. The third runs that code over Taylor-coefficient jets.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import zip_longest
 from operator import attrgetter
 from typing import Callable
 
@@ -218,7 +219,7 @@ def _pow(b: float, e: float) -> float:
     raise DomainError(f"negative base {b!r} with non-integer or negative exponent {e!r}")
 
 
-# One code generator serves every evaluation, in two backends. A tree is
+# One code generator serves every evaluation, in three backends. A tree is
 # compiled to straight-line source for its shape (the operators and where x
 # sits); its constants become the parameters c0, c1, ... of a factory, so
 # trees that differ only in their constants share one exec'd factory. No
@@ -395,8 +396,70 @@ def _ipow(b, e):
     return _libm(0.0 if even else min(vals), max(vals), even or bl == 0.0)
 
 
+# Interval Taylor coefficients (Moore, 1966; Griewank and Walther, Evaluating
+# Derivatives, 2nd ed., 2008, ch. 13): from x's jet [X, 1, 0, ...], the jet
+# [c0, c1, ...] of u holds u^(j)(t)/j! in cj for every t in X. A constant's
+# jet is [c]; a shorter jet's missing coefficients are 0.
+
+_ZERO = (0.0, 0.0)
+
+
+def _isum(terms) -> tuple:
+    return reduce(_iadd, terms, _ZERO)
+
+
+def _jmul(a, b):
+    return [_isum(_imul(a[i], b[k - i]) for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a)))
+                  if a[i] != _ZERO != b[k - i]) for k in range(max(len(a), len(b)))]
+
+
+def _jdiv(a, b):
+    w = []  # from a = w*b
+    for k in range(max(len(a), len(b))):
+        s = _isum(_imul(b[j], w[k - j]) for j in range(1, min(k + 1, len(b))))
+        w.append(_idiv(_iadd(a[k] if k < len(a) else _ZERO, (-s[1], -s[0])), b[0]))
+    return w
+
+
+def _jexp(a):
+    w = [_libm(*map(math.exp, a[0]))]
+    for k in range(1, len(a)):  # from w' = u'w
+        s = _isum(_imul(_imul((j, j), a[j]), w[k - j]) for j in range(1, k + 1))
+        w.append(_idiv(s, (k, k)))
+    return w
+
+
+def _jln(a):  # from (ln u)' = u'/u; log raises at a[0][0] <= 0
+    q = _jdiv([_imul((k, k), a[k]) for k in range(1, len(a))], a[:-1])
+    return [_libm(*map(math.log, a[0]))] + [_idiv(v, (k, k)) for k, v in enumerate(q, 1)]
+
+
+def _jpow(a, b):
+    """u^v: exp(v ln u); for a constant v, by squaring if v is an integer
+    >= 0 (any base, as _pow), else from u w' = v u' w. c0 is within _ipow's."""
+    w, v = [_ipow(a[0], b[0])], b[0][0]
+    if len(b) > 1 or v != b[0][1]:
+        return _jexp(_jmul(b, _jln(a)))
+    if v == math.floor(v) and 0.0 <= v <= 2 ** 31:
+        r, n = [(1.0, 1.0)], int(v)
+        while n:
+            r, a, n = (_jmul(r, a) if n & 1 else r), (_jmul(a, a) if n > 1 else a), n >> 1
+        return [(max(w[0][0], r[0][0]), min(w[0][1], r[0][1]))] + r[1:]
+    for k in range(1, len(a)):
+        s = _isum(_imul(_iadd(_imul(b[0], (j, j)), (j - k, j - k)), _imul(a[j], w[k - j]))
+                  for j in range(1, k + 1))
+        w.append(_idiv(s, _imul((k, k), a[0])))
+    return w
+
+
+def _jabs(a):
+    if a[0][0] < 0.0 < a[0][1]:
+        raise DomainError("abs of an argument that changes sign has no derivative")
+    return a if a[0][0] >= 0.0 else [(-hi, -lo) for lo, hi in a]
+
+
 # Per backend: the statements that open fn, the node templates, the names
-# the code reads and how a constant enters it. Both backends compute an
+# the code reads and how a constant enters it. Every backend computes an
 # equal subtree once: equal trees are one node, so their values are the same
 # bits (a zero constant's sign is part of the node), and a failing subtree
 # raises at its first appearance in post-order either way.
@@ -412,6 +475,11 @@ _BACKENDS = {
         "_iexp": lambda a: _libm(math.exp(a[0]), math.exp(a[1])),
         "_iln": lambda a: _libm(math.log(a[0]), math.log(a[1])),  # log raises at a[0] <= 0
     }, lambda c: (c, c)),
+    "jet": ((), _INTERVAL_OPS, {  # the interval backend's code, run over jets
+        "DomainError": DomainError, "_imul": _jmul, "_idiv": _jdiv, "_ipow": _jpow,
+        "_iexp": _jexp, "_iln": _jln, "_iabs": _jabs, "_ineg": lambda a: [(-h, -l) for l, h in a],
+        "_iadd": lambda a, b: [_iadd(u, v) for u, v in zip_longest(a, b, fillvalue=_ZERO)],
+    }, lambda c: [(c, c)]),
 }
 
 
@@ -455,6 +523,13 @@ def compile_interval(node: Node) -> Callable[[tuple], tuple]:
     where no finite enclosure is found. It shares compile_fn's caches,
     under the backend tag "interval"."""
     return _compiled("interval", node)
+
+
+def _jet(node: Node, lo: float, hi: float, order: int) -> list:
+    """node's Taylor coefficients c0 ... c_order (order >= 1) on [lo, hi]: cj
+    holds node^(j)(t)/j! for every t there; DomainError if none is found."""
+    c = _compiled("jet", node)([(lo, hi), (1.0, 1.0)] + [_ZERO] * (order - 1))
+    return c + [_ZERO] * (order + 1 - len(c))
 
 
 def evaluate(node: Node, x: float) -> float:
@@ -546,23 +621,25 @@ def pow_(a: Node, b: Node) -> Node:
 # ---------------------------------------------------------------------------
 # Differentiation.
 
-@lru_cache(maxsize=256)
 def differentiate(node: Node, order: int = 1) -> Node:
     """Exact symbolic derivative of the requested order (1 or 2).
 
     abs differentiates to arg'/|arg| * arg, which evaluates to sign(arg)*arg'
     away from zero and raises DomainError exactly at a kink. Trees are
-    interned, so equal calls share one result from a bounded cache; it keys
-    differentiate(f) and differentiate(f, 1) apart. differentiate(f, 2)
+    interned, so equal calls share one result from a bounded cache that
+    keys differentiate(f) and differentiate(f, 1) as one. differentiate(f, 2)
     differentiates differentiate(f), which the cache usually holds. Within a
     call each distinct subtree is differentiated once, so the work is linear
     in the tree's distinct nodes, however often a derivative repeats them.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    if order == 2:
-        return _d(differentiate(node), {})
-    return _d(node, {})
+    return _derivative(node, order)
+
+
+@lru_cache(maxsize=128)
+def _derivative(node: Node, order: int) -> Node:
+    return _d(differentiate(node) if order == 2 else node, {})
 
 
 def _d(node: Node, memo: dict) -> Node:

@@ -152,7 +152,6 @@ def _adapt(values: Callable[[float, float, tuple], list], table: Callable,
     total = 0.0
     err_total = 0.0
     panels = 0
-    depth_exhausted = False
     stack = [(0.0, 1.0, 0)]
     while stack and panels < max_panels:
         lo, hi, depth = stack.pop()
@@ -161,16 +160,14 @@ def _adapt(values: Callable[[float, float, tuple], list], table: Callable,
         val, err = _g7k15(fs, hw)
         panels += 1
         settled = err <= _TOL * (hi - lo) or err <= _ROUNDING * hw * sum(map(abs, fs))
-        if settled or depth >= _MAX_DEPTH:
+        if settled or depth >= _MAX_DEPTH:  # unsettled at depth 60: judged in the sum
             total += val
             err_total += err
-            depth_exhausted = depth_exhausted or not settled
         else:
             mid = 0.5 * (lo + hi)
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
-    converged = (not (stack or depth_exhausted)
-                 and err_total <= max(_TOL, _TOL * abs(total)))
+    converged = not stack and err_total <= max(_TOL, _TOL * abs(total))
     return IntegralResult(total, err_total, panels, converged)
 
 
@@ -189,8 +186,9 @@ def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
     The error estimate per panel is |K15 - G7|. A panel is accepted at 1e-12
     times its width in u, when the estimate is at the rounding level of its
     values, or at depth 60. The converged flag is honest: it is set only
-    when the accumulated estimate is within 1e-12, absolute or relative to
-    the integral, and no panel stopped at depth 60. The two passes share a
+    when the accumulated estimate, of the panels stopped at depth 60 too, is
+    within 1e-12, absolute or relative to the integral (so x^(-1/2) on
+    [0, 1] converges, and a pole does not). The two passes share a
     budget of 1000 panels, and subdivisions counts both; a run that spends
     it stops, with the panels left unsummed, and is not converged, so no
     integrand can make it run on.

@@ -199,7 +199,7 @@ def certified_integrate(
 
     membership = verified = note = None
     if check_hypothesis:
-        membership, note = hypothesis_membership(hyp, cls, dom, samples, seed, tol)
+        membership, note = hypothesis_membership(hyp, cls, dom, samples, seed, tol, f=f)
         verified = membership is not None and membership.ok
 
     signed_residual = reference - value

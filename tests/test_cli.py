@@ -322,12 +322,18 @@ class TestGoldenBytes:
 
     def test_verify_json_sha256_seeds_0_to_59(self):
         """The json report of build_suite at each of seeds 0-59, in order,
-        fed to one sha256: any moved byte of any of the 60 reports moves it."""
+        fed to one sha256: any moved byte of any of the 60 reports moves it.
+        Seed 56's rows bound-119, 120, 122, 123, 125, 126, 128 and 129 (T5,
+        C3, T6 and C4 on 1/x at p = 1.5 and 2) hold, with their lhs and rhs
+        unmoved: the prover proves |f''|^q convex from f's Taylor
+        coefficients. The enclosure of the g'' trees ran out of pieces
+        there, and the search read the rounding of g's values near 1e7 as
+        a counterexample."""
         digest = hashlib.sha256()
         for seed in range(60):
             digest.update(emit_report(build_suite(seed), "json").encode())
         assert digest.hexdigest() == \
-            "37f2664644a113907e143027d9598ea7aca29f7addf030760a0062e39605fb8d"
+            "b04905b12a89f7d20cc3337ff06f77259b59551183b873b66fa140282ffee868"
 
     def test_verdict_column_sha256(self):
         """The verdict of every record of build_suite at seeds 0-9, one per

@@ -15,6 +15,7 @@ from hhcheck import (
     CATALOG,
     Abs,
     Add,
+    BoundInstance,
     Const,
     ConvexityClass,
     DomainError,
@@ -28,10 +29,12 @@ from hhcheck import (
     build_suite,
     check_membership,
     compile_fn,
+    compile_interval,
     differentiate,
     evaluate,
     evaluate_h,
     parse,
+    verify,
 )
 from hhcheck.convexity import (
     SENSE_PARAMS,
@@ -798,7 +801,9 @@ def test_build_suite_membership_work(monkeypatch, cold_caches):
     assert evals[0] == 906
     assert triples[0] == 50  # the 4 searches hit at grid triples 12, 13, 12 and 13
     assert len(proofs) == 44
-    assert sum(p.pieces for p in proofs) == 116
+    # each in one piece, from f's Taylor coefficients; 116 when the prover
+    # enclosed the g'' trees, and |f''| of 1/x took 73 of them
+    assert sum(p.pieces for p in proofs) == 44
 
 
 def test_build_suite_generates_each_function_once(monkeypatch, cold_caches):
@@ -814,21 +819,24 @@ def test_build_suite_generates_each_function_once(monkeypatch, cold_caches):
 
     monkeypatch.setattr(hhcheck.expr, "_build", counting_build)
     build_suite(42)
-    # for 571 calls of compile_fn, compile_interval and evaluate
-    assert (generated.count("float"), generated.count("interval")) == (54, 57)
-    assert hhcheck.expr._compiled.cache_info().misses == 111
-    for cache in (differentiate, hypothesis_membership, convexity._convex_proof,
+    # for 498 calls of compile_fn, evaluate and the jets: the prover compiles
+    # the jet of each of the six functions it reads, where it compiled 57
+    # interval trees of g, g' and g''
+    assert [generated.count(b) for b in ("float", "interval", "jet")] == [54, 0, 6]
+    assert hhcheck.expr._compiled.cache_info().misses == 60
+    for cache in (hhcheck.expr._derivative, hypothesis_membership, convexity._convex_proof,
                   hhcheck.bounds._mean_integral):
         cache.cache_clear()
     build_suite(42)
-    assert len(generated) == 111
+    assert len(generated) == 60
 
 
 def test_build_suite_checks_each_hypothesis_once(monkeypatch, cold_caches):
     """A hypothesis's preconditions are checked once and passed to the
     prover and, when the prover gives up, to the search. At seed 101 the
-    prover gives up on 4 provable hypotheses (|f''| of 1/x on a wide
-    interval), which are searched with the 4 unprovable ones."""
+    prover proves every bound hypothesis and does not try the 4 P6 ones at
+    alpha < 1, which are searched. |f''| of x^3 on [-1, 1], |6x|, is convex,
+    but the prover gives up on it, since f'' changes sign there."""
     checks, real = [0], convexity._preconditions
 
     def counting(*args):
@@ -839,7 +847,44 @@ def test_build_suite_checks_each_hypothesis_once(monkeypatch, cold_caches):
     calls = _count_searches(monkeypatch)
     build_suite(101)
     assert hypothesis_membership.cache_info().misses == checks[0] == 48
-    assert len(calls) == 8
+    assert len(calls) == 4
+    rep = verify(BoundInstance("T4", parse("x^3"), -1.0, 1.0, ConvexityClass("h_alpha_m")))
+    assert rep.membership.verdict == "no-counterexample-found"
+    assert hypothesis_membership.cache_info().misses == checks[0] == 49
+    assert len(calls) == 5
+
+
+def test_no_bound_hypothesis_is_searched_at_seeds_0_to_59(monkeypatch, cold_caches):
+    """Every bound hypothesis of the suites at seeds 0-59 is proven; the
+    searches left are the 4 per suite of the P6 quadratures at alpha 0 and
+    0.5, the classes the prover does not try."""
+    calls = _count_searches(monkeypatch)
+    for seed in range(60):
+        build_suite(seed)
+    assert len(calls) == 240
+    assert {(cls.sense, cls.alpha) for _, cls, *_ in calls} == {("alpha_m", 0.0), ("alpha_m", 0.5)}
+
+
+def test_reciprocal_second_derivative_is_proven_in_one_piece(monkeypatch, cold_caches):
+    """|f''| of 1/x on the wide intervals of seeds 56 and 101, [0.10, 1.13]
+    and [0.13, 1.31], and its powers q = 3, 2 and 4/3: the g'' trees of the
+    quotient rule ran out of the 64 pieces there, and f's Taylor
+    coefficients c_2 = 1/x^3 and c_4 = 1/x^5 prove it in one. least_g2 is
+    24 c_4's lower bound, 24/b^5."""
+    proofs, real = [], convexity._prove
+    u = Abs(differentiate(parse("1/x"), 2))
+
+    def recording(g, cls, dom, *args):
+        proof = real(g, cls, dom, *args)
+        if u in (g, getattr(g, "base", None)):
+            proofs.append(proof)
+        return proof
+
+    monkeypatch.setattr(convexity, "_prove", recording)
+    for seed in (56, 101):
+        build_suite(seed)
+    assert [p.pieces for p in proofs] == [1] * 8
+    assert proofs[0].least_g2 == pytest.approx(24.0 / 1.12579985831 ** 5, rel=1e-10)
 
 
 class TestVerdictPolicy:
@@ -1017,7 +1062,7 @@ class TestProver:
             return
         # a tolerance relative to the size of g: the search's absolute 1e-9
         # reads rounding of a large g as a counterexample
-        tol = 1e-9 * max(1.0, convexity.compile_interval(g)((dom.lo, dom.hi))[1])
+        tol = 1e-9 * max(1.0, compile_interval(g)((dom.lo, dom.hi))[1])
         assert check_membership(g, cls, dom, samples=20_000, seed=1, tol=tol).ok
 
     @pytest.mark.parametrize("text,lo,hi", [

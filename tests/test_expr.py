@@ -3,6 +3,7 @@
 import gc
 import math
 import pickle
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -12,14 +13,22 @@ from hypothesis import example, given, settings, strategies as st
 
 import hhcheck.expr
 from hhcheck import (
+    CATALOG,
+    FIRST_DERIVATIVE_RULES,
+    HOLDER_RULES,
+    QUAD_FUNCTIONS,
+    RULE_IDS,
     Abs,
     Add,
+    BoundInstance,
     Const,
+    ConvexityClass,
     Div,
     DomainError,
     DomainInterval,
     Exp,
     HFunction,
+    HolderPair,
     Ln,
     Mul,
     Neg,
@@ -28,10 +37,15 @@ from hhcheck import (
     Pow,
     Sub,
     Var,
+    bound_first_derivative,
+    bound_second_derivative,
     build_suite,
+    certified_integrate,
     compile_fn,
     differentiate,
     evaluate,
+    lemma1_residual,
+    lemma2_residual,
     parse,
     to_text,
 )
@@ -559,6 +573,59 @@ class TestIntervalBackend:
         assert factory.cache_info().misses - before == 2
         assert compile_interval(parse("((x*x + 1)/(x + 1))*x - 3"))((1.0, 1.0)) == (-2.0, -2.0)
 
+class TestJet:
+    """The jet backend: c_k encloses f^(k)/k! on an interval."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coeffs=st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=7),
+           eighths=st.integers(min_value=-24, max_value=24))
+    def test_polynomial_coefficients_are_exact(self, coeffs, eighths):
+        # small integers at a multiple of 1/8: every product and sum is
+        # exact, so each coefficient is the point sum_i a_i C(i, k) x^(i-k)
+        f = parse(" + ".join(f"({a})*x^{i}" for i, a in enumerate(coeffs)))
+        x = eighths / 8.0
+        for k, c in enumerate(hhcheck.expr._jet(f, x, x, 4)):
+            exact = sum((a * math.comb(i, k) * Fraction(x) ** (i - k)
+                         for i, a in enumerate(coeffs) if i >= k), Fraction(0))
+            assert c == (exact, exact)
+
+    @pytest.mark.parametrize("name", sorted({name for name, _ in CATALOG + QUAD_FUNCTIONS}))
+    def test_coefficients_enclose_the_symbolic_derivatives(self, name):
+        """At 1,000 seeded points, each in a seeded interval of (0, 4], c_0,
+        c_1 and 2 c_2 hold f, f' and f'' as the float evaluator computes
+        them."""
+        f = dict(CATALOG + QUAD_FUNCTIONS)[name]
+        fns = [compile_fn(f), compile_fn(differentiate(f)), compile_fn(differentiate(f, 2))]
+        rng = random.Random(7)
+        for _ in range(1000):
+            lo = rng.uniform(0.05, 3.0)
+            hi = lo + rng.uniform(0.0, 1.0)
+            t = rng.uniform(lo, hi)
+            c = hhcheck.expr._jet(f, lo, hi, 2)
+            for k, fn in enumerate(fns):
+                scale = math.factorial(k)
+                assert c[k][0] * scale <= fn(t) <= c[k][1] * scale
+
+    @pytest.mark.parametrize("text,lo,hi,jet", [
+        ("1/x", 0.5, 2.0, [(0.5, 2.0), (-4.0, -0.25), (0.125, 8.0)]),
+        ("abs(1 - x)", 2.0, 3.0, [(1.0, 2.0), (1.0, 1.0), (0.0, 0.0)]),
+        ("x^2", -1.0, 1.0, [(0.0, 1.0), (-2.0, 2.0), (1.0, 1.0)]),
+        ("2", 0.0, 1.0, [(2.0, 2.0), (0.0, 0.0), (0.0, 0.0)]),
+    ])
+    def test_jets(self, text, lo, hi, jet):
+        assert hhcheck.expr._jet(parse(text), lo, hi, 2) == jet
+
+    @pytest.mark.parametrize("text,lo,hi", [
+        ("abs(x)", -1.0, 1.0),  # no derivative at the kink
+        ("1/x", -1.0, 1.0),
+        ("x^0.5", 0.0, 1.0),  # f' is unbounded at 0
+        ("ln(x)", 0.0, 1.0),
+    ])
+    def test_no_jet_raises_domain_error(self, text, lo, hi):
+        with pytest.raises(DomainError):
+            hhcheck.expr._jet(parse(text), lo, hi, 2)
+
+
 def _numeric_derivative(fn, x, eps=1e-6):
     return (fn(x + eps) - fn(x - eps)) / (2.0 * eps)
 
@@ -608,20 +675,47 @@ class TestDifferentiate:
         memo = {}
         two_passes = hhcheck.expr._d(hhcheck.expr._d(f, memo), memo)
         first = differentiate(f)
-        info = differentiate.cache_info()
+        info = hhcheck.expr._derivative.cache_info()
         assert differentiate(f, 2) is two_passes
-        after = differentiate.cache_info()
+        after = hhcheck.expr._derivative.cache_info()
         assert (after.misses - info.misses, after.hits - info.hits) == (1, 1)
         assert differentiate(first) is two_passes
 
     def test_build_suite_differentiates_each_function_and_order_once(self, cold_caches):
         build_suite(42)
-        info = differentiate.cache_info()
-        # 414 calls for 36 distinct (tree, order) pairs: 17 from the rules and
-        # the quadrature, and 19 from the membership prover (g' and g'' of each
-        # function it proves convex, and g' of the alpha_m hypotheses it tests
-        # for a constant)
-        assert info.misses == 36 and info.hits > 300
+        info = hhcheck.expr._derivative.cache_info()
+        # 411 calls for 12 derivatives, f' and f'' of the six functions of the
+        # catalog and the quadrature: the membership prover reads Taylor
+        # coefficients and adds none (it added 19 derivatives of g, and f'
+        # was keyed twice, as (f,) and (f, 1), 36 keys in all)
+        assert info.misses == 12 and info.hits > 300
+
+    def test_a_fresh_problem_differentiates_each_order_once(self, monkeypatch, cold_caches):
+        """Every rule, both lemmas and both quadratures on one new f start
+        two derivations: f' and f''. differentiate(f) and differentiate(f, 1)
+        are one cache entry, so f' is not derived twice."""
+        roots, depth, real = [], [0], hhcheck.expr._d
+
+        def counting(node, memo):
+            if not depth[0]:
+                roots.append(node)
+            depth[0] += 1
+            try:
+                return real(node, memo)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(hhcheck.expr, "_d", counting)
+        f = parse("x^3*exp(0.5*x) + 1/(x + 0.3)")
+        cls, hp = ConvexityClass("h_alpha_m", alpha=0.5, m=0.9), HolderPair.from_p(2.0)
+        for rule in RULE_IDS:
+            inst = BoundInstance(rule, f, 0.6, 1.4, cls, hp if rule in HOLDER_RULES else None)
+            (bound_first_derivative if rule in FIRST_DERIVATIVE_RULES
+             else bound_second_derivative)(inst)
+        lemma1_residual(f, 0.6, 1.4), lemma2_residual(f, 0.6, 1.4)
+        for rule in ("midpoint", "trapezoid"):
+            certified_integrate(f, 0.0, 1.0, n=4, rule=rule, check_hypothesis=False)
+        assert roots == [f, differentiate(f)]
 
     def test_derivative_order_validation(self):
         with pytest.raises(ValueError):

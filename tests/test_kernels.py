@@ -153,6 +153,21 @@ class TestIntegrateAdaptive:
         assert not r.converged
         assert kernels._PLAIN_PANELS < r.subdivisions < kernels._MAX_PANELS
 
+    @pytest.mark.parametrize("text,converged", [
+        ("1/x^0.5", True), ("x^(-0.5)*exp(x)", True),
+        ("1/x", False), ("1/x^2", False), ("1/x^0.9", False),
+    ])
+    def test_a_depth_limited_run_is_judged_by_its_summed_estimate(self, text, converged):
+        # the error of a panel at a 1/sqrt(t) singularity shrinks as its
+        # width^1.5, so the panel there reaches depth 60 unsettled, but the
+        # sum meets the QAG test; a pole's estimate stays large
+        r = integrate_adaptive(parse(text), 0.0, 1.0)
+        assert r.converged == converged and r.subdivisions < kernels._MAX_PANELS
+        if converged:
+            assert r.abs_error_estimate <= 1e-12 * abs(r.value)
+        if text == "1/x^0.5":
+            assert r.value == pytest.approx(2.0, rel=1e-12)
+
     def test_error_estimate_is_honest(self):
         r = integrate_adaptive(parse("exp(x)"), 0.0, 1.0)
         assert abs(r.value - (math.e - 1.0)) <= max(r.abs_error_estimate, 1e-13)
