@@ -29,7 +29,6 @@ guarantee; their verdicts are recorded empirically.
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -37,7 +36,7 @@ from .convexity import ConvexityClass, MembershipReport, hypothesis_membership, 
 from .errors import DomainError
 from .expr import (Abs, Const, DomainInterval, Node, Pow, Value, compile_fn, differentiate,
                    evaluate)
-from .kernels import HolderPair, beta, integral, kernel_moment
+from .kernels import HolderPair, _beta_root, integral, kernel_moment
 
 __all__ = [
     "RULE_IDS", "FIRST_DERIVATIVE_RULES", "SECOND_DERIVATIVE_RULES",
@@ -231,16 +230,6 @@ class _Rule(NamedTuple):
     w: Optional[float] = None
     beta: bool = False
     note: Optional[str] = None
-
-
-def _beta_root(p: float) -> float:
-    """beta(p+1, p+1)^(1/p). Past p ~ 510 beta is below the least normal
-    float (0.0 from p ~ 537), so the root is taken in log space from
-    log-gamma there."""
-    bpp = beta(p + 1.0, p + 1.0)
-    if bpp >= sys.float_info.min:
-        return bpp ** (1.0 / p)
-    return math.exp((2.0 * math.lgamma(p + 1.0) - math.lgamma(2.0 * p + 2.0)) / p)
 
 
 # prefactors as functions of (L, p, beta(p+1,p+1)^(1/p)); each C rule shares its T rule's

@@ -35,8 +35,8 @@ once (a DomainInterval's equality sees its endpoint signs). It proves what
 it can before it searches: g convex, for the classes that are plain
 convexity at their parameters, by enclosing g'' on pieces of the domain
 with interval Taylor coefficients of the f that g is built from, and g
-constant, for alpha_m at m = 1. Anything else is searched;
-check_membership, and so check-class, only searches.
+constant, for alpha_m at m = 1. Anything else goes to check_membership,
+which makes its own preconditions and searches; check-class only searches.
 
 Every record verdict (bounds, quadrature, lemma rows, means) is decided by
 `within`, with an absolute slack (the verdict tol) or `relative_slack`.
@@ -319,12 +319,16 @@ def _triples(dom: DomainInterval, xs: list[float], sense: str, samples: int, see
             yield x, y, lam
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples!r}")
+
+
 def _preconditions(g: Node, cls: ConvexityClass, dom: DomainInterval, samples: int):
     """The checks a search makes first, with its errors: samples >= 0, dom in
     [0, inf) and g >= 0 at the grid points where the sense needs them.
     Returns g compiled and the grid points."""
-    if samples < 0:
-        raise ValueError(f"samples must be non-negative, got {samples!r}")
+    _check_samples(samples)
     if cls.sense in _NONNEG_DOMAIN_SENSES and dom.lo < 0.0:
         raise PreconditionError(
             f"sense {cls.sense!r} is defined on [0,inf); domain starts at {dom.lo!r}"
@@ -352,48 +356,33 @@ def check_membership(
     samples: int = 2000,
     seed: int = 0,
     tol: float = 1e-9,
-    *,
-    checked: Optional[tuple] = None,
 ) -> MembershipReport:
     """Search for a violation of the class's defining inequality on dom.
 
-    Deterministic pass first: a 21 x 21 grid in (x, y) crossed with lam in
-    {0.1, ..., 0.9} (endpoints 0 and 1 added for closed-interval senses).
-    Then `samples` seeded random triples (0 keeps the grid pass alone), so
-    the outcome depends only on the seed. The triples are checked one at a
-    time in definition order (x, then y, then lam on the grid; draw order
-    after it), calling g and h in the order of the sense's definition: the
-    first counterexample is the witness, and a DomainError of g is raised
-    as the PreconditionError that names its triple. A grid lam's weights
-    are computed, in that order, at its first triple and kept for the
-    rest of the grid, so a weight that fails ends the search there; each
-    draw computes its own.
-
-    checked is what _preconditions returned for these arguments, from a
-    caller that has made the checks; by default the search makes them.
+    The preconditions come first (_preconditions). Then a deterministic
+    pass: a 21 x 21 grid in (x, y) crossed with lam in {0.1, ..., 0.9}
+    (endpoints 0 and 1 added for closed-interval senses). Then `samples`
+    seeded random triples (0 keeps the grid pass alone), so the outcome
+    depends only on the seed. The triples are checked one at a time in
+    definition order (x, then y, then lam on the grid; draw order after
+    it). Each triple computes c, wx and wy and calls g in the order of the
+    sense's definition: the first counterexample is the witness, a weight
+    that fails ends the search at the first triple of its lam, and a
+    DomainError of g is raised as the PreconditionError that names its
+    triple.
     """
-    gc, xs = checked or _preconditions(g, cls, dom, samples)
+    gc, xs = _preconditions(g, cls, dom, samples)
     c_of, wx_of, wy_of, y_over_m, wx_late = _COEFFICIENTS[cls.sense]
-    grid = len(xs) ** 2 * len(_lam_grid(cls.sense))
-    weights = {}  # grid lam -> (c, wx, wy), stored at the lam's first triple
     try:
         for used, (x, y, lam) in enumerate(_triples(dom, xs, cls.sense, samples, seed), 1):
-            w = weights.get(lam)
-            if w is not None:
-                c, wx, wy = w
-                lhs = gc(lam * x + c * y)
-                gx = gc(x)
-            else:
-                c = c_of(cls, lam)
-                if not wx_late:
-                    wx = wx_of(cls, lam)
-                lhs = gc(lam * x + c * y)
-                if wx_late:
-                    wx = wx_of(cls, lam)
-                gx = gc(x)
-                wy = wy_of(cls, lam, wx)
-                if used <= grid:
-                    weights[lam] = c, wx, wy
+            c = c_of(cls, lam)
+            if not wx_late:
+                wx = wx_of(cls, lam)
+            lhs = gc(lam * x + c * y)
+            if wx_late:
+                wx = wx_of(cls, lam)
+            gx = gc(x)
+            wy = wy_of(cls, lam, wx)
             rhs = wx * gx + wy * gc(y / cls.m if y_over_m else y)
             if lhs > rhs + tol:  # not within(); see its docstring
                 return MembershipReport("counterexample", used, Witness(x, y, lam, lhs, rhs), seed)
@@ -456,21 +445,18 @@ def _convex_proof(g: Node, lo: float, hi: float, f: Optional[Node] = None,
     return MembershipProof(pieces, _mul(least, float(math.factorial(order)))[0])
 
 
-def _prove(g: Node, cls: ConvexityClass, dom: DomainInterval, samples: int,
-           checked: Optional[tuple] = None, f: Optional[Node] = None
-           ) -> Optional[MembershipProof]:
-    """A proof that g is in cls on dom, or None; it needs the search's
-    preconditions, made here unless the caller passes what _preconditions
-    returned for them, and g >= 0, which _convex_proof proves. A convex g is
-    in the classes that are plain convexity at their parameters; a constant
-    g is in alpha_m at m = 1 for every alpha, where both sides are g."""
+def _prove(g: Node, cls: ConvexityClass, dom: DomainInterval,
+           f: Optional[Node] = None) -> Optional[MembershipProof]:
+    """A proof that g is in cls on dom, or None. A convex g is in the
+    classes that are plain convexity at their parameters; a constant g is
+    in alpha_m at m = 1 for every alpha, where both sides are g. A sense
+    defined on [0, inf) is not proven on a domain that starts below 0, so
+    the search reports it. _convex_proof shows g >= 0 on all of dom, which
+    is all that the search's other preconditions ask."""
     plain = cls.sense in _PLAIN_SENSES and cls.h.kind == "identity" and cls.alpha == cls.m == 1.0
     if not plain and (cls.sense != "alpha_m" or cls.m != 1.0):
         return None
-    try:
-        if checked is None:
-            _preconditions(g, cls, dom, samples)
-    except PreconditionError:  # the search reports a failed precondition
+    if cls.sense in _NONNEG_DOMAIN_SENSES and dom.lo < 0.0:
         return None
     return _convex_proof(g, dom.lo, dom.hi, f, plain)
 
@@ -482,12 +468,12 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
     (report, None); a failed precondition gives (None, reason) instead of
     raising, so the hypothesis is reported unverified.
 
-    check_membership's preconditions are made once, and a failure ends the
-    check there. A hypothesis that the prover then proves is reported
-    "proven" without a search; any other goes to
-    check_membership(g, cls, dom, samples, seed, tol) with the checks made.
-    A caller that builds g from f, as |f'| or |f''| or a power of one,
-    passes f, so that the prover reads f's Taylor coefficients, not g's.
+    A negative samples raises ValueError first, as the search would. The
+    prover runs next, and a hypothesis it proves is reported "proven"
+    without a search; any other goes to check_membership(g, cls, dom,
+    samples, seed, tol), which makes its own preconditions. A caller that
+    builds g from f, as |f'| or |f''| or a power of one, passes f, so that
+    the prover reads f's Taylor coefficients, not g's.
 
     Every argument is a frozen value and the outcome is deterministic in
     them, so one check serves every rule and quadrature that assumes the
@@ -496,14 +482,11 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
     copied. check_membership itself neither proves nor is cached, so
     check-class always searches.
     """
-    try:
-        checked = _preconditions(g, cls, dom, samples)
-    except PreconditionError as exc:
-        return None, f"membership precondition failed: {exc}"
-    proof = _prove(g, cls, dom, samples, checked, f)
+    _check_samples(samples)
+    proof = _prove(g, cls, dom, f)
     if proof is not None:
         return MembershipReport("proven", 0, None, seed, proof=proof), None
     try:
-        return check_membership(g, cls, dom, samples, seed, tol, checked=checked), None
+        return check_membership(g, cls, dom, samples, seed, tol), None
     except PreconditionError as exc:
         return None, f"membership precondition failed: {exc}"

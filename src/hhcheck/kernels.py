@@ -29,10 +29,21 @@ __all__ = [
 
 def beta(x: float, y: float) -> float:
     """Euler Beta function via log-gamma; relative error well under 1e-12
-    for arguments up to 50."""
+    for arguments up to 50. Large arguments underflow: beta(p+1, p+1) is
+    below the least normal float past p ~ 510 and 0.0 from p ~ 537, so a
+    root of it is taken with _beta_root."""
     if x <= 0.0 or y <= 0.0:
         raise DomainError(f"beta needs positive arguments, got ({x!r}, {y!r})")
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+def _beta_root(p: float) -> float:
+    """beta(p+1, p+1)^(1/p), for T5, C3 and P3. Where beta is below the
+    least normal float, the root is taken in log space from log-gamma."""
+    bpp = beta(p + 1.0, p + 1.0)
+    if bpp >= sys.float_info.min:
+        return bpp ** (1.0 / p)
+    return math.exp((2.0 * math.lgamma(p + 1.0) - math.lgamma(2.0 * p + 2.0)) / p)
 
 
 def check_holder_exponent(p: float) -> float:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 from .convexity import relative_slack, within
 from .errors import DomainError
 from .expr import Value
-from .kernels import beta, check_holder_exponent
+from .kernels import _beta_root, check_holder_exponent
 
 __all__ = [
     "MEAN_TAGS", "MEAN_CHAIN", "MeanKind", "mean", "lp_kind", "check_mean_chain",
@@ -182,16 +182,25 @@ class VerificationOutcome(NamedTuple):
     note: Optional[str] = None
 
 
-def _safe_exp(x: float) -> float:
+def _or_inf(fn, *args) -> float:
+    """fn(*args), or inf where it overflows; every value it guards is positive."""
     try:
-        return math.exp(x)
+        return fn(*args)
     except OverflowError:
         return math.inf
 
 
+def _holds(lhs: float, rhs: float, tol: float) -> bool:
+    """`within`, except that an lhs past the largest float never holds: it
+    exceeds every finite rhs, and beside an rhs that overflowed too the
+    order of the two is unknown."""
+    return within(lhs, rhs, tol) and lhs < math.inf
+
+
 def proposition_check(inst: PropositionInstance, tol: float = 1e-9) -> VerificationOutcome:
     """Evaluate one mean inequality exactly as stated; total, never raises
-    past input validation.
+    past input validation. A side that overflows is inf, or NaN where its
+    sign is unknown, and `_holds` decides.
 
     P2 and P4 each carry a typographically ambiguous constant; the primary
     reading is the multiplicative one (3*2^((2p+1)/p), 2*6^((p+1)/p)) and
@@ -210,32 +219,36 @@ def proposition_check(inst: PropositionInstance, tol: float = 1e-9) -> Verificat
     elif inst.id == "P2":
         lhs = mean(MeanKind("A"), a, b) / mean(MeanKind("I"), a, b)
         inv = 1.0 / mean(MeanKind("H"), a, b) + 2.0 / mean(MeanKind("A"), a, b)
-        rhs = _safe_exp(d / (3.0 * 2.0 ** ((2.0 * p + 1.0) / p)) * inv)
-        alt = _safe_exp(d / 3.2 ** ((2.0 * p + 1.0) / p) * inv)
+        rhs = _or_inf(math.exp, d / (3.0 * 2.0 ** ((2.0 * p + 1.0) / p)) * inv)
+        alt = _or_inf(math.exp, d / 3.2 ** ((2.0 * p + 1.0) / p) * inv)
         extras["alt_rhs"] = alt
         extras["alt_holds"] = within(lhs, alt, tol)
         note = "constant read as 3*2^((2p+1)/p); decimal-base 3.2 alternate in extras"
     elif inst.id == "P3":
         lhs = abs(1.0 / mean(MeanKind("H"), a, b) - 1.0 / mean(MeanKind("L"), a, b))
-        rhs = (
-            d * d * beta(p + 1.0, p + 1.0) ** (1.0 / p)
-            / mean(MeanKind("H"), a ** 3, b ** 3)
-        )
+        root = _beta_root(p)
+        try:
+            rhs = d * d * root / mean(MeanKind("H"), a ** 3, b ** 3)
+        except (OverflowError, DomainError):  # b^3 overflows, or a^3 is 0.0
+            # 1/H(a^3, b^3) = (1 + (a/b)^3) / (2 a^3), taken in log space
+            rhs = _or_inf(math.exp, 2.0 * math.log(d) + math.log(root) - 3.0 * math.log(a)
+                          + math.log1p((a / b) ** 3) - math.log(2.0))
     else:  # P4
         n = inst.n
+        # a term past the largest float is inf, so |inf - inf| is NaN
         lhs = abs(
-            mean(MeanKind("A"), float(a) ** n, float(b) ** n)
-            - mean(MeanKind("Lp", p), a, b) ** p
+            _or_inf(lambda: mean(MeanKind("A"), float(a) ** n, float(b) ** n))
+            - _or_inf(lambda: mean(MeanKind("Lp", p), a, b) ** p)
         )
-        amp = mean(MeanKind("A"), a ** (p - 2.0), b ** (p - 2.0))
-        scale = abs(n * (n - 1)) * d * d
+        amp = _or_inf(lambda: mean(MeanKind("A"), a ** (p - 2.0), b ** (p - 2.0)))
+        scale = _or_inf(lambda: abs(n * (n - 1)) * d * d)
         rhs = scale / (2.0 * 6.0 ** ((p + 1.0) / p)) * amp
         alt = scale / 2.6 ** ((p + 1.0) / p) * amp
         extras["alt_rhs"] = alt
-        extras["alt_holds"] = within(lhs, alt, tol)
+        extras["alt_holds"] = _holds(lhs, alt, tol)
         note = "constant read as 2*6^((p+1)/p); decimal-base 2.6 alternate in extras"
 
-    holds = within(lhs, rhs, tol)
+    holds = _holds(lhs, rhs, tol)
     if not holds:
         fail_note = "inequality fails as stated at these parameters"
         note = fail_note if note is None else f"{note}; {fail_note}"

@@ -367,6 +367,20 @@ class TestGoldenBytes:
         assert digest.hexdigest() == \
             "3924e229aef785ca0541da53a292c5d1a2d435bd6434fa5210642131f4c2c218"
 
+    def test_bound_quad_sha256(self, capsys, monkeypatch):
+        """Exit code, stdout and stderr of every _BOUND_QUAD_ARGV line, in
+        order: a change to how a rule's or a quadrature's hypothesis is
+        proven or searched that moves this hash changes a verdict or an
+        error message."""
+        monkeypatch.delenv("HHC_SEED", raising=False)
+        digest = hashlib.sha256()
+        for argv in _BOUND_QUAD_ARGV:
+            code, out, err = _run(capsys, *argv.split())
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+        assert len(_BOUND_QUAD_ARGV) == 41
+        assert digest.hexdigest() == \
+            "0f5a1b89796a1c8c604244f460167eef7ab8c72fa66bc7296bc27a8c01e1957d"
+
 
 _HOLE = "((x-0.527)^2-0.0000036)^0.5"  # undefined on (0.5251, 0.5289), between grid values
 _HOLES = "2+" + "+".join(f"0*((x-{c:.4f})^2-0.0000036)^0.5"
@@ -425,6 +439,55 @@ _CHECK_CLASS_ARGV = [
     "--f x^2 --sense s_alpha_m_first --alpha 0.5 --s 0.5 --a 0 --b 2 --format json",
     "--f x^2 --sense s_alpha_m_second --alpha 0.5 --m 0.7 --s 0.5 --a 0 --b 2 --format json",
     "--f 4-x^2 --sense s_alpha_m_second --alpha 0.5 --m 0.7 --s 0.5 --a 0 --b 2 --format csv",
+]
+
+# bound and quad: hypotheses the prover proves (h = t, alpha = m = 1; the
+# constant |f''| of x^2 under alpha_m at m = 1), classes it does not try
+# (h = 1, t^s or custom, alpha < 1, m < 1), hypotheses it gives up on and
+# the search decides, the [0,inf) precondition of alpha_m on a domain
+# below 0, large p, and exit-2 rows
+_BOUND_QUAD_ARGV = [
+    "bound --rule T1 --f x^2 --a 0 --b 1",
+    "bound --rule T1 --f x^2 --a 0 --b 1 --h t --alpha 1 --m 1 --format json",
+    "bound --rule T4 --f exp(x) --a 0 --b 2 --format json",
+    "bound --rule T2 --f x^3 --a 0.5 --b 2 --p 2 --format csv",
+    "bound --rule C1 --f 1/x --a 0.5 --b 2 --p 3 --format json",
+    "bound --rule T3 --f ln(x) --a 1 --b 3 --p 1.5",
+    "bound --rule C2 --f x^4 --a 0 --b 1 --p 2 --format json",
+    "bound --rule T5 --f 1/x --a 0.1 --b 1.1 --p 2 --format json",
+    "bound --rule C3 --f exp(x) --a 0 --b 1 --p 600 --format json",
+    "bound --rule T6 --f x^3 --a -1 --b 1 --p 2 --format json",
+    "bound --rule C4 --f x^2 --a 0 --b 1 --p 2 --h t^s --s 0.5 --format json",
+    "bound --rule T4 --f x^2 --a 0 --b 1 --h expr:t*(2-t) --format json",
+    "bound --rule T1 --f x^2 --a 0 --b 1 --alpha 0.5 --format json",
+    "bound --rule T4 --f x^2 --a 0 --b 1 --alpha 0.5 --m 0.5 --format json",
+    "bound --rule T1 --f x^2 --a 0 --b 1 --h 1 --format json",
+    "bound --rule T1 --f=-x^2 --a 0 --b 1 --format json",
+    "bound --rule T1 --f x^0.5 --a 0 --b 1 --format json",
+    "bound --rule T1 --f x^3-x --a -1 --b 1 --format json",
+    "bound --rule T1 --f x^2 --a -1 --b 1 --format json",
+    "bound --rule T1 --f x^2 --a -1 --b 1 --alpha 0.5 --format json",
+    "bound --rule T1 --variant tight --f x^2 --a 0 --b 1 --format json",
+    "bound --rule T4 --f ln(x) --a -1 --b 1 --format json",
+    "bound --rule T4 --f x^4 --a 0.5 --b 1.5 --samples 0 --seed 5 --tol 0 --format json",
+    "bound --rule T6 --f exp(-x) --a 0 --b 3 --p 4 --h expr:t^0.5 --alpha 0.7 --m 0.8 --format json",
+    "bound --rule T2 --f x^x --a 0.5 --b 2 --p 2 --format json",
+    "bound --rule T4 --f 1/x --a 0.5 --b 2 --h t^s --s 0.5 --alpha 0.5 --m 0.5 --seed 9 --samples 300",
+    "quad --rule trapezoid --f x^2 --a 0 --b 1 --n 4 --format json",
+    "quad --rule trapezoid --f=x^2 --a -1 --b 1 --n 4 --alpha 0.5",
+    "quad --rule trapezoid --f=x^2 --a -1 --b 1 --n 4 --alpha 0.5 --format json",
+    "quad --rule trapezoid --f x^2 --a 0 --b 1 --n 4 --alpha 0.5 --format json",
+    "quad --rule midpoint --f x^2 --a 0 --b 1 --n 4 --alpha 0.5 --format json",
+    "quad --rule midpoint --f exp(x) --a 0 --b 2 --n 8 --alpha 0 --format json",
+    "quad --rule trapezoid --f exp(x) --a 0 --b 2 --n 8 --alpha 0 --format json",
+    "quad --rule trapezoid --f x^4 --a 0 --b 1 --n 3 --alpha 0.5 --m 0.5 --format json",
+    "quad --rule midpoint --f 1/x --a 0.5 --b 2 --points 0.5,1,2 --p 3 --variant proofline --format json",
+    "quad --rule trapezoid --f x^3 --a -1 --b 1 --n 4 --format json",
+    "quad --rule trapezoid --f x^2 --a -1 --b 1 --n 4 --format csv",
+    "quad --rule midpoint --f ln(x) --a 0 --b 1 --n 4 --format json",
+    "quad --rule trapezoid --f x^2 --a 0 --b 1 --n 4 --alpha 0.5 --m 0.5 --format csv",
+    "quad --rule trapezoid --f 1/x --a 0.2 --b 2 --n 5 --p 1.5 --alpha 1 --m 0.9 --seed 3 --format json",
+    "quad --rule midpoint --f x^2 --a -1 --b 1 --n 4 --samples -1",
 ]
 
 

@@ -389,12 +389,16 @@ class TestHypothesisCache:
 
     def test_precondition_failure_is_shared_too(self, monkeypatch, cold_caches):
         calls = _count_searches(monkeypatch)
+        g_args = _record_g_calls(monkeypatch)
         args = (parse("x - 1"), ConvexityClass("h_plain"), POS, 50, 0, 1e-9)
         first = hypothesis_membership(*args)
         assert first[0] is None and "non-negative" in first[1]
         assert hypothesis_membership(*args) is first
-        # the failed precondition ends the check: no search repeats it
-        assert len(calls) == 0
+        # the prover gives up, and the one search ends at its precondition:
+        # g is read at the first grid point, where it is negative, and no
+        # triple is checked
+        assert len(calls) == 1
+        assert g_args == [POS.lo]
         with pytest.raises(PreconditionError) as exc:
             check_membership(*args)
         assert first[1] == f"membership precondition failed: {exc.value}"
@@ -796,9 +800,11 @@ def test_build_suite_membership_work(monkeypatch, cold_caches):
     build_suite(42)
     # 248,674 when each grid triple called g; 87,142 and 203,742 triples
     # when all 48 hypotheses were searched
-    # 756 of them the grid checks of the 36 proven h_alpha_m rows, and 3 per
-    # triple checked; 1,436 when the grid scan read g from a memo
-    assert evals[0] == 906
+    # 3 per triple checked: the proven hypotheses make no grid check, and
+    # the 4 searched alpha_m ones need none; 906 when the 36 proven
+    # h_alpha_m rows made the search's 21-point grid check first, 1,436 when
+    # the grid scan read g from a memo
+    assert evals[0] == 150
     assert triples[0] == 50  # the 4 searches hit at grid triples 12, 13, 12 and 13
     assert len(proofs) == 44
     # each in one piece, from f's Taylor coefficients; 116 when the prover
@@ -819,21 +825,22 @@ def test_build_suite_generates_each_function_once(monkeypatch, cold_caches):
 
     monkeypatch.setattr(hhcheck.expr, "_build", counting_build)
     build_suite(42)
-    # for 498 calls of compile_fn, evaluate and the jets: the prover compiles
+    # for 454 calls of compile_fn, evaluate and the jets: the prover compiles
     # the jet of each of the six functions it reads, where it compiled 57
-    # interval trees of g, g' and g''
-    assert [generated.count(b) for b in ("float", "interval", "jet")] == [54, 0, 6]
-    assert hhcheck.expr._compiled.cache_info().misses == 60
+    # interval trees of g, g' and g''; a proven hypothesis compiles no float
+    # g, where the search's preconditions made 54 float builds before it
+    assert [generated.count(b) for b in ("float", "interval", "jet")] == [18, 0, 6]
+    assert hhcheck.expr._compiled.cache_info().misses == 24
     for cache in (hhcheck.expr._derivative, hypothesis_membership, convexity._convex_proof,
                   hhcheck.bounds._mean_integral):
         cache.cache_clear()
     build_suite(42)
-    assert len(generated) == 60
+    assert len(generated) == 24
 
 
 def test_build_suite_checks_each_hypothesis_once(monkeypatch, cold_caches):
-    """A hypothesis's preconditions are checked once and passed to the
-    prover and, when the prover gives up, to the search. At seed 101 the
+    """A hypothesis is checked once: the prover first, and when it gives up,
+    the search, which makes its own preconditions. At seed 101 the
     prover proves every bound hypothesis and does not try the 4 P6 ones at
     alpha < 1, which are searched. |f''| of x^3 on [-1, 1], |6x|, is convex,
     but the prover gives up on it, since f'' changes sign there."""
@@ -846,12 +853,12 @@ def test_build_suite_checks_each_hypothesis_once(monkeypatch, cold_caches):
     monkeypatch.setattr(convexity, "_preconditions", counting)
     calls = _count_searches(monkeypatch)
     build_suite(101)
-    assert hypothesis_membership.cache_info().misses == checks[0] == 48
-    assert len(calls) == 4
+    assert hypothesis_membership.cache_info().misses == 48
+    assert checks[0] == len(calls) == 4
     rep = verify(BoundInstance("T4", parse("x^3"), -1.0, 1.0, ConvexityClass("h_alpha_m")))
     assert rep.membership.verdict == "no-counterexample-found"
-    assert hypothesis_membership.cache_info().misses == checks[0] == 49
-    assert len(calls) == 5
+    assert hypothesis_membership.cache_info().misses == 49
+    assert checks[0] == len(calls) == 5
 
 
 def test_no_bound_hypothesis_is_searched_at_seeds_0_to_59(monkeypatch, cold_caches):
@@ -1058,7 +1065,7 @@ class TestProver:
            width=st.floats(min_value=0.05, max_value=2.0))
     def test_property_a_proven_hypothesis_is_never_refuted(self, text, kind, cls, lo, width):
         g, dom = _HYPOTHESES[kind](parse(text)), DomainInterval(lo, lo + width)
-        if convexity._prove(g, cls, dom, 0) is None:
+        if convexity._prove(g, cls, dom) is None:
             return
         # a tolerance relative to the size of g: the search's absolute 1e-9
         # reads rounding of a large g as a counterexample
@@ -1075,7 +1082,7 @@ class TestProver:
     ])
     @pytest.mark.parametrize("cls", _PROVABLE[:3], ids=("plain", "h_alpha_m", "h_plain"))
     def test_never_proven(self, text, lo, hi, cls):
-        assert convexity._prove(parse(text), cls, DomainInterval(lo, hi), 0) is None
+        assert convexity._prove(parse(text), cls, DomainInterval(lo, hi)) is None
 
     def test_proven_report(self):
         hypothesis_membership.cache_clear()
@@ -1089,12 +1096,12 @@ class TestProver:
         # starts at exactly 0
         for text, lo, hi in (("abs(-1/x)", 1.0, 2.0), ("abs(2*x)", 0.0, 1.0)):
             assert convexity._prove(parse(text), ConvexityClass("plain_convex"),
-                                    DomainInterval(lo, hi), 0) is not None
+                                    DomainInterval(lo, hi)) is not None
 
     def test_holder_rows_share_one_proof_of_their_base(self, cold_caches):
         u, cls, dom = differentiate(parse("1/x"), 2), ConvexityClass("h_alpha_m"), \
             DomainInterval(0.5, 1.5)
-        proofs = [convexity._prove(g, cls, dom, 0)
+        proofs = [convexity._prove(g, cls, dom)
                   for g in (Abs(u), *(Pow(Abs(u), Const(q)) for q in (3.0, 2.0, 4.0 / 3.0)))]
         assert proofs[0] is not None and all(p is proofs[0] for p in proofs)
         assert convexity._convex_proof.cache_info().misses == 4  # one base, three rows
@@ -1103,19 +1110,34 @@ class TestProver:
         dom = DomainInterval(0.0, 1.0)
         for alpha in (0.0, 0.5, 1.0):
             cls = ConvexityClass("alpha_m", alpha=alpha)
-            assert convexity._prove(parse("abs(2)"), cls, dom, 0) == MembershipProof(1, 0.0)
+            assert convexity._prove(parse("abs(2)"), cls, dom) == MembershipProof(1, 0.0)
         for text, cls in (("-2", ConvexityClass("alpha_m", alpha=0.5)),
                           ("abs(2)", ConvexityClass("alpha_m", alpha=0.5, m=0.5)),
                           ("x^2", ConvexityClass("alpha_m", alpha=0.5)),
                           ("x^2", ConvexityClass("h_alpha_m", h=HFunction.power(0.5)))):
-            assert convexity._prove(parse(text), cls, dom, 0) is None
+            assert convexity._prove(parse(text), cls, dom) is None
+
+    def test_prove_first_keeps_each_class_domain(self, cold_caches):
+        # |f''| of x^2 is the constant 2, proven (0.5, 1)-convex on [0, 1];
+        # alpha_m is defined on [0, inf), so on [-1, 1] the prover gives up
+        # and the search reports why, while plain convexity is proven there
+        f = parse("x^2")
+        g, cls = Abs(differentiate(f, 2)), ConvexityClass("alpha_m", alpha=0.5)
+        assert convexity._prove(g, cls, DomainInterval(0.0, 1.0), f) == MembershipProof(1, 0.0)
+        dom = DomainInterval(-1.0, 1.0)
+        assert convexity._prove(g, cls, dom, f) is None
+        assert hypothesis_membership(g, cls, dom, 50, 0, 1e-9, f=f) == (
+            None, "membership precondition failed: sense 'alpha_m' is defined on [0,inf); "
+                  "domain starts at -1.0")
+        rep, note = hypothesis_membership(g, ConvexityClass("plain_convex"), dom, 50, 0, 1e-9, f=f)
+        assert note is None and rep.verdict == "proven"
 
     def test_a_failed_precondition_is_left_to_the_search(self):
         # h_plain needs g >= 0 at the grid points: the prover gives up, and
         # the search reports the reason
         hypothesis_membership.cache_clear()
         args = (parse("x - 1"), ConvexityClass("h_plain"), POS, 50, 0, 1e-9)
-        assert convexity._prove(*args[:3], 50) is None
+        assert convexity._prove(*args[:3]) is None
         assert "non-negative" in hypothesis_membership(*args)[1]
         with pytest.raises(ValueError, match="samples must be non-negative"):
             hypothesis_membership(parse("x^2"), ConvexityClass("plain_convex"), POS, -1, 0, 1e-9)

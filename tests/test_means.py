@@ -293,6 +293,39 @@ class TestPropositions:
         assert math.isinf(out.rhs)
         assert out.holds
 
+    @pytest.mark.parametrize("p", [600.0, 1e4])
+    def test_p3_at_large_p_takes_the_log_gamma_root(self, p):
+        # beta(p+1, p+1) is 0.0 here, and its p-th root is near 1/4
+        root = math.exp((2.0 * math.lgamma(p + 1.0) - math.lgamma(2.0 * p + 2.0)) / p)
+        assert 0.248 < root < 0.25
+        out = proposition_check(PropositionInstance("P3", 1.0, 2.0, p))
+        assert out.rhs == pytest.approx(root / mean(H, 1.0, 8.0), rel=1e-12)
+        assert out.holds and out.rhs > 0.139
+
+    @pytest.mark.parametrize("inst,lhs,rhs,holds", [
+        # b^3 overflows, or a^3 underflows to 0.0: the rhs is taken in logs
+        (PropositionInstance("P3", 1e-200, 1e200, 2.0), 5e199, math.inf, True),
+        (PropositionInstance("P3", 1e-200, 1.0, 2.0), 5e199, math.inf, True),
+        (PropositionInstance("P3", 1.0, 1e110, 2.0), 0.5, 0.5e220 * 30.0 ** -0.5, True),
+        # b^n overflows: the lhs is inf
+        (PropositionInstance("P4", 1.0, 2.0, 2.0, n=100000), math.inf, 3.40204e8, False),
+        # b^3 and L_2^2 both overflow: the lhs's sign is unknown
+        (PropositionInstance("P4", 1e-300, 1e300, 2.0, n=3), math.nan, math.inf, False),
+        # b^n and n(n-1) overflow: which side is larger is unknown
+        (PropositionInstance("P4", 1.0, 20.0, 2.0, n=10 ** 160), math.inf, math.inf, False),
+    ], ids=("P3-b3-overflows", "P3-a3-underflows", "P3-finite-in-logs", "P4-bn-overflows",
+            "P4-both-overflow", "P4-both-sides-overflow"))
+    def test_an_overflowing_side_is_recorded(self, inst, lhs, rhs, holds):
+        out = proposition_check(inst)
+        for got, want in ((out.lhs, lhs), (out.rhs, rhs)):
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert got == pytest.approx(want, rel=1e-5)
+        assert out.holds is holds
+        if inst.id == "P4":
+            assert out.extras["alt_holds"] is holds
+
     def test_never_raises_across_sweep(self):
         for pid in PROPOSITION_IDS:
             for p in (1.1, 1.5, 2.0, 4.0, 10.0):
