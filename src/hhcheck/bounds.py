@@ -86,12 +86,7 @@ class BoundInstance(Value):
                 raise ValueError(f"rule {rule_id} requires a Holder pair")
         elif hp is not None:
             raise ValueError(f"rule {rule_id} takes no Holder pair")
-        object.__setattr__(self, "rule_id", rule_id)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "hp", hp)
+        self._store(rule_id, f, a, b, cls, hp)
 
 
 class BoundReport(NamedTuple):

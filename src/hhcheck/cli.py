@@ -3,9 +3,9 @@
 Subcommands: check-class, bound, means, prop, quad, verify. Every command
 emits a report in the same shape (version, seed, case records, summary) as
 table (default), json, or csv. Exit status: 0 when no record is flagged,
-1 when at least one is, 2 when the run never reached evaluation (usage,
-parse, or domain errors). The HHC_SEED environment variable overrides
---seed when set.
+1 when at least one is, 2 on a usage error or a ValueError or
+ArithmeticError (parse, domain, precondition, non-convergence, overflow).
+The HHC_SEED environment variable overrides --seed when set.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Optional
 from ._version import __version__
 from .bounds import BoundInstance, HOLDER_RULES, RULE_IDS, verify as verify_bound
 from .convexity import SENSE_PARAMS, SENSES, ConvexityClass, HFunction, check_membership
-from .errors import DomainError, NonConvergenceError, ParseError, PreconditionError
 from .expr import DomainInterval, parse
 from .kernels import HolderPair
 from .means import PropositionInstance
@@ -254,8 +253,7 @@ def run(argv: Optional[list] = None) -> int:
     try:
         seed = int(env_seed) if env_seed is not None else args.seed
         report = _COMMANDS[args.command](args, seed)
-    except (ParseError, DomainError, PreconditionError, NonConvergenceError,
-            ValueError, OverflowError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # every error of the package is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -85,13 +85,14 @@ _NONNEG_DOMAIN_SENSES = frozenset(
 
 
 def within(lhs: float, rhs: float, slack: float) -> bool:
-    """The verdict test: lhs <= rhs + slack; a NaN on either side fails it.
+    """The verdict test: lhs <= rhs + slack. A NaN on either side fails it,
+    and so does an lhs of +inf, whose order beside an inf rhs is unknown.
 
     The membership search writes its counterexample test lhs > rhs + tol
     inline instead, in check_membership's loop, where a function call costs
     more than the comparison itself.
     """
-    return lhs <= rhs + slack
+    return lhs <= rhs + slack and lhs < math.inf
 
 
 def relative_slack(*values: float) -> float:
@@ -99,15 +100,15 @@ def relative_slack(*values: float) -> float:
     return 1e-12 * max(1.0, *(abs(v) for v in values))
 
 
-# What each kind of h means, given the HFunction: h as a function of t; the
+# What each kind of h means, given its s and expr: h as a function of t; the
 # exponent u with h(t) = t^u when h is in the power family, else None; and
 # the text of h. A custom h is compiled here, once per HFunction.
 _H_KINDS = {
-    "identity": lambda h: (lambda t: t, 1.0, "t"),
-    "power": lambda h: (lambda t, s=h.s: t ** s, h.s, f"t^{h.s:g}"),
-    "constant_one": lambda h: (lambda t: 1.0, 0.0, "1"),
-    "reciprocal": lambda h: (lambda t: 1.0 / t, None, "1/t"),
-    "custom": lambda h: (compile_fn(h.expr), None, str(h.expr)),
+    "identity": lambda s, expr: (lambda t: t, 1.0, "t"),
+    "power": lambda s, expr: (lambda t, s=s: t ** s, s, f"t^{s:g}"),
+    "constant_one": lambda s, expr: (lambda t: 1.0, 0.0, "1"),
+    "reciprocal": lambda s, expr: (lambda t: 1.0 / t, None, "1/t"),
+    "custom": lambda s, expr: (compile_fn(expr), None, str(expr)),
 }
 
 
@@ -131,11 +132,7 @@ class HFunction(Value):
             raise ValueError(f"power h needs s in (0,1], got {s!r}")
         if kind == "custom" and expr is None:
             raise ValueError("custom h needs an expression")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "expr", expr)
-        for name, value in zip(("fn", "exponent", "text"), _H_KINDS[kind](self)):
-            object.__setattr__(self, name, value)
+        self._store(kind, s, expr, *_H_KINDS[kind](s, expr), names=HFunction.__slots__)
 
     @classmethod
     def identity(cls) -> "HFunction":
@@ -161,9 +158,6 @@ class HFunction(Value):
         return self.text
 
     __str__ = describe  # so a message can format h lazily
-
-    def __reduce__(self):  # pickled as its fields; fn holds lambdas and compiled code
-        return type(self), (self.kind, self.s, self.expr)
 
 
 _IDENTITY_H = HFunction.identity()  # the default h of every ConvexityClass
@@ -208,11 +202,7 @@ class ConvexityClass(Value):
                 raise ValueError(
                     f"sense {sense!r} does not use {name}; leave it at {default}"
                 )
-        object.__setattr__(self, "sense", sense)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
+        self._store(sense, h, alpha, m, s)
 
     def describe(self) -> str:
         parts = [f"sense={self.sense}"]

@@ -33,6 +33,51 @@ __all__ = [
 ]
 
 
+class Value:
+    """Base of the immutable classes that check their input when built, the
+    expression nodes among them. Each writes its own __init__ (a node, its
+    __new__), which checks and stores its fields with _store. == and the
+    hash see the _fields, within one class only (a node's are identity).
+    repr shows _args, the constructor's parameters (by default the _fields),
+    as a dataclass's would, and pickling and copying call the constructor,
+    so it checks again."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if "_fields" in cls.__dict__:  # else the class keeps its base's
+            get = attrgetter(*cls._fields)  # one name gives the value, not a 1-tuple
+            cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+            cls._args = cls.__dict__.get("_args", cls._fields)
+
+    def _store(self, *values, names=None):
+        """Set the _fields (or the slots in names) to values, in order: the one
+        writer of a value's attributes. A wrong count raises ValueError."""
+        for name, value in zip(names or self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._args)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
+        return f"{type(self).__qualname__}({args})"
+
+
 # ---------------------------------------------------------------------------
 # AST nodes, hash-consed (Ershov, 1958; Filliâtre and Conchon, Type-Safe
 # Modular Hash-Consing, 2006): the constructor returns the live node for an
@@ -47,9 +92,13 @@ _NODES = weakref.WeakValueDictionary()  # key -> the live node
 _LOCK = threading.Lock()  # held to look again and make a node
 
 
-class Node:
+class Node(Value):
+    """An expression node: a Value whose equality and hash are the object's,
+    since equal trees are one object. Its _args are its _fields, so Value's
+    repr, pickling and refusal to change serve it as they are."""
+
     __slots__ = ("__weakref__",)
-    _fields = ()
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls, *args):
         if len(args) != len(cls._fields):
@@ -66,22 +115,9 @@ class Node:
             node = _NODES.get(key)
             if node is None:
                 node = object.__new__(cls)
-                for name, value in zip(cls._fields, args):
-                    object.__setattr__(node, name, value)
+                node._store(*args)
                 _NODES[key] = node
         return node
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"expression nodes are immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
 
     def __call__(self, x: float) -> float:
         return evaluate(self, x)
@@ -137,43 +173,6 @@ class Neg(Node):
     __slots__ = _fields = ("arg",)
 
 
-class Value:
-    """Base of the immutable classes that check their input when built. Each
-    writes its own __init__, which checks and stores with object.__setattr__.
-    == and the hash see the _fields, within one class only. repr shows _args,
-    the constructor's parameters (by default the _fields), as a dataclass's
-    would, and pickling and copying call the constructor, so it checks again."""
-
-    __slots__ = ()
-    _fields = ()
-
-    def __init_subclass__(cls):
-        if "_fields" in cls.__dict__:  # else the class keeps its base's
-            get = attrgetter(*cls._fields)  # one name gives the value, not a 1-tuple
-            cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
-            cls._args = cls.__dict__.get("_args", cls._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._args)
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
-        return f"{type(self).__qualname__}({args})"
-
-
 class DomainInterval(Value):
     """A real interval with open/closed endpoint flags.
 
@@ -194,11 +193,7 @@ class DomainInterval(Value):
         lo, hi = float(lo), float(hi)
         if not (lo < hi):
             raise ValueError(f"interval requires lo < hi, got [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "open_lo", open_lo)
-        object.__setattr__(self, "open_hi", open_hi)
-        object.__setattr__(self, "signs", (math.copysign(1.0, lo), math.copysign(1.0, hi)))
+        self._store(lo, hi, open_lo, open_hi, (math.copysign(1.0, lo), math.copysign(1.0, hi)))
 
 
 # ---------------------------------------------------------------------------

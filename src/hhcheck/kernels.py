@@ -63,8 +63,7 @@ class HolderPair(Value):
         check_holder_exponent(p)
         if not (abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12):  # False for q = nan
             raise ValueError(f"(p={p!r}, q={q!r}) are not conjugate")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        self._store(p, q)
 
     @classmethod
     def from_p(cls, p: float) -> "HolderPair":

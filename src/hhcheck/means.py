@@ -12,6 +12,7 @@ hold/flag outcomes; a failing instance is recorded, never raised.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 from .convexity import relative_slack, within
@@ -43,11 +44,13 @@ class MeanKind(Value):
                 raise ValueError("Lp at p=-1 is L and at p=0 is I; use those tags")
         elif p is not None:
             raise ValueError(f"mean {tag} takes no exponent")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "p", p)
+        self._store(tag, p)
 
     def describe(self) -> str:
         return f"L_{self.p:g}" if self.tag == "Lp" else self.tag
+
+
+_MEANS = {tag: MeanKind(tag) for tag in MEAN_CHAIN}  # the five means with no exponent
 
 
 def mean(kind: MeanKind, a: float, b: float) -> float:
@@ -56,7 +59,8 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
     All kinds except A require positive arguments. Stable forms are used
     (log1p/expm1 of (b-a)/a, and for Lp at |p| < 1e-2 of (Lp/a)^p - 1;
     log(b) - log(a) for L and I where (b-a)/a overflows, and for Lp where
-    its form overflows) so that homogeneity holds to rounding error.
+    its form overflows; a*(b/A) for H where 2ab is not a normal float) so
+    that homogeneity holds to rounding error.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"mean arguments must be finite, got ({a!r}, {b!r})")
@@ -71,7 +75,10 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
     if kind.tag == "G":
         return math.sqrt(a) * math.sqrt(b)
     if kind.tag == "H":
-        return 2.0 * a * b / (a + b)
+        ab2 = 2.0 * a * b
+        if sys.float_info.min <= ab2 < math.inf:
+            return ab2 / (a + b)
+        return a * (b / (0.5 * a + 0.5 * b))  # 2ab left the normal floats
     r = (b - a) / a
     if kind.tag in ("L", "I") and not math.isfinite(r):
         lr = math.log(b) - math.log(a)
@@ -113,9 +120,9 @@ def _over(f, x: float) -> float:
 def lp_kind(p: float) -> MeanKind:
     """The member of the monotone family p -> L_p at p: -1 is L and 0 is I."""
     if p == -1.0:
-        return MeanKind("L")
+        return _MEANS["L"]
     if p == 0.0:
-        return MeanKind("I")
+        return _MEANS["I"]
     return MeanKind("Lp", p)
 
 
@@ -123,7 +130,7 @@ def check_mean_chain(a: float, b: float):
     """((H, G, L, I, A), chain holds with 1e-12 slack relative to A)."""
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got ({a!r}, {b!r})")
-    vals = tuple(mean(MeanKind(t), a, b) for t in MEAN_CHAIN)
+    vals = tuple(mean(_MEANS[t], a, b) for t in MEAN_CHAIN)
     eps = relative_slack(vals[-1])
     return vals, all(within(u, v, eps) for u, v in zip(vals, vals[1:]))
 
@@ -162,11 +169,7 @@ class PropositionInstance(Value):
                 raise ValueError("P4 needs the integer exponent n")
         elif n is not None:
             raise ValueError(f"{id} takes no exponent n")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
+        self._store(id, a, b, p, n)
 
     @property
     def q(self) -> float:
@@ -190,17 +193,10 @@ def _or_inf(fn, *args) -> float:
         return math.inf
 
 
-def _holds(lhs: float, rhs: float, tol: float) -> bool:
-    """`within`, except that an lhs past the largest float never holds: it
-    exceeds every finite rhs, and beside an rhs that overflowed too the
-    order of the two is unknown."""
-    return within(lhs, rhs, tol) and lhs < math.inf
-
-
 def proposition_check(inst: PropositionInstance, tol: float = 1e-9) -> VerificationOutcome:
     """Evaluate one mean inequality exactly as stated; total, never raises
     past input validation. A side that overflows is inf, or NaN where its
-    sign is unknown, and `_holds` decides.
+    sign is unknown, and `within` decides: an inf lhs never holds.
 
     P2 and P4 each carry a typographically ambiguous constant; the primary
     reading is the multiplicative one (3*2^((2p+1)/p), 2*6^((p+1)/p)) and
@@ -213,22 +209,22 @@ def proposition_check(inst: PropositionInstance, tol: float = 1e-9) -> Verificat
     note = None
 
     if inst.id == "P1":
-        g = mean(MeanKind("G"), a, b)
-        lhs = abs(g - mean(MeanKind("L"), a, b))
-        rhs = log_ratio / (4.0 * (p + 1.0) ** (1.0 / p)) * (mean(MeanKind("A"), a, b) + g)
+        g = mean(_MEANS["G"], a, b)
+        lhs = abs(g - mean(_MEANS["L"], a, b))
+        rhs = log_ratio / (4.0 * (p + 1.0) ** (1.0 / p)) * (mean(_MEANS["A"], a, b) + g)
     elif inst.id == "P2":
-        lhs = mean(MeanKind("A"), a, b) / mean(MeanKind("I"), a, b)
-        inv = 1.0 / mean(MeanKind("H"), a, b) + 2.0 / mean(MeanKind("A"), a, b)
+        lhs = mean(_MEANS["A"], a, b) / mean(_MEANS["I"], a, b)
+        inv = 1.0 / mean(_MEANS["H"], a, b) + 2.0 / mean(_MEANS["A"], a, b)
         rhs = _or_inf(math.exp, d / (3.0 * 2.0 ** ((2.0 * p + 1.0) / p)) * inv)
         alt = _or_inf(math.exp, d / 3.2 ** ((2.0 * p + 1.0) / p) * inv)
         extras["alt_rhs"] = alt
         extras["alt_holds"] = within(lhs, alt, tol)
         note = "constant read as 3*2^((2p+1)/p); decimal-base 3.2 alternate in extras"
     elif inst.id == "P3":
-        lhs = abs(1.0 / mean(MeanKind("H"), a, b) - 1.0 / mean(MeanKind("L"), a, b))
+        lhs = abs(1.0 / mean(_MEANS["H"], a, b) - 1.0 / mean(_MEANS["L"], a, b))
         root = _beta_root(p)
         try:
-            rhs = d * d * root / mean(MeanKind("H"), a ** 3, b ** 3)
+            rhs = d * d * root / mean(_MEANS["H"], a ** 3, b ** 3)
         except (OverflowError, DomainError):  # b^3 overflows, or a^3 is 0.0
             # 1/H(a^3, b^3) = (1 + (a/b)^3) / (2 a^3), taken in log space
             rhs = _or_inf(math.exp, 2.0 * math.log(d) + math.log(root) - 3.0 * math.log(a)
@@ -237,18 +233,18 @@ def proposition_check(inst: PropositionInstance, tol: float = 1e-9) -> Verificat
         n = inst.n
         # a term past the largest float is inf, so |inf - inf| is NaN
         lhs = abs(
-            _or_inf(lambda: mean(MeanKind("A"), float(a) ** n, float(b) ** n))
+            _or_inf(lambda: mean(_MEANS["A"], float(a) ** n, float(b) ** n))
             - _or_inf(lambda: mean(MeanKind("Lp", p), a, b) ** p)
         )
-        amp = _or_inf(lambda: mean(MeanKind("A"), a ** (p - 2.0), b ** (p - 2.0)))
+        amp = _or_inf(lambda: mean(_MEANS["A"], a ** (p - 2.0), b ** (p - 2.0)))
         scale = _or_inf(lambda: abs(n * (n - 1)) * d * d)
         rhs = scale / (2.0 * 6.0 ** ((p + 1.0) / p)) * amp
         alt = scale / 2.6 ** ((p + 1.0) / p) * amp
         extras["alt_rhs"] = alt
-        extras["alt_holds"] = _holds(lhs, alt, tol)
+        extras["alt_holds"] = within(lhs, alt, tol)
         note = "constant read as 2*6^((p+1)/p); decimal-base 2.6 alternate in extras"
 
-    holds = _holds(lhs, rhs, tol)
+    holds = within(lhs, rhs, tol)
     if not holds:
         fail_note = "inequality fails as stated at these parameters"
         note = fail_note if note is None else f"{note}; {fail_note}"

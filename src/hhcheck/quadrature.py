@@ -41,7 +41,7 @@ class Partition(Value):
 
     def __init__(self, points: tuple):
         pts = tuple(float(x) for x in points)
-        object.__setattr__(self, "points", pts)
+        self._store(pts)
         if len(pts) < 2:
             raise ValueError("a partition needs at least two points")
         for u, v in zip(pts, pts[1:]):

@@ -75,6 +75,27 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    def test_an_arithmetic_error_exits_two(self, capsys, monkeypatch):
+        def divide(args, seed):
+            return 1.0 / 0.0
+        monkeypatch.setitem(hhcheck.cli._COMMANDS, "means", divide)
+        code, out, err = _run(capsys, "means", "--a", "1", "--b", "2")
+        assert (code, out, err) == (2, "", "error: float division by zero\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("means", "--a", "1e200", "--b", "1e250"),
+        ("prop", "--id", "P2", "--a", "3.7e-248", "--b", "6.1e-198", "--p", "2"),
+        ("prop", "--id", "P3", "--a", "1e100", "--b", "1e102", "--p", "2"),
+    ])
+    def test_a_harmonic_mean_past_the_floats_holds(self, capsys, argv):
+        # H's 2ab overflowed or underflowed: a row was flagged, the run
+        # ended in a ZeroDivisionError, or P3's rhs was 0
+        code, out, err = _run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["summary"]["flagged"] == 0
+        assert all(case["rhs"] > 0.0 for case in report["cases"] if case["rule"][0] == "P")
+
     def test_usage_error_exits_two(self, capsys):
         code, _, _ = _run(capsys, "bound", "--rule", "T9", "--f", "x^2",
                           "--a", "0", "--b", "1")

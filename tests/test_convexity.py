@@ -911,6 +911,11 @@ class TestVerdictPolicy:
         assert not within(lhs, rhs, 1e-9)
         assert not within(lhs, rhs, math.inf)
 
+    @pytest.mark.parametrize("rhs", [1.0, math.inf])
+    def test_an_infinite_lhs_never_holds(self, rhs):
+        assert not within(math.inf, rhs, 1e-9)
+        assert within(1e308, math.inf, 0.0) and within(-math.inf, -math.inf, 0.0)
+
     @pytest.mark.parametrize("values", [(0.0,), (1.0,), (-1.0,), (0.5, -0.25, 1.0), (-1.0, 1.0)])
     def test_relative_slack_is_absolute_on_the_unit_interval(self, values):
         assert relative_slack(*values) == 1e-12

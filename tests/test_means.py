@@ -41,6 +41,18 @@ class TestMeanFixtures:
     def test_harmonic(self):
         assert mean(H, 1.0, 3.0) == pytest.approx(1.5, rel=1e-15)
 
+    @pytest.mark.parametrize("a,b,want", [
+        (1e-200, 1e-150, 2e-200), (1e200, 1e250, 2e200), (1e-200, 1e200, 2e-200),
+        (1e308, 1.5e308, 1.2e308), (5e-324, 1.0, 1e-323),
+    ])
+    def test_harmonic_where_2ab_leaves_the_normal_floats(self, a, b, want):
+        # 2ab underflows or overflows; H = a*(b/A) stays within a few ulps
+        assert mean(H, a, b) == pytest.approx(want, rel=1e-15, abs=0.0) == mean(H, b, a)
+
+    def test_harmonic_keeps_its_form_where_2ab_is_normal(self):
+        for a, b in ((1.0, 3.0), (0.1, 0.7), (1e-150, 1e-150 * 3.0), (1e150, 3e150)):
+            assert mean(H, a, b) == 2.0 * a * b / (a + b)
+
     def test_logarithmic(self):
         assert mean(L, 1.0, math.e) == pytest.approx(math.e - 1.0, rel=1e-14)
         assert mean(L, 1.0, 2.0) == pytest.approx(1.0 / math.log(2.0), rel=1e-14)
@@ -325,6 +337,19 @@ class TestPropositions:
         assert out.holds is holds
         if inst.id == "P4":
             assert out.extras["alt_holds"] is holds
+
+    @pytest.mark.parametrize("inst,lhs,rhs", [
+        # 2ab underflowed to 0.0 in H, and 1/H divided by zero
+        (PropositionInstance("P2", 3.7e-248, 6.1e-198, 2.0), 1.35914, math.inf),
+        (PropositionInstance("P3", 1.6e-301, 7e-294, 2.0), 3.125e300, math.inf),
+        # H(a^3, b^3) overflowed to inf, so the rhs was 0
+        (PropositionInstance("P3", 1e100, 1e102, 2.0), 4.58483e-101, 8.94706e-98),
+    ], ids=("P2-2ab-underflows", "P3-2ab-underflows", "P3-2ab-overflows"))
+    def test_a_harmonic_mean_past_the_floats_is_kept_finite(self, inst, lhs, rhs):
+        out = proposition_check(inst)
+        assert out.lhs == pytest.approx(lhs, rel=1e-5, abs=0.0)
+        assert out.rhs == pytest.approx(rhs, rel=1e-5, abs=0.0)
+        assert out.holds
 
     def test_never_raises_across_sweep(self):
         for pid in PROPOSITION_IDS:

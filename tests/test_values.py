@@ -20,6 +20,7 @@ from hhcheck import (
     BoundInstance, ConvexityClass, DomainInterval, HFunction, HolderPair, MeanKind,
     PropositionInstance, parse,
 )
+from hhcheck.expr import Node, Value
 from hhcheck.quadrature import Partition
 
 H = HFunction("power", s=0.5)
@@ -97,6 +98,41 @@ class TestValueClass:
                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for back in copies + [copy.copy(value), copy.deepcopy(value)]:
             assert type(back) is type(value) and back == value and repr(back) == text
+
+
+# one live node of each expression kind
+NODES = {type(node): node for node in
+         (parse("x"), parse("2"), parse("x + 1"), parse("x - 1"), parse("2*x"), parse("x/2"),
+          parse("x^2"), parse("exp(x)"), parse("ln(x)"), parse("abs(x)"), parse("-x"))}
+
+
+@pytest.mark.parametrize("value", [v for v, _ in VALUES] + list(NODES.values()),
+                         ids=IDS + [kind.__name__ for kind in NODES])
+def test_every_value_refuses_a_change_in_one_message_form(value):
+    for name in value._fields + ("extra",):
+        message = f"{type(value).__name__} is immutable: cannot change {name!r}"
+        with pytest.raises(AttributeError) as exc:
+            setattr(value, name, None)
+        assert str(exc.value) == message
+        with pytest.raises(AttributeError) as exc:
+            delattr(value, name)
+        assert str(exc.value) == message
+
+
+def test_every_node_kind_is_a_value():
+    assert len(NODES) == len(Node.__subclasses__()) == 11
+    for kind, node in NODES.items():
+        assert isinstance(node, Value) and kind._args == kind._fields
+        # equality stays identity, and a pickle comes back as the live node
+        assert hash(node) == object.__hash__(node) and node.__eq__(kind) is NotImplemented
+        assert pickle.loads(pickle.dumps(node)) is node
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_store_refuses_a_wrong_value_count(count):
+    value = object.__new__(HolderPair)
+    with pytest.raises(ValueError):
+        value._store(*[2.0] * count)
 
 
 class TestDomainInterval:
