@@ -113,31 +113,19 @@ def _g7k15(fs: list, hw: float) -> tuple[float, float]:
     return k15, abs(k15 - g7)
 
 
-def _nodes(lo: float, hi: float) -> tuple[float, list]:
-    """(half-width, the 15 nodes u = c, c -+ hw*_XGK[i] of the panel)."""
-    c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return hw, [c] + [v for x in _XGK for v in (c - hw * x, c + hw * x)]
-
-
 @lru_cache(maxsize=128)
-def _panel(lo: float, hi: float) -> tuple[float, tuple]:
-    """(half-width, (s(u), s'(u)) at the panel's nodes u), s(u) = u^3 (10 -
-    15u + 6u^2). Panels are dyadic pieces of [0, 1], so few occur; the
-    bound caps a run that bisects deep."""
-    hw, us = _nodes(lo, hi)
-    nodes = []
+def _panel(lo: float, hi: float) -> tuple[tuple, tuple]:
+    """(the 15 nodes u = c, c -+ hw*_XGK[i] of the panel, (s(u), s'(u)) at
+    them), s(u) = u^3 (10 - 15u + 6u^2): the plain pass reads the u's, and
+    the mapped pass and the moments the pairs. Panels are dyadic pieces of
+    [0, 1], so few occur; the bound caps a run that bisects deep."""
+    c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    us = (c,) + tuple([v for x in _XGK for v in (c - hw * x, c + hw * x)])
+    pairs = []
     for u in us:
         u2 = u * u
-        nodes.append((u2 * u * (10.0 - 15.0 * u + 6.0 * u2), 30.0 * u2 * (1.0 - u) * (1.0 - u)))
-    return hw, tuple(nodes)
-
-
-@lru_cache(maxsize=64)
-def _plain_panel(lo: float, hi: float) -> tuple[float, tuple]:
-    """_panel's table without the change of variable: (u, 1.0) at the
-    panel's nodes. The bound is the plain pass's budget."""
-    hw, us = _nodes(lo, hi)
-    return hw, tuple([(u, 1.0) for u in us])
+        pairs.append((u2 * u * (10.0 - 15.0 * u + 6.0 * u2), 30.0 * u2 * (1.0 - u) * (1.0 - u)))
+    return us, tuple(pairs)
 
 
 # the integrator's accuracy and work budget, read by the panel loop and by
@@ -153,20 +141,19 @@ _MAX_PANELS = 1000
 _PLAIN_PANELS = 64  # integrate_adaptive's budget before it takes the map
 
 
-def _adapt(values: Callable[[float, float, tuple], list], table: Callable,
-           max_panels: int = _MAX_PANELS) -> IntegralResult:
+def _adapt(values: Callable[[float, float], list], max_panels: int = _MAX_PANELS) -> IntegralResult:
     """The one panel loop: adaptive bisection of u in (0, 1) with a
     Gauss-Kronrod 7/15 pair per panel and at most max_panels panels.
-    table(lo, hi) is _panel or _plain_panel, and values(lo, hi, nodes)
-    returns the panel's 15 scaled integrand values at its nodes."""
+    values(lo, hi) returns the panel's 15 scaled integrand values, at the
+    nodes of _panel(lo, hi) in the form its caller reads."""
     total = 0.0
     err_total = 0.0
     panels = 0
     stack = [(0.0, 1.0, 0)]
     while stack and panels < max_panels:
         lo, hi, depth = stack.pop()
-        hw, nodes = table(lo, hi)
-        fs = values(lo, hi, nodes)
+        hw = 0.5 * (hi - lo)
+        fs = values(lo, hi)
         val, err = _g7k15(fs, hw)
         panels += 1
         settled = err <= _TOL * (hi - lo) or err <= _ROUNDING * hw * sum(map(abs, fs))
@@ -203,21 +190,22 @@ def integrate_adaptive(f: Union[Node, Callable[[float], float]], a: float,
     it stops, with the panels left unsummed, and is not converged, so no
     integrand can make it run on.
 
-    The nodes of a panel are read from _panel (with the change of variable)
-    or _plain_panel, lru_caches made by the same operations per node.
+    Both passes read a panel's nodes from _panel, one lru_cache made by the
+    same operations per node: the plain pass its u's, the mapped pass its
+    (s(u), s'(u)) pairs.
     """
     if not (a < b):
         raise ValueError(f"integration requires a < b, got ({a!r}, {b!r})")
     fc = compile_fn(f) if isinstance(f, Node) else f
     width = b - a
 
-    def values(lo, hi, nodes):
-        return [fc(a + width * s) * width * jac for s, jac in nodes]
-
-    plain = _adapt(values, _plain_panel, _PLAIN_PANELS)
+    plain = _adapt(lambda lo, hi: [fc(a + width * u) * width for u in _panel(lo, hi)[0]],
+                   _PLAIN_PANELS)
     if plain.converged:
         return plain
-    mapped = _adapt(values, _panel, _MAX_PANELS - plain.subdivisions)
+    mapped = _adapt(lambda lo, hi: [fc(a + width * s) * width * jac
+                                    for s, jac in _panel(lo, hi)[1]],
+                    _MAX_PANELS - plain.subdivisions)
     return mapped._replace(subdivisions=plain.subdivisions + mapped.subdivisions)
 
 
@@ -322,10 +310,11 @@ class _Fn(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _h_table(fn: Callable[[float], float], lo: float, hi: float) -> tuple:
-    """h at the 15 nodes t = s(u) of the panel (lo, hi), filled in node order
-    through evaluate_h (h(t) ** 1.0 is h(t)), so its range check and its
-    errors are those of a call per node. Keyed by h's function, so an entry keeps no tree alive;
-    the moments of one h share its panels."""
+    """h at the 15 nodes t = s(u) of the panel (lo, hi), read from _panel's
+    pairs and filled in node order through evaluate_h (h(t) ** 1.0 is h(t)),
+    so its range check and its errors are those of a call per node. Keyed by
+    h's function, so an entry keeps no tree alive; the moments of one h
+    share its panels."""
     h = _Fn(fn)
     return tuple([evaluate_h(h, t, 1.0) for t, _ in _panel(lo, hi)[1]])
 
@@ -334,11 +323,12 @@ def _h_table(fn: Callable[[float], float], lo: float, hi: float) -> tuple:
 def _adaptive_moment(kind: str, h: HFunction, alpha: float, q: float | None) -> KernelMoment:
     # the bits of the mapped pass alone of integrate_adaptive(lambda t: w(t, q)
     # * evaluate_h(h, t, a), 0.0, 1.0): t^a needs the change of variable, so
-    # the moments skip the plain pass. On (0, 1) a node is t = 0.0 + 1.0 * s
-    # = s and the factor width = 1.0 changes no bit
+    # the moments skip the plain pass and read _panel's (s, s') pairs. On
+    # (0, 1) a node is t = 0.0 + 1.0 * s = s and the factor width = 1.0
+    # changes no bit
     _, panel_values, holder = _KERNELS[kind]
     a = alpha / q if holder else alpha
     fn = h.fn
-    res = _adapt(lambda lo, hi, nodes: panel_values(nodes, _h_table(fn, lo, hi), a, q), _panel)
+    res = _adapt(lambda lo, hi: panel_values(_panel(lo, hi)[1], _h_table(fn, lo, hi), a, q))
     res = _converged(res, "kernel {} for h={} alpha={:g}", (kind, h, alpha))
     return KernelMoment(kind, res.value, "adaptive", res.abs_error_estimate)

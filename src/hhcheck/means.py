@@ -58,9 +58,9 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
 
     All kinds except A require positive arguments. Stable forms are used
     (log1p/expm1 of (b-a)/a, and for Lp at |p| < 1e-2 of (Lp/a)^p - 1;
-    log(b) - log(a) for L and I where (b-a)/a overflows, and for Lp where
-    its form overflows; a*(b/A) for H where 2ab is not a normal float) so
-    that homogeneity holds to rounding error.
+    log(b) - log(a) for L, I and that Lp form where (b-a)/a overflows, and
+    for any Lp where its form overflows; a*(b/A) for H where 2ab is not a
+    normal float) so that homogeneity holds to rounding error.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"mean arguments must be finite, got ({a!r}, {b!r})")
@@ -93,10 +93,18 @@ def mean(kind: MeanKind, a: float, b: float) -> float:
             # L_p = a*(1 + t)^(1/p) = a*exp(u*log1p(t)/t) with t = p*u,
             # u = ((1+r)/r*l*E(p*l) - 1)/(p+1), l = log1p(r), E(x) = expm1(x)/x:
             # 1 + t is never rounded, and p enters through E and log1p(t)/t,
-            # which are near 1, so a tiny or subnormal p loses no digits
-            l = math.log1p(r)
-            u = ((1.0 + r) / r * l * _over(math.expm1, p * l) - 1.0) / (p + 1.0)
-            v = a * math.exp(u * _over(math.log1p, p * u))
+            # which are near 1, so a tiny or subnormal p loses no digits.
+            # Where r overflows, l is log(b) - log(a), (1+r)/r is b/(b-a) and
+            # L_p is exp(log(a) + w), while |p|*l < 1; past that the series
+            # loses digits, and the log form below is the more accurate
+            finite = math.isfinite(r)
+            l = math.log1p(r) if finite else math.log(b) - math.log(a)
+            v = math.nan
+            if finite or abs(p) * l < 1.0:
+                k = (1.0 + r) / r if finite else b / (b - a)
+                u = (k * l * _over(math.expm1, p * l) - 1.0) / (p + 1.0)
+                w = u * _over(math.log1p, p * u)
+                v = a * math.exp(w) if finite else math.exp(math.log(a) + w)
         else:
             v = a * (math.expm1((p + 1.0) * math.log1p(r)) / ((p + 1.0) * r)) ** (1.0 / p)
     except (OverflowError, ZeroDivisionError):

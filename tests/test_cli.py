@@ -320,7 +320,8 @@ class TestGoldenBytes:
         (42, "c1eec12e200fef437e7128646fabe73c4943c20364bfa44185c675c1fb8fe259"),
         (1, "e23433fa2ef5515b5374ea191d68eccb76ea49bbf09b3e1c2ea0ac12e4fafc51"),
         (12345, "2fb6ab66be64f3729a130bf0cad57843334f48672c9a64aab1a124ec2b75b742"),
-    ], ids=("seed0", "seed42", "seed1", "seed12345"))
+        (101, "17334a251497d9ac2550f3403114110deadb21216826ebf4d0e997627e0efcb2"),
+    ], ids=("seed0", "seed42", "seed1", "seed12345", "seed101"))
     def test_verify_json_sha256(self, capsys, monkeypatch, seed, sha256):
         monkeypatch.delenv("HHC_SEED", raising=False)
         code, out, _ = _run(capsys, "verify", "--format", "json", "--seed", str(seed))
@@ -690,6 +691,16 @@ class TestSinglePipeline:
         assert (code, err) == (0, "")
         assert [r["verdict"] for r in rows] == ["holds"] * len(rows)
         assert rows[-1]["rule"] == "Lp-monotone"
+
+    @pytest.mark.parametrize("argv", [("--a", "1e-300", "--b", "1e300", "--grid=0,1e-20,1e-12"),
+                                      ("--a", "1.4e-102", "--b", "3.2e267", "--grid=0,1e-9")])
+    def test_means_tiny_p_past_an_overflowing_ratio_holds(self, capsys, argv):
+        # (b - a)/a overflows: L_p at a tiny p was b or off by 8e-8, and the
+        # Lp-monotone row flagged, exit 1
+        code, out, err = _run(capsys, "means", *argv, "--format", "json")
+        rows = json.loads(out)["cases"]
+        assert (code, err) == (0, "")
+        assert rows[-1]["rule"] == "Lp-monotone" and rows[-1]["verdict"] == "holds"
 
     def test_means_and_prop_records_match_the_suite(self, capsys):
         suite = [c.as_dict() for c in build_suite(seed=42).cases if c.case_id.startswith("means-")]

@@ -609,6 +609,14 @@ class TestSameBits:
         mapped = integrate_adaptive(lambda t: 1.0 / t, 0.0, 1.0).subdivisions - kernels._PLAIN_PANELS
         assert mapped > _panel.cache_info().maxsize
 
+    def test_both_passes_read_one_node_table(self, cold_caches):
+        # x^(1/24) spends the 64 plain panels, then converges on 25 mapped
+        # ones; 12 of those are panels the plain pass already tabulated
+        res = integrate_adaptive(parse("x^(1/24)"), 0.0, 1.0)
+        assert res.converged and res.subdivisions == kernels._PLAIN_PANELS + 25
+        info = _panel.cache_info()
+        assert (info.hits, info.misses) == (12, 77)
+
     def test_custom_h_kernel_moments(self, cold_caches):
         rng = random.Random(29)
         for text in H_CUSTOM:

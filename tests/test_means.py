@@ -126,6 +126,21 @@ class TestMeanFixtures:
         # (p + 1)*log1p((b - a)/a) overflowed expm1 here
         assert mean(LP(5.0), 1.0, 1e300) == pytest.approx(1e300 / 6.0 ** 0.2, rel=1e-13)
 
+    @pytest.mark.parametrize("a,b,p,ref", [
+        (1e-300, 1e300, 1e-20, 3.678794411714423e299),
+        (1e-300, 1e300, -1e-20, 3.678794411714423e299),
+        (1e-300, 1e300, 1e-12, 3.678794411716263e299),
+        (1e-300, 1e300, 1e-9, 3.678794413553821e299),
+        (1e-300, 1e300, -1e-9, 3.6787944098750264e299),
+        (1e-300, 1e300, -0.0099, 3.660508889086844e299),  # |p|*l > 1: the log form
+        (1.4e-102, 3.2e267, 1e-9, 1.1772142123372225e267),
+    ])
+    def test_tiny_p_where_the_ratio_overflows(self, a, b, p, ref):
+        # references at 120 digits; the log form divided a cancelling
+        # numerator by p here and gave b at |p| = 1e-20
+        assert not math.isfinite((b - a) / a)
+        assert mean(LP(p), a, b) == pytest.approx(ref, rel=1e-12)
+
     @pytest.mark.parametrize("a,b", [(2.0, 3.0), (1e-3, 1e3), (1.0, 1e50), (1e-200, 1e-150)])
     @pytest.mark.parametrize("p", [-3.0, -2.0, -0.5, 0.5, 1.0, 2.0, 5.0])
     def test_finite_lp_keeps_its_formula(self, a, b, p):

@@ -361,20 +361,20 @@ def test_build_suite_integral_work(monkeypatch, cold_caches):
 
 def test_build_suite_integrals_never_take_the_map(monkeypatch, cold_caches):
     """Every integral of build_suite at seeds 0-59 converges on the plain
-    pass: no run of the panel loop reads the change of variable (the
-    suite's kernel moments are closed forms)."""
-    tables, real = [], kernels._adapt
+    pass: every run of the panel loop has the plain pass's budget, so none
+    is a mapped pass (the suite's kernel moments are closed forms)."""
+    runs, real = [], kernels._adapt
 
-    def recording(values, table, max_panels=kernels._MAX_PANELS):
-        res = real(values, table, max_panels)
-        tables.append((table, res.converged, res.subdivisions))
+    def recording(values, max_panels=kernels._MAX_PANELS):
+        res = real(values, max_panels)
+        runs.append((max_panels, res.converged, res.subdivisions))
         return res
 
     monkeypatch.setattr(kernels, "_adapt", recording)
     for seed in range(60):
         build_suite(seed)
-    assert tables and {t for t, _, _ in tables} == {kernels._plain_panel}
-    assert all(ok and n <= kernels._PLAIN_PANELS for _, ok, n in tables)
+    assert runs and {budget for budget, _, _ in runs} == {kernels._PLAIN_PANELS}
+    assert all(ok and n <= kernels._PLAIN_PANELS for _, ok, n in runs)
 
 
 class TestConvergenceOrder:
