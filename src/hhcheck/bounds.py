@@ -37,6 +37,7 @@ from .errors import DomainError
 from .expr import (Abs, Const, DomainInterval, Node, Pow, Value, compile_fn, differentiate,
                    evaluate)
 from .kernels import HolderPair, _beta_root, integral, kernel_moment
+from .records import FIRST_DERIVATIVE_RULES, HOLDER_RULES, RULE_IDS, SECOND_DERIVATIVE_RULES
 
 __all__ = [
     "RULE_IDS", "FIRST_DERIVATIVE_RULES", "SECOND_DERIVATIVE_RULES",
@@ -47,10 +48,6 @@ __all__ = [
     "hypothesis_function", "hypothesis_domain",
 ]
 
-FIRST_DERIVATIVE_RULES = ("T1", "T2", "C1", "T3", "C2")
-SECOND_DERIVATIVE_RULES = ("T4", "T5", "C3", "T6", "C4")
-RULE_IDS = FIRST_DERIVATIVE_RULES + SECOND_DERIVATIVE_RULES
-HOLDER_RULES = frozenset(RULE_IDS) - {"T1", "T4"}
 # Rules whose coefficient kernels come with no dominance guarantee.  Each of
 # these brackets carries an h^(alpha/q)-type moment, and replacing
 # (integral of h^alpha)^(1/q) by the integral of h^(alpha/q) shrinks the

@@ -5,14 +5,14 @@ emits a report in the same shape (version, seed, case records, summary) as
 table (default), json, or csv. Exit status: 0 when no record is flagged,
 1 when at least one is, 2 on a usage error or a ValueError or
 ArithmeticError (parse, domain, precondition, non-convergence, overflow).
-The HHC_SEED environment variable overrides --seed when set.
+The HHC_SEED environment variable overrides --seed when set. The module
+imports only `records`, `convexity` and `expr`; each other handler imports
+what it runs, so a process compiles no module its subcommand does not need.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -20,16 +20,10 @@ import sys
 from typing import Optional
 
 from ._version import __version__
-from .bounds import BoundInstance, HOLDER_RULES, RULE_IDS, verify as verify_bound
 from .convexity import SENSE_PARAMS, SENSES, ConvexityClass, HFunction, check_membership
 from .expr import DomainInterval, parse
-from .kernels import HolderPair
-from .means import PropositionInstance
-from .quadrature import certified_integrate
-from .suite import (
-    SuiteReport, bound_row, build_suite, format_params, lp_monotone_row,
-    mean_chain_rows, proposition_rows, quad_row, verdict,
-)
+from .records import (HOLDER_RULES, RULE_IDS, SuiteReport, bound_row, format_params, quad_row,
+                      verdict)
 
 __all__ = ["run", "main", "emit_report"]
 
@@ -64,6 +58,8 @@ def emit_report(report: SuiteReport, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.as_dict(), indent=2)
     if fmt == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(_CSV_COLUMNS)
@@ -190,6 +186,8 @@ def _cmd_check_class(args, seed: int) -> SuiteReport:
 
 
 def _cmd_bound(args, seed: int) -> SuiteReport:
+    from .bounds import BoundInstance, verify as verify_bound
+    from .kernels import HolderPair
     h = _parse_h(args.h, args.s)
     cls = ConvexityClass("h_alpha_m", h=h, alpha=args.alpha, m=args.m)
     hp = None
@@ -207,17 +205,20 @@ def _cmd_bound(args, seed: int) -> SuiteReport:
 
 
 def _cmd_means(args, seed: int) -> SuiteReport:
+    from .means import lp_monotone_row, mean_chain_rows
     rows = mean_chain_rows(args.a, args.b)
     rows.append(lp_monotone_row(args.a, args.b, [float(t) for t in args.grid.split(",")]))
     return SuiteReport.from_sections(seed, [("means", rows)])
 
 
 def _cmd_prop(args, seed: int) -> SuiteReport:
+    from .means import PropositionInstance, proposition_rows
     inst = PropositionInstance(args.id, args.a, args.b, args.p, n=args.n)
     return SuiteReport.from_sections(seed, [("prop", proposition_rows(inst, args.tol))])
 
 
 def _cmd_quad(args, seed: int) -> SuiteReport:
+    from .quadrature import certified_integrate
     points = None
     if args.points is not None:
         points = tuple(float(t) for t in args.points.split(","))
@@ -231,6 +232,7 @@ def _cmd_quad(args, seed: int) -> SuiteReport:
 
 
 def _cmd_verify(args, seed: int) -> SuiteReport:
+    from .suite import build_suite
     return build_suite(seed=seed, tol=args.tol)
 
 

@@ -6,7 +6,8 @@ monotone family). All means are symmetric, homogeneous of degree one, and
 return a when a = b.
 
 The four checks P1-P4 evaluate printed inequalities verbatim and report
-hold/flag outcomes; a failing instance is recorded, never raised.
+hold/flag outcomes; a failing instance is recorded, never raised. Their
+record rows, and the chain's and Lp's, are built here for the CLI and suite.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from .convexity import relative_slack, within
 from .errors import DomainError
 from .expr import Value
 from .kernels import _beta_root, check_holder_exponent
+from .records import _fmt, format_params, verdict
 
 __all__ = [
     "MEAN_TAGS", "MEAN_CHAIN", "MeanKind", "mean", "lp_kind", "check_mean_chain",
     "lp_worst_decrease", "lp_monotonicity_check", "PROPOSITION_IDS", "PropositionInstance",
-    "VerificationOutcome", "proposition_check",
+    "VerificationOutcome", "proposition_check", "mean_chain_rows", "lp_monotone_row",
+    "proposition_rows",
 ]
 
 MEAN_TAGS = ("A", "G", "H", "L", "I", "Lp")
@@ -257,3 +260,30 @@ def proposition_check(inst: PropositionInstance, tol: float = 1e-9) -> Verificat
         fail_note = "inequality fails as stated at these parameters"
         note = fail_note if note is None else f"{note}; {fail_note}"
     return VerificationOutcome(inst.id, lhs, rhs, holds, extras, note)
+
+
+def mean_chain_rows(a: float, b: float) -> list:
+    """One row per link of H <= G <= L <= I <= A at (a, b)."""
+    vals, _ = check_mean_chain(a, b)
+    eps = relative_slack(vals[-1])  # as check_mean_chain
+    links = zip(MEAN_CHAIN, vals, MEAN_CHAIN[1:], vals[1:])
+    return [("chain", format_params(a=a, b=b, left=left, right=right), u, v,
+             verdict(within(u, v, eps))) for left, u, right, v in links]
+
+
+def lp_monotone_row(a: float, b: float, grid) -> tuple:
+    """The largest decrease of p -> L_p along the sorted grid, against 0."""
+    worst, eps = lp_worst_decrease(a, b, grid)
+    ps = format_params(a=a, b=b, grid="|".join(_fmt(p) for p in sorted(grid)))
+    return ("Lp-monotone", ps, worst, 0.0, verdict(within(worst, 0.0, eps)))
+
+
+def proposition_rows(inst: PropositionInstance, tol: float) -> list:
+    """The row of one P1-P4 check, plus the alternate-constant row of P2/P4."""
+    out = proposition_check(inst, tol=tol)
+    ps = format_params(a=inst.a, b=inst.b, p=inst.p, n=inst.n)
+    rows = [(inst.id, ps, out.lhs, out.rhs, verdict(out.holds))]
+    if "alt_rhs" in out.extras:
+        rows.append((f"{inst.id}-alt", ps, out.lhs, out.extras["alt_rhs"],
+                     verdict(out.extras["alt_holds"])))
+    return rows

@@ -1,8 +1,8 @@
-"""Verification records and the deterministic suite over a fixed catalog.
+"""The deterministic suite over a fixed catalog.
 
-Every record, here and in the single CLI subcommands, is built the same way:
-a producer yields rows (rule, params, lhs, rhs, verdict), `verdict` maps an
-outcome to its verdict and `SuiteReport.from_sections` numbers the rows.
+Its rows come from the producers the single subcommands share, in
+`records` (`bound_row`, `quad_row`) and `means` (the chain, Lp and P1-P4
+rows). They and the records are imported here too, as their old paths.
 
 Sections, in emission order:
 
@@ -23,20 +23,17 @@ assumption is not established; the numbers are still reported).
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
-from ._version import __version__
-from .bounds import (
-    BoundInstance, HOLDER_RULES, RULE_IDS, lemma1_residual, lemma2_residual,
-    verify as verify_bound,
-)
-from .convexity import ConvexityClass, relative_slack, within
+from .bounds import BoundInstance, lemma1_residual, lemma2_residual, verify as verify_bound
+from .convexity import ConvexityClass, within
 from .expr import parse
 from .kernels import HolderPair
-from .means import (
-    MEAN_CHAIN, PropositionInstance, check_mean_chain, lp_worst_decrease, proposition_check,
-)
+from .means import PropositionInstance, lp_monotone_row, mean_chain_rows, proposition_rows
 from .quadrature import certified_integrate
+from .records import (
+    HOLDER_RULES, RULE_IDS, CaseRecord, SuiteReport, bound_row, format_params, quad_row,
+    verdict,
+)
 
 __all__ = [
     "CATALOG", "QUAD_FUNCTIONS", "CaseRecord", "SuiteReport", "build_suite",
@@ -65,110 +62,6 @@ _HOLDER_PAIRS = tuple(HolderPair.from_p(p) for p in _P_GRID)
 _PROP_P_GRID = (1.1, 1.5, 2.0, 4.0, 10.0)
 _LP_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0, 5.0)
 _MEMBERSHIP_SAMPLES = 500
-
-
-class CaseRecord(NamedTuple):
-    case_id: str
-    rule: str
-    params: str
-    lhs: float
-    rhs: float
-    margin: float
-    verdict: str
-
-    def as_dict(self) -> dict:
-        return self._asdict()
-
-
-class SuiteReport(NamedTuple):
-    version: str
-    seed: int
-    cases: tuple
-    summary: dict
-
-    @classmethod
-    def from_sections(cls, seed: int, sections) -> "SuiteReport":
-        """Number the rows (rule, params, lhs, rhs, verdict) of each
-        (section, rows) pair <section>-001, <section>-002, ..., in order,
-        and tally the verdicts."""
-        cases = []
-        summary = {"holds": 0, "flagged": 0, "hypothesis_unverified": 0}
-        for section, rows in sections:
-            for i, (rule, params, lhs, rhs, v) in enumerate(rows, 1):
-                cases.append(CaseRecord(f"{section}-{i:03d}", rule, params, lhs, rhs,
-                                        rhs - lhs, v))
-                summary[v.replace("-", "_")] += 1
-        summary["total"] = len(cases)
-        return cls(__version__, seed, tuple(cases), summary)
-
-    def as_dict(self) -> dict:
-        """Fresh containers, each record a dict: a record is a tuple, which
-        json would write as an array."""
-        return {"version": self.version, "seed": self.seed,
-                "cases": [c._asdict() for c in self.cases], "summary": dict(self.summary)}
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
-def format_params(**kv) -> str:
-    """The params column: k=v pairs joined by ';', floats to 12 digits, None dropped."""
-    return ";".join(f"{k}={_fmt(v)}" for k, v in kv.items() if v is not None)
-
-
-def verdict(holds: bool, hypothesis_verified=None) -> str:
-    """A failed hypothesis check outranks the inequality's own outcome."""
-    if hypothesis_verified is False:
-        return "hypothesis-unverified"
-    return "holds" if holds else "flagged"
-
-
-def bound_row(label: str, inst: BoundInstance, report, variant=None) -> tuple:
-    """The row of one verified deviation rule; `label` names f."""
-    cls, hp = inst.cls, inst.hp
-    ps = format_params(f=label, a=inst.a, b=inst.b, h=cls.h.describe(), alpha=cls.alpha,
-                       m=cls.m, p=hp.p if hp else None, q=hp.q if hp else None,
-                       variant=variant)
-    return (inst.rule_id, ps, report.lhs, report.rhs,
-            verdict(report.holds, report.hypothesis_verified))
-
-
-def quad_row(label: str, report, **extra) -> tuple:
-    """The row of one certified quadrature; `extra` is appended to params."""
-    keys = ("a", "b", "n", "p", "variant", "alpha", "m")
-    ps = format_params(f=label, **{k: report.params[k] for k in keys}, **extra)
-    return (report.bound_source, ps, report.true_error, report.apriori_bound,
-            verdict(report.holds, report.hypothesis_verified))
-
-
-def mean_chain_rows(a: float, b: float) -> list:
-    """One row per link of H <= G <= L <= I <= A at (a, b)."""
-    vals, _ = check_mean_chain(a, b)
-    eps = relative_slack(vals[-1])  # as check_mean_chain
-    links = zip(MEAN_CHAIN, vals, MEAN_CHAIN[1:], vals[1:])
-    return [("chain", format_params(a=a, b=b, left=left, right=right), u, v,
-             verdict(within(u, v, eps))) for left, u, right, v in links]
-
-
-def lp_monotone_row(a: float, b: float, grid) -> tuple:
-    """The largest decrease of p -> L_p along the sorted grid, against 0."""
-    worst, eps = lp_worst_decrease(a, b, grid)
-    ps = format_params(a=a, b=b, grid="|".join(_fmt(p) for p in sorted(grid)))
-    return ("Lp-monotone", ps, worst, 0.0, verdict(within(worst, 0.0, eps)))
-
-
-def proposition_rows(inst: PropositionInstance, tol: float) -> list:
-    """The row of one P1-P4 check, plus the alternate-constant row of P2/P4."""
-    out = proposition_check(inst, tol=tol)
-    ps = format_params(a=inst.a, b=inst.b, p=inst.p, n=inst.n)
-    rows = [(inst.id, ps, out.lhs, out.rhs, verdict(out.holds))]
-    if "alt_rhs" in out.extras:
-        rows.append((f"{inst.id}-alt", ps, out.lhs, out.extras["alt_rhs"],
-                     verdict(out.extras["alt_holds"])))
-    return rows
 
 
 def _lemma_rows(rng: random.Random, tol: float):

@@ -155,8 +155,9 @@ def test_verify_suite_op_runs_and_checks(workloads):
 
 def test_traced_cli_child_matches_the_cli():
     """perfbench/cli_child.py runs one traced CLI process. Its tracer wraps
-    functions in every hhcheck module, so the CLI must have imported all of
-    them; with the tracer installed it answers as `python -m hhcheck` does."""
+    functions in every hhcheck module; the package registers all of them in
+    sys.modules, and the tracer's lookup runs each one the CLI did not need.
+    With the tracer installed it answers as `python -m hhcheck` does."""
     argv = ["check-class", "--f=x^2", "--sense", "convex", "--a", "0", "--b", "1",
             "--format", "json"]
     traced, plain = (subprocess.run([sys.executable, *cmd, *argv], capture_output=True,
@@ -166,3 +167,16 @@ def test_traced_cli_child_matches_the_cli():
     assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
     calls = json.loads(traced.stderr.splitlines()[-1])["calls"]
     assert calls["cli.run"] == 1 and calls["convexity.check_membership"] == 1
+
+
+def test_traced_cli_child_runs_a_subcommand_that_skips_modules():
+    """`means` never needs bounds, quadrature or suite; the tracer still
+    finds them, and the traced process answers as `python -m hhcheck` does."""
+    argv = ["means", "--a", "1", "--b", "2", "--format", "json"]
+    traced, plain = (subprocess.run([sys.executable, *cmd, *argv], capture_output=True,
+                                    text=True, timeout=120, cwd=ROOT)
+                     for cmd in ([str(ROOT / "perfbench" / "cli_child.py")], ["-m", "hhcheck"]))
+    assert plain.returncode == 0 and json.loads(plain.stdout)["cases"]
+    assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+    calls = json.loads(traced.stderr.splitlines()[-1])["calls"]
+    assert calls["cli.run"] == 1 and calls["means.mean"] > 0
