@@ -15,11 +15,12 @@ from importlib.util import find_spec, module_from_spec
 _PUBLIC = {module: names.split() for module, names in {  # module -> the names exported from it
     "_version": "__version__",
     "errors": "DomainError NonConvergenceError ParseError PreconditionError",
+    "base": "SENSES beta",
     "expr": "Node Const Var Add Sub Mul Div Pow Exp Ln Abs Neg DomainInterval parse to_text "
             "evaluate compile_fn compile_interval differentiate",
-    "convexity": "SENSES HFunction ConvexityClass MembershipReport MembershipProof Witness "
+    "convexity": "HFunction ConvexityClass MembershipReport MembershipProof Witness "
                  "evaluate_h check_membership",
-    "kernels": "KERNEL_KINDS HolderPair IntegralResult KernelMoment beta integrate_adaptive "
+    "kernels": "KERNEL_KINDS HolderPair IntegralResult KernelMoment integrate_adaptive "
                "kernel_moment",
     "records": "RULE_IDS FIRST_DERIVATIVE_RULES SECOND_DERIVATIVE_RULES HOLDER_RULES CaseRecord "
                "SuiteReport",

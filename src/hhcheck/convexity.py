@@ -39,7 +39,8 @@ constant, for alpha_m at m = 1. Anything else goes to check_membership,
 which makes its own preconditions and searches; check-class only searches.
 
 Every record verdict (bounds, quadrature, lemma rows, means) is decided by
-`within`, with an absolute slack (the verdict tol) or `relative_slack`.
+`within`, with an absolute slack (the verdict tol) or `relative_slack`; both,
+and SENSES and SENSE_PARAMS, live in `base`, so `cli` and `means` skip this.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Optional
 
+from .base import SENSE_PARAMS, SENSES, Value, relative_slack, within
 from .errors import DomainError, PreconditionError
-from .expr import (Abs, Const, DomainInterval, Node, Pow, Value, _jet, _mul, compile_fn,
+from .expr import (Abs, Const, DomainInterval, Node, Pow, _jet, _mul, compile_fn,
                    differentiate)
 
 __all__ = [
@@ -59,20 +61,6 @@ __all__ = [
     "evaluate_h", "check_membership", "hypothesis_membership", "SENSES", "SENSE_PARAMS",
     "within", "relative_slack",
 ]
-
-# the parameters each sense reads, in display order; the others must stay
-# at their defaults (h identity, alpha = m = s = 1)
-SENSE_PARAMS = {
-    "plain_convex": (),
-    "h_plain": ("h",),
-    "alpha_m": ("alpha", "m"),
-    "h_alpha_m": ("h", "alpha", "m"),
-    "s_first": ("s",),
-    "s_second": ("s",),
-    "s_alpha_m_first": ("alpha", "m", "s"),
-    "s_alpha_m_second": ("alpha", "m", "s"),
-}
-SENSES = tuple(SENSE_PARAMS)
 
 # senses whose defining inequality uses lam strictly inside (0,1)
 _OPEN_SENSES = frozenset({"h_plain", "h_alpha_m"})
@@ -82,22 +70,6 @@ _NONNEG_SENSES = frozenset({"h_plain", "h_alpha_m", "s_alpha_m_first", "s_alpha_
 _NONNEG_DOMAIN_SENSES = frozenset(
     {"alpha_m", "s_first", "s_second", "s_alpha_m_first", "s_alpha_m_second"}
 )
-
-
-def within(lhs: float, rhs: float, slack: float) -> bool:
-    """The verdict test: lhs <= rhs + slack. A NaN on either side fails it,
-    and so does an lhs of +inf, whose order beside an inf rhs is unknown.
-
-    The membership search writes its counterexample test lhs > rhs + tol
-    inline instead, in check_membership's loop, where a function call costs
-    more than the comparison itself.
-    """
-    return lhs <= rhs + slack and lhs < math.inf
-
-
-def relative_slack(*values: float) -> float:
-    """1e-12 relative to the largest |value|, and never below 1e-12."""
-    return 1e-12 * max(1.0, *(abs(v) for v in values))
 
 
 # What each kind of h means, given its s and expr: h as a function of t; the

@@ -1,5 +1,5 @@
-"""One-variable expression AST: parsing, compiled evaluation, exact
-differentiation.
+"""One-variable expression AST, its nodes built on `base.Value`: parsing,
+compiled evaluation, exact differentiation.
 
 The node set is deliberately small: constants, the variable, + - * / ^,
 exp, ln, abs and unary negation, and nodes are interned: one object per
@@ -21,9 +21,9 @@ import threading
 import weakref
 from functools import lru_cache, reduce
 from itertools import zip_longest
-from operator import attrgetter
 from typing import Callable
 
+from .base import Value
 from .errors import DomainError, ParseError
 
 __all__ = [
@@ -31,51 +31,6 @@ __all__ = [
     "Abs", "Neg", "DomainInterval", "parse", "evaluate", "differentiate",
     "to_text", "compile_fn", "compile_interval",
 ]
-
-
-class Value:
-    """Base of the immutable classes that check their input when built, the
-    expression nodes among them. Each writes its own __init__ (a node, its
-    __new__), which checks and stores its fields with _store. == and the
-    hash see the _fields, within one class only (a node's are identity).
-    repr shows _args, the constructor's parameters (by default the _fields),
-    as a dataclass's would, and pickling and copying call the constructor,
-    so it checks again."""
-
-    __slots__ = ()
-    _fields = ()
-
-    def __init_subclass__(cls):
-        if "_fields" in cls.__dict__:  # else the class keeps its base's
-            get = attrgetter(*cls._fields)  # one name gives the value, not a 1-tuple
-            cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
-            cls._args = cls.__dict__.get("_args", cls._fields)
-
-    def _store(self, *values, names=None):
-        """Set the _fields (or the slots in names) to values, in order: the one
-        writer of a value's attributes. A wrong count raises ValueError."""
-        for name, value in zip(names or self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._args)
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
-        return f"{type(self).__qualname__}({args})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Beta function, reference integrator, and the weight-kernel moments.
+"""Reference integrator and the weight-kernel moments (`beta` is in `base`).
 
 Every bound's coefficient is one of five integrals over (0,1):
 
@@ -13,45 +13,19 @@ Gauss-Kronrod integrator supplies the value or reports non-convergence.
 
 from __future__ import annotations
 
-import math
 import sys
 from functools import lru_cache
 from typing import Callable, NamedTuple, Union
 
+from .base import Value, _beta_root, beta, check_holder_exponent  # noqa: F401
 from .convexity import HFunction, evaluate_h
-from .errors import DomainError, NonConvergenceError
-from .expr import Node, Value, compile_fn
+from .errors import NonConvergenceError
+from .expr import Node, compile_fn
 
 __all__ = [
     "beta", "check_holder_exponent", "HolderPair", "IntegralResult", "KernelMoment",
     "integrate_adaptive", "integral", "kernel_moment", "KERNEL_KINDS",
 ]
-
-def beta(x: float, y: float) -> float:
-    """Euler Beta function via log-gamma; relative error well under 1e-12
-    for arguments up to 50. Large arguments underflow: beta(p+1, p+1) is
-    below the least normal float past p ~ 510 and 0.0 from p ~ 537, so a
-    root of it is taken with _beta_root."""
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError(f"beta needs positive arguments, got ({x!r}, {y!r})")
-    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
-
-
-def _beta_root(p: float) -> float:
-    """beta(p+1, p+1)^(1/p), for T5, C3 and P3. Where beta is below the
-    least normal float, the root is taken in log space from log-gamma."""
-    bpp = beta(p + 1.0, p + 1.0)
-    if bpp >= sys.float_info.min:
-        return bpp ** (1.0 / p)
-    return math.exp((2.0 * math.lgamma(p + 1.0) - math.lgamma(2.0 * p + 2.0)) / p)
-
-
-def check_holder_exponent(p: float) -> float:
-    """p as a float; a Holder exponent must be finite and exceed 1."""
-    p = float(p)
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"p must be finite and exceed 1, got {p!r}")
-    return p
 
 
 class HolderPair(Value):

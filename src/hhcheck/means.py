@@ -16,10 +16,8 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-from .convexity import relative_slack, within
+from .base import Value, _beta_root, check_holder_exponent, relative_slack, within
 from .errors import DomainError
-from .expr import Value
-from .kernels import _beta_root, check_holder_exponent
 from .records import _fmt, format_params, verdict
 
 __all__ = [

@@ -7,6 +7,7 @@ module already. A module has run once its namespace holds `__builtins__`,
 which `exec` adds; reading `vars()` of a module that has not run does not
 run it."""
 
+import gc
 import json
 import os
 import pickle
@@ -45,31 +46,65 @@ def test_importing_the_package_runs_no_module():
     assert _last_json(proc) == []
 
 
-_BASE = ["_version", "cli", "convexity", "errors", "expr", "records"]
+_BASE = ["_version", "base", "cli", "errors", "records"]
+_CLASS = ["convexity", "expr"]  # what check-class adds to _BASE
+_CHECK_CLASS = ["check-class", "--f=x^2", "--sense", "convex", "--a", "0", "--b", "1"]
 
 
-@pytest.mark.parametrize("argv, extra", [
-    (["check-class", "--f=x^2", "--sense", "convex", "--a", "0", "--b", "1"], []),
-    (["bound", "--rule", "T2", "--f", "x^2", "--a", "0.5", "--b", "1", "--p", "2"],
-     ["bounds", "kernels"]),
-    (["means", "--a", "1", "--b", "2"], ["kernels", "means"]),
-    (["prop", "--id", "P1", "--a", "1", "--b", "2", "--p", "2"], ["kernels", "means"]),
-    (["quad", "--rule", "midpoint", "--f", "x^2", "--a", "0", "--b", "1", "--n", "4"],
-     ["bounds", "kernels", "quadrature"]),
-    (["verify"], ["bounds", "kernels", "means", "quadrature", "suite"]),
-], ids=["check-class", "bound", "means", "prop", "quad", "verify"])
-def test_each_subcommand_runs_only_its_modules(argv, extra):
-    # as `python -m hhcheck <argv>`, then list the modules that ran
-    code = ("import json, runpy, sys\n"
+def _run_main(argv: list, after: str) -> str:
+    """Code that runs `python -m hhcheck <argv>`, then prints [status, <after>]
+    as json; `after` is read before the code imports json itself."""
+    return ("import runpy, sys\n"
             f"sys.argv = ['hhcheck', *{argv!r}]\n"
             "try:\n"
             "    runpy.run_module('hhcheck', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n"
             "    status = exc.code\n"
-            f"print(json.dumps([status, {_RAN}]))\n")
-    status, ran = _last_json(_python(code))
+            f"after = {after}\n"
+            "import json\n"
+            "print(json.dumps([status, after]))\n")
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (_CHECK_CLASS, _CLASS),
+    (["bound", "--rule", "T2", "--f", "x^2", "--a", "0.5", "--b", "1", "--p", "2"],
+     _CLASS + ["bounds", "kernels"]),
+    (["means", "--a", "1", "--b", "2"], ["means"]),
+    (["prop", "--id", "P1", "--a", "1", "--b", "2", "--p", "2"], ["means"]),
+    (["quad", "--rule", "midpoint", "--f", "x^2", "--a", "0", "--b", "1", "--n", "4"],
+     _CLASS + ["bounds", "kernels", "quadrature"]),
+    (["verify"], _CLASS + ["bounds", "kernels", "means", "quadrature", "suite"]),
+], ids=["check-class", "bound", "means", "prop", "quad", "verify"])
+def test_each_subcommand_runs_only_its_modules(argv, extra):
+    status, ran = _last_json(_python(_run_main(argv, _RAN)))
     assert status in (0, 1)
     assert ran == sorted(_BASE + extra)
+
+
+def test_a_table_report_does_not_import_json():
+    assert _last_json(_python(_run_main(_CHECK_CLASS, "'json' in sys.modules"))) == [0, False]
+
+
+def test_main_freezes_the_heap_it_imported():
+    code = _run_main(_CHECK_CLASS, "__import__('gc').get_freeze_count()")
+    status, frozen = _last_json(_python(code))
+    assert status == 0 and frozen > 0
+
+
+def test_run_never_freezes_and_main_does(monkeypatch, capsys):
+    from hhcheck import cli
+    before = gc.get_freeze_count()
+    try:
+        assert cli.run(_CHECK_CLASS) == 0
+        assert gc.get_freeze_count() == before
+        monkeypatch.setattr(sys, "argv", ["hhcheck", *_CHECK_CLASS])
+        with pytest.raises(SystemExit):
+            cli.main()
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    out = capsys.readouterr().out
+    assert out.count("class-001") == 2
 
 
 _THREADS = """
@@ -174,6 +209,11 @@ def test_every_public_name_resolves_here():
 ] + [
     (name, ("means", "suite")) for name in
     ("mean_chain_rows", "lp_monotone_row", "proposition_rows")
+] + [
+    (name, ("base", "convexity")) for name in
+    ("within", "relative_slack", "SENSE_PARAMS", "SENSES")
+] + [
+    (name, ("base", "kernels")) for name in ("beta", "check_holder_exponent")
 ])
 def test_a_moved_name_is_one_object_at_its_old_and_new_path(name, paths):
     new, old = (getattr(hhcheck, p) for p in paths)
@@ -191,6 +231,25 @@ def test_a_bound_instance_unpickles_where_bounds_has_not_run():
             f"inst = pickle.loads(bytes.fromhex({pickle.dumps(inst).hex()!r}))\n"
             "print(json.dumps([before, repr(inst), type(inst) is hhcheck.BoundInstance]))\n")
     assert _last_json(_python(code)) == [False, repr(inst), True]
+
+
+def test_values_unpickle_where_kernels_and_means_have_not_run():
+    from hhcheck import MeanKind, PropositionInstance
+    values = [HolderPair.from_p(3.0), MeanKind("Lp", 2.0),
+              PropositionInstance("P4", 1.0, 2.0, 2.0, n=3)]
+    code = ("import json, pickle, sys, hhcheck\n"
+            "before = [n for n in ('kernels', 'means')"
+            " if '__builtins__' in vars(sys.modules['hhcheck.' + n])]\n"
+            f"values = pickle.loads(bytes.fromhex({pickle.dumps(values).hex()!r}))\n"
+            "print(json.dumps([before, [repr(v) for v in values],"
+            " [type(v).__name__ for v in values]]))\n")
+    assert _last_json(_python(code)) == [
+        [], [repr(v) for v in values], ["HolderPair", "MeanKind", "PropositionInstance"]]
+
+
+@pytest.mark.parametrize("name, old", [("Value", "expr"), ("_beta_root", "kernels")])
+def test_an_unlisted_name_moved_to_base_keeps_its_old_path(name, old):
+    assert getattr(hhcheck.base, name) is getattr(getattr(hhcheck, old), name)
 
 
 def test_the_tracer_restores_every_package_name():
