@@ -9,9 +9,9 @@ noise). Evaluation goes through one code generator: compile_fn turns a tree
 into straight-line Python, with one exec'd factory per tree shape and one
 function per distinct tree, each in a bounded cache. For a tree with finite
 constants (the parser admits no other) the result returns a finite float or
-raises DomainError, for every x including non-finite ones. compile_interval
-is its second backend: it encloses a tree's values on an interval of x, or
-raises DomainError. The third runs that code over Taylor-coefficient jets.
+raises DomainError, for every x including non-finite ones. Its second
+backend runs over Taylor-coefficient jets; at order 0 it is compile_interval,
+which encloses a tree's values on an interval of x, or raises DomainError.
 """
 
 from __future__ import annotations
@@ -169,14 +169,14 @@ def _pow(b: float, e: float) -> float:
     raise DomainError(f"negative base {b!r} with non-integer or negative exponent {e!r}")
 
 
-# One code generator serves every evaluation, in three backends. A tree is
+# One code generator serves every evaluation, in two backends. A tree is
 # compiled to straight-line source for its shape (the operators and where x
 # sits); its constants become the parameters c0, c1, ... of a factory, so
 # trees that differ only in their constants share one exec'd factory. No
 # user text reaches the source: constants are bound as values and variable
 # names are never emitted. Each value is computed in post-order. The float
-# backend checks every + - * / ^ result for finiteness; the interval backend
-# computes over (lo, hi) pairs with the helpers below, which raise
+# backend checks every + - * / ^ result for finiteness; the jet backend
+# computes over lists of (lo, hi) pairs with the helpers below, which raise
 # DomainError where the float backend would, and wherever they cannot
 # enclose.
 
@@ -193,12 +193,12 @@ _FLOAT_OPS = {
           lambda v: f"{v} = log({v})")),
     Abs: (lambda a: f"abs({a})", None), Neg: (lambda a: f"(-{a})", None),
 }
-_INTERVAL_OPS = {
-    Add: (lambda a, b: f"_iadd({a}, {b})", ()), Sub: (lambda a, b: f"_iadd({a}, _ineg({b}))", ()),
-    Mul: (lambda a, b: f"_imul({a}, {b})", ()), Div: (lambda a, b: f"_idiv({a}, {b})", ()),
-    Pow: (lambda a, b: f"_ipow({a}, {b})", ()), Exp: (lambda a: f"_iexp({a})", ()),
-    Ln: (lambda a: f"_iln({a})", ()), Abs: (lambda a: f"_iabs({a})", None),
-    Neg: (lambda a: f"_ineg({a})", None),
+_JET_OPS = {
+    Add: (lambda a, b: f"_jadd({a}, {b})", ()), Sub: (lambda a, b: f"_jadd({a}, _jneg({b}))", ()),
+    Mul: (lambda a, b: f"_jmul({a}, {b})", ()), Div: (lambda a, b: f"_jdiv({a}, {b})", ()),
+    Pow: (lambda a, b: f"_jpow({a}, {b})", ()), Exp: (lambda a: f"_jexp({a})", ()),
+    Ln: (lambda a: f"_jln({a})", ()), Abs: (lambda a: f"_jabs({a})", None),
+    Neg: (lambda a: f"_jneg({a})", None),
 }
 _INDENT = "\n            "
 _TEMPLATE = """\
@@ -358,9 +358,10 @@ def _isum(terms) -> tuple:
     return reduce(_iadd, terms, _ZERO)
 
 
-def _jmul(a, b):
-    return [_isum(_imul(a[i], b[k - i]) for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a)))
-                  if a[i] != _ZERO != b[k - i]) for k in range(max(len(a), len(b)))]
+def _jmul(a, b):  # c0 is _imul's, which keeps -0*x at (-0.0, -0.0)
+    return [_imul(a[0], b[0])] + [
+        _isum(_imul(a[i], b[k - i]) for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a)))
+              if a[i] != _ZERO != b[k - i]) for k in range(1, max(len(a), len(b)))]
 
 
 def _jdiv(a, b):
@@ -403,33 +404,31 @@ def _jpow(a, b):
 
 
 def _jabs(a):
-    if a[0][0] < 0.0 < a[0][1]:
+    if len(a) > 1 and a[0][0] < 0.0 < a[0][1]:
         raise DomainError("abs of an argument that changes sign has no derivative")
-    return a if a[0][0] >= 0.0 else [(-hi, -lo) for lo, hi in a]
+    return a if a[0][0] >= 0.0 else [_iabs(a[0])] + [(-hi, -lo) for lo, hi in a[1:]]
 
 
-# Per backend: the statements that open fn, the node templates, the names
-# the code reads and how a constant enters it. Every backend computes an
-# equal subtree once: equal trees are one node, so their values are the same
-# bits (a zero constant's sign is part of the node), and a failing subtree
-# raises at its first appearance in post-order either way.
+# Per entry: the statements that open fn, the node templates, the names the
+# code reads, how a constant enters it and its return statement. Every entry
+# computes an equal subtree once: equal trees are one node, so their values
+# are the same bits (a zero constant's sign is part of the node), and a
+# failing subtree raises at its first appearance in post-order either way.
+_JET = ({
+    "DomainError": DomainError, "_ipow": _ipow, "_jmul": _jmul, "_jdiv": _jdiv, "_jpow": _jpow,
+    "_jexp": _jexp, "_jln": _jln, "_jabs": _jabs, "_jneg": lambda a: [(-h, -l) for l, h in a],
+    "_jadd": lambda a, b: [_iadd(u, v) for u, v in zip_longest(a, b, fillvalue=_ZERO)],
+}, lambda c: [(c, c)])
 _BACKENDS = {
     "float": (("x = float(x)",
                "if not isfinite(x): raise DomainError(f'non-finite argument {x!r}')"),
               _FLOAT_OPS, {"DomainError": DomainError, "_pow": _pow, "exp": math.exp,
-                           "log": math.log, "isfinite": math.isfinite},
-              lambda c: c),
-    "interval": ((), _INTERVAL_OPS, {
-        "DomainError": DomainError, "_iadd": _iadd, "_imul": _imul, "_idiv": _idiv,
-        "_ipow": _ipow, "_iabs": _iabs, "_ineg": lambda a: (-a[1], -a[0]),
-        "_iexp": lambda a: _libm(math.exp(a[0]), math.exp(a[1])),
-        "_iln": lambda a: _libm(math.log(a[0]), math.log(a[1])),  # log raises at a[0] <= 0
-    }, lambda c: (c, c)),
-    "jet": ((), _INTERVAL_OPS, {  # the interval backend's code, run over jets
-        "DomainError": DomainError, "_imul": _jmul, "_idiv": _jdiv, "_ipow": _jpow,
-        "_iexp": _jexp, "_iln": _jln, "_iabs": _jabs, "_ineg": lambda a: [(-h, -l) for l, h in a],
-        "_iadd": lambda a, b: [_iadd(u, v) for u, v in zip_longest(a, b, fillvalue=_ZERO)],
-    }, lambda c: [(c, c)]),
+                           "log": math.log, "isfinite": math.isfinite}, lambda c: c, "return {}"),
+    "jet": ((), _JET_OPS, *_JET, "return {}"),
+    # The jet code at order 0, with _ipow for a power: _jpow's exp(v ln u) is
+    # looser, and length 1 in _jpow means a constant, whose powers it narrows.
+    "interval": (("x = [x]",), {**_JET_OPS, Pow: (lambda a, b: f"[_ipow({a}[0], {b}[0])]", ())},
+                 *_JET, "return {}[0]"),
 }
 
 
@@ -443,9 +442,9 @@ def _factory(backend: str, body: str, nconsts: int) -> Callable:
 
 def _build(node: Node, backend: str) -> Callable:
     """Generate node's function in backend: a walk, and an exec per new shape."""
-    opening, ops, _, lift = _BACKENDS[backend]
+    opening, ops, _, lift, result = _BACKENDS[backend]
     lines, consts = list(opening), []
-    lines.append(f"return {_emit(node, lines, consts, ops, {})}")
+    lines.append(result.format(_emit(node, lines, consts, ops, {})))
     return _factory(backend, _INDENT + _INDENT.join(lines), len(consts))(*[lift(c) for c in consts])
 
 
@@ -470,8 +469,8 @@ def compile_interval(node: Node) -> Callable[[tuple], tuple]:
     """Compile to a function that maps an interval (lo, hi) of x to an
     interval (lo, hi) holding every value of the tree on it, or raises
     DomainError: where the float evaluator could raise on the interval, and
-    where no finite enclosure is found. It shares compile_fn's caches,
-    under the backend tag "interval"."""
+    where no finite enclosure is found. It is c0 of the jet code run on
+    [(lo, hi)], with compile_fn's caches under the backend tag "interval"."""
     return _compiled("interval", node)
 
 

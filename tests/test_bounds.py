@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -10,12 +11,14 @@ from hhcheck import (
     ConvexityClass,
     EMPIRICAL_RULES,
     FIRST_DERIVATIVE_RULES,
+    HOLDER_RULES,
     HFunction,
     HolderPair,
     RULE_IDS,
     SECOND_DERIVATIVE_RULES,
     bound_first_derivative,
     bound_second_derivative,
+    build_suite,
     hh_chain,
     hypothesis_domain,
     hypothesis_function,
@@ -481,3 +484,38 @@ class TestDominanceSmoke:
         p = 2.0 if rule not in ("T1", "T4") else None
         rep = _run(rule, parse(text), a, b, p=p)
         assert rep.holds, f"{rule} violated on {text} [{a},{b}]: margin={rep.margin}"
+
+
+class TestFlaggedRules:
+    """Which rules may be flagged: a T rule's bound is a theorem, so a T row
+    whose hypothesis is verified holds, in the classical cell and beyond it."""
+
+    def test_generalized_class_sweep_flags_no_verified_t_row(self):
+        # seeds 0 and 1, the catalog, h in {t, t^0.5, 1}, alpha and m in
+        # three values each, every rule at p = 2: 2,700 rows, most of whose
+        # hypotheses are refuted off the classical cell (h = t, alpha = m = 1)
+        hp = HolderPair.from_p(2.0)
+        hs = (HFunction.identity(), HFunction.power(0.5), HFunction.one())
+        verified_t, rows = 0, 0
+        for seed in (0, 1):
+            rng = random.Random(seed)
+            for name, f in CATALOG:
+                a = rng.uniform(0.1, 1.5)
+                b = a + rng.uniform(0.4, 1.5)
+                for h, alpha, m, rule in product(hs, (0.25, 0.5, 1.0), (0.5, 0.8, 1.0), RULE_IDS):
+                    cls = ConvexityClass("h_alpha_m", h, alpha, m)
+                    inst = BoundInstance(rule, f, a, b, cls, hp if rule in HOLDER_RULES else None)
+                    rep = verify(inst, seed=seed, samples=500)
+                    rows += 1
+                    if rule.startswith("T") and rep.hypothesis_verified:
+                        verified_t += 1
+                        assert rep.holds, (seed, name, h.describe(), alpha, m, rule)
+        # the sweep reaches T rows with verified hypotheses, so it asserts something
+        assert rows == 2700 and verified_t > 0
+
+    def test_suites_flag_no_t_or_p5_row(self):
+        # the flagged rows at seeds 0-59 are C3, C4, P4, P4-alt and P6 only
+        for seed in range(60):
+            for case in build_suite(seed).cases:
+                if case.rule.startswith(("T", "P5")):  # P5 and P5-proofline
+                    assert case.verdict != "flagged", (seed, case)

@@ -544,6 +544,9 @@ class TestIntervalBackend:
         ("x/4", (0.0, 2.0), (0.0, 0.5)),
         ("abs(x)", (-2.0, 1.0), (0.0, 2.0)),
         ("x^2", (-1.0, 2.0), (0.0, math.nextafter(math.nextafter(4.0, 5.0), 5.0))),
+        # a variable exponent: _ipow's enclosure, not the looser exp(v ln u)
+        ("x^x", (0.5, 2.0), (0.24999999999999994, 4.000000000000002)),
+        ("2^x", (0.5, 2.0), (1.4142135623730947, 4.000000000000002)),
     ])
     def test_exact_results_stay_exact(self, text, box, enclosure):
         assert compile_interval(parse(text))(box) == enclosure
@@ -611,6 +614,11 @@ class TestJet:
         ("abs(1 - x)", 2.0, 3.0, [(1.0, 2.0), (1.0, 1.0), (0.0, 0.0)]),
         ("x^2", -1.0, 1.0, [(0.0, 1.0), (-2.0, 2.0), (1.0, 1.0)]),
         ("2", 0.0, 1.0, [(2.0, 2.0), (0.0, 0.0), (0.0, 0.0)]),
+        # a constant's integer power is squared: 2^2 is the point 4, and
+        # exp(3)^2 as narrow as its product
+        ("x^2^2", -2.0, -1.0, [(1.0, 16.0), (-32.0, -4.0), (6.0, 24.0)]),
+        ("exp(3)^2*x", 0.0, 1.0,
+         [(0.0, 403.42879349273545), (403.42879349273477, 403.42879349273545), (0.0, 0.0)]),
     ])
     def test_jets(self, text, lo, hi, jet):
         assert hhcheck.expr._jet(parse(text), lo, hi, 2) == jet

@@ -7,6 +7,7 @@ module already. A module has run once its namespace holds `__builtins__`,
 which `exec` adds; reading `vars()` of a module that has not run does not
 run it."""
 
+import ast
 import gc
 import json
 import os
@@ -14,6 +15,11 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
+    import tomli as tomllib
 
 import pytest
 
@@ -187,6 +193,26 @@ def test_every_public_name_resolves_in_a_fresh_process():
             "same = all(ns[n] is getattr(hhcheck, n) for n in hhcheck.__all__)\n"
             "print(json.dumps([listed, ran_after_dir, len(hhcheck.__all__), len(bound), same]))\n")
     assert _last_json(_python(code)) == [True, [], 78, 78, True]
+
+
+def test_the_package_imports_only_the_standard_library():
+    """No runtime dependency: every module under src/hhcheck imports only
+    standard-library modules and hhcheck itself, and pyproject.toml lists no
+    dependency."""
+    paths = sorted((ROOT / "src" / "hhcheck").rglob("*.py"))
+    assert ROOT / "src" / "hhcheck" / "expr.py" in paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one: hhcheck itself
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "hhcheck", (path.name, name)
+    assert tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"] == []
 
 
 def test_every_public_name_resolves_here():
