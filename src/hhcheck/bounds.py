@@ -22,7 +22,7 @@ Each rule is one row of the table `_RULES`, read by one evaluator.
 The left-hand side is the midpoint deviation for T1, T2, C1, T3, C2 and the
 trapezoid deviation for T4, T5, C3, T6, C4. The hypothesis behind the first
 group is membership of |f'| (T1) or |f'|^q (the rest) in the declared class;
-the second group uses |f''| or |f''|^q. C2 and C4 carry no dominance
+the second group uses |f''| or |f''|^q. C2, C3 and C4 carry no dominance
 guarantee; their verdicts are recorded empirically.
 """
 

@@ -6,8 +6,9 @@ table (default), json, or csv. Exit status: 0 when no record is flagged,
 1 when at least one is, 2 on a usage error or a ValueError or
 ArithmeticError (parse, domain, precondition, non-convergence, overflow).
 The HHC_SEED environment variable overrides --seed when set. The module
-imports only `records` and `base`; each handler imports what it runs, so a
-process compiles no module its subcommand does not need.
+runs only `records` and `base` at import. It binds the package's other
+modules unexecuted, and each runs on a handler's first attribute lookup, so
+a process compiles no module its subcommand does not need.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import sys
 from typing import Optional
 
+from . import bounds, convexity, expr, kernels, means, quadrature, suite
 from ._version import __version__
 from .base import SENSE_PARAMS, SENSES
 from .records import (HOLDER_RULES, RULE_IDS, SuiteReport, bound_row, format_params, quad_row,
@@ -30,19 +32,17 @@ _FORMATS = ("table", "json", "csv")
 _CSV_COLUMNS = ("case_id", "rule", "params", "lhs", "rhs", "margin", "verdict")
 
 
-def _parse_h(text: str, s: float) -> "HFunction":
-    from .convexity import HFunction
-    from .expr import parse
+def _parse_h(text: str, s: float) -> convexity.HFunction:
     if text == "t":
-        return HFunction.identity()
+        return convexity.HFunction.identity()
     if text == "1":
-        return HFunction.one()
+        return convexity.HFunction.one()
     if text == "t^s":
-        return HFunction.power(s)
+        return convexity.HFunction.power(s)
     if text.startswith("t^"):
-        return HFunction.power(float(text[2:]))
+        return convexity.HFunction.power(float(text[2:]))
     if text.startswith("expr:"):
-        return HFunction.custom(parse(text[5:], var="t"))
+        return convexity.HFunction.custom(expr.parse(text[5:], var="t"))
     raise ValueError(f"unrecognized h {text!r}; use one of t, t^s, 1, expr:<text>")
 
 
@@ -172,14 +172,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check_class(args, seed: int) -> SuiteReport:
-    from .convexity import ConvexityClass, check_membership
-    from .expr import DomainInterval, parse
     sense = _resolve_sense(args.sense)
     h = _parse_h(args.h, args.s)
-    cls = ConvexityClass(sense, **{name: h if name == "h" else getattr(args, name)
-                                   for name in SENSE_PARAMS[sense]})
-    rep = check_membership(parse(args.f), cls, DomainInterval(args.a, args.b),
-                           samples=args.samples, seed=seed, tol=args.tol)
+    cls = convexity.ConvexityClass(sense, **{name: h if name == "h" else getattr(args, name)
+                                             for name in SENSE_PARAMS[sense]})
+    rep = convexity.check_membership(expr.parse(args.f), cls, expr.DomainInterval(args.a, args.b),
+                                     samples=args.samples, seed=seed, tol=args.tol)
     w = rep.witness
     where = {} if w is None else {"x": w.x, "y": w.y, "lam": w.lam}
     ps = format_params(f=args.f, a=args.a, b=args.b, **{"class": cls.describe()},
@@ -190,47 +188,39 @@ def _cmd_check_class(args, seed: int) -> SuiteReport:
 
 
 def _cmd_bound(args, seed: int) -> SuiteReport:
-    from .bounds import BoundInstance, verify as verify_bound
-    from .convexity import ConvexityClass
-    from .expr import parse
-    from .kernels import HolderPair
     h = _parse_h(args.h, args.s)
-    cls = ConvexityClass("h_alpha_m", h=h, alpha=args.alpha, m=args.m)
+    cls = convexity.ConvexityClass("h_alpha_m", h=h, alpha=args.alpha, m=args.m)
     hp = None
     if args.rule in HOLDER_RULES:
         if args.p is None:
             raise ValueError(f"rule {args.rule} requires --p")
-        hp = HolderPair.from_p(args.p)
+        hp = kernels.HolderPair.from_p(args.p)
     elif args.p is not None:
         raise ValueError(f"rule {args.rule} takes no --p")
-    inst = BoundInstance(args.rule, parse(args.f), args.a, args.b, cls, hp)
-    rep = verify_bound(inst, tol=args.tol, samples=args.samples, seed=seed,
-                       variant=args.variant)
+    inst = bounds.BoundInstance(args.rule, expr.parse(args.f), args.a, args.b, cls, hp)
+    rep = bounds.verify(inst, tol=args.tol, samples=args.samples, seed=seed,
+                        variant=args.variant)
     variant = args.variant if args.rule == "T1" else None
     return SuiteReport.from_sections(seed, [("bound", [bound_row(args.f, inst, rep, variant)])])
 
 
 def _cmd_means(args, seed: int) -> SuiteReport:
-    from .means import lp_monotone_row, mean_chain_rows
-    rows = mean_chain_rows(args.a, args.b)
-    rows.append(lp_monotone_row(args.a, args.b, [float(t) for t in args.grid.split(",")]))
+    rows = means.mean_chain_rows(args.a, args.b)
+    rows.append(means.lp_monotone_row(args.a, args.b, [float(t) for t in args.grid.split(",")]))
     return SuiteReport.from_sections(seed, [("means", rows)])
 
 
 def _cmd_prop(args, seed: int) -> SuiteReport:
-    from .means import PropositionInstance, proposition_rows
-    inst = PropositionInstance(args.id, args.a, args.b, args.p, n=args.n)
-    return SuiteReport.from_sections(seed, [("prop", proposition_rows(inst, args.tol))])
+    inst = means.PropositionInstance(args.id, args.a, args.b, args.p, n=args.n)
+    return SuiteReport.from_sections(seed, [("prop", means.proposition_rows(inst, args.tol))])
 
 
 def _cmd_quad(args, seed: int) -> SuiteReport:
-    from .expr import parse
-    from .quadrature import certified_integrate
     points = None
     if args.points is not None:
         points = tuple(float(t) for t in args.points.split(","))
-    rep = certified_integrate(
-        parse(args.f), args.a, args.b, n=args.n, rule=args.rule, p=args.p,
+    rep = quadrature.certified_integrate(
+        expr.parse(args.f), args.a, args.b, n=args.n, rule=args.rule, p=args.p,
         alpha=args.alpha, m=args.m, variant=args.variant, points=points,
         tol=args.tol, seed=seed, samples=args.samples,
     )
@@ -239,8 +229,7 @@ def _cmd_quad(args, seed: int) -> SuiteReport:
 
 
 def _cmd_verify(args, seed: int) -> SuiteReport:
-    from .suite import build_suite
-    return build_suite(seed=seed, tol=args.tol)
+    return suite.build_suite(seed=seed, tol=args.tol)
 
 
 _COMMANDS = {

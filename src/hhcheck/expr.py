@@ -336,14 +336,20 @@ def _ipow(b, e):
     (bl, bh), (el, eh) = b, e
     if el == eh == 0.0:
         return 1.0, 1.0
-    if not (bl > 0.0 or el == eh and (el > 0.0 if bl == 0.0 else
-                                      el == math.floor(el) and 0.0 <= el <= 2 ** 31)):
+    whole = el == eh and 0.0 <= el <= 2 ** 31 and el == math.floor(el)
+    if not (bl > 0.0 or (el == eh and el > 0.0 if bl == 0.0 else whole)):
         raise DomainError(f"power of [{bl!r}, {bh!r}] to [{el!r}, {eh!r}] outside _pow's domain")
     # x^y is monotone in x and in y over these domains, but for an even power
     # of a base that spans 0, whose least value is 0
     vals = [x ** y for x in b for y in e]
     even = bl < 0.0 < bh and el % 2.0 == 0.0
-    return _libm(0.0 if even else min(vals), max(vals), even or bl == 0.0)
+    lo, hi = _libm(0.0 if even else min(vals), max(vals), even or bl == 0.0)
+    if whole and bl == bh:  # a point to an integer power, by squaring as _jpow: 2^2 stays 4
+        r, n = (1.0, 1.0), int(el)
+        while n:
+            r, b, n = (_imul(r, b) if n & 1 else r), (_imul(b, b) if n > 1 else b), n >> 1
+        lo, hi = max(lo, r[0]), min(hi, r[1])
+    return lo, hi
 
 
 # Interval Taylor coefficients (Moore, 1966; Griewank and Walther, Evaluating

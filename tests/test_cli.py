@@ -389,6 +389,20 @@ class TestGoldenBytes:
         assert digest.hexdigest() == \
             "3924e229aef785ca0541da53a292c5d1a2d435bd6434fa5210642131f4c2c218"
 
+    def test_means_prop_sha256(self, capsys, monkeypatch):
+        """Exit code, stdout and stderr of every _MEANS_PROP_ARGV line, in
+        order: a change to the means or prop handlers, the mean formulas or
+        their overflow paths that moves this hash changes a row or an error
+        message."""
+        monkeypatch.delenv("HHC_SEED", raising=False)
+        digest = hashlib.sha256()
+        for argv in _MEANS_PROP_ARGV:
+            code, out, err = _run(capsys, *argv.split())
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+        assert len(_MEANS_PROP_ARGV) == 26
+        assert digest.hexdigest() == \
+            "6b8fd2948d8ff969550410dd1451603e105a0de6e617bbaa324585b19320bf5c"
+
     def test_bound_quad_sha256(self, capsys, monkeypatch):
         """Exit code, stdout and stderr of every _BOUND_QUAD_ARGV line, in
         order: a change to how a rule's or a quadrature's hypothesis is
@@ -510,6 +524,40 @@ _BOUND_QUAD_ARGV = [
     "quad --rule trapezoid --f x^2 --a 0 --b 1 --n 4 --alpha 0.5 --m 0.5 --format csv",
     "quad --rule trapezoid --f 1/x --a 0.2 --b 2 --n 5 --p 1.5 --alpha 1 --m 0.9 --seed 3 --format json",
     "quad --rule midpoint --f x^2 --a -1 --b 1 --n 4 --samples -1",
+]
+
+
+# means and prop: every P1-P4 check (P4 prints P4 and P4-alt), the mean chain
+# at small, large and far-apart pairs, custom Lp grids, each format, sides
+# that overflow to inf, and exit-2 rows (P4 without --n, P3 with it, a bad
+# pair, a bad p, a grid entry that is not a number)
+_MEANS_PROP_ARGV = [
+    "means --a 1 --b 2",
+    "means --a 1 --b 2 --format json",
+    "means --a 1 --b 2 --format csv",
+    "means --a 0.5 --b 3 --grid=-1,0,1 --seed 7",
+    "means --a 1 --b 1.000001 --grid 0.001,1e-12,3,40 --format json",
+    "means --a 1e-300 --b 1e300 --format json",
+    "means --a 1e200 --b 1e300 --format csv",
+    "means --a 1 --b 2 --grid=1,x",
+    "means --a 0 --b 1",
+    "means --a 2 --b 2",
+    "prop --id P1 --a 1 --b 2 --p 2",
+    "prop --id P1 --a 0.1 --b 10 --p 1.5 --format json",
+    "prop --id P2 --a 1 --b 2 --p 3 --format csv",
+    "prop --id P2 --a 0.5 --b 4 --p 1.01 --format json",
+    "prop --id P3 --a 1 --b 2 --p 2",
+    "prop --id P3 --a 1 --b 3 --p 400 --format json",
+    "prop --id P3 --a 1e-200 --b 1e200 --p 2",
+    "prop --id P3 --a 1e-200 --b 1e200 --p 2 --format json",
+    "prop --id P4 --a 1 --b 2 --p 2 --n 3 --format json",
+    "prop --id P4 --a 1 --b 2 --p 3 --n 1 --format csv",
+    "prop --id P4 --a 0.5 --b 1.5 --p 2 --n 10 --tol 0.5",
+    "prop --id P4 --a 1 --b 1e100 --p 2 --n 5 --format json",
+    "prop --id P4 --a 1 --b 2 --p 2",
+    "prop --id P1 --a 2 --b 1 --p 2",
+    "prop --id P2 --a 1 --b 2 --p 0.5",
+    "prop --id P3 --a 1 --b 2 --p 2 --n 3 --seed 5 --format json",
 ]
 
 

@@ -547,6 +547,9 @@ class TestIntervalBackend:
         # a variable exponent: _ipow's enclosure, not the looser exp(v ln u)
         ("x^x", (0.5, 2.0), (0.24999999999999994, 4.000000000000002)),
         ("2^x", (0.5, 2.0), (1.4142135623730947, 4.000000000000002)),
+        # a point to an integer power is squared, as the jet code does
+        ("2^2", (0.0, 1.0), (4.0, 4.0)),
+        ("x^2^2", (-2.0, -1.0), (0.9999999999999998, 16.000000000000007)),
     ])
     def test_exact_results_stay_exact(self, text, box, enclosure):
         assert compile_interval(parse(text))(box) == enclosure

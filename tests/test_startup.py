@@ -215,6 +215,26 @@ def test_the_package_imports_only_the_standard_library():
     assert tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"] == []
 
 
+def test_no_function_imports_a_package_module():
+    """The package registry is the one deferral mechanism: a module binds the
+    package's modules at its top, unexecuted, and a function reaches them by
+    attribute. A function may import the standard library (json in
+    emit_report)."""
+    for path in sorted((ROOT / "src" / "hhcheck").rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = ["hhcheck" if node.level else node.module]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    assert name.partition(".")[0] != "hhcheck", (path.name, fn.lineno, name)
+
+
 def test_every_public_name_resolves_here():
     assert len(hhcheck.__all__) == len(set(hhcheck.__all__)) == 78
     for name in hhcheck.__all__:
