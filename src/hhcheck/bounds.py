@@ -174,20 +174,53 @@ def trapezoid_deviation(f: Node, a: float, b: float) -> float:
 def hypothesis_function(inst: BoundInstance) -> Node:
     """The function whose class membership the rule assumes."""
     order = 1 if inst.rule_id in FIRST_DERIVATIVE_RULES else 2
-    mag = Abs(differentiate(inst.f, order))
-    if inst.rule_id in HOLDER_RULES:
-        return Pow(mag, Const(inst.hp.q))
-    return mag
+    return _hypothesis(inst.f, order, inst.hp.q if inst.rule_id in HOLDER_RULES else None)
 
 
 def hypothesis_domain(inst: BoundInstance) -> DomainInterval:
     """Smallest closed interval containing every point the rule evaluates."""
-    a, b, m = inst.a, inst.b, inst.cls.m
-    if inst.rule_id in FIRST_DERIVATIVE_RULES:
-        xm = (a + b) / (2.0 * m)
-        return DomainInterval(min(a, xm), max(b, xm))
-    bm = b / m
-    return DomainInterval(min(a, bm), max(b, bm))
+    order = 1 if inst.rule_id in FIRST_DERIVATIVE_RULES else 2
+    return _rule_domain(order, inst.a, inst.b, inst.cls.m, _signs(inst.a, inst.b))
+
+
+# What the rule rows of one problem (f, [a, b], m) share, each worked once.
+# A key that holds a or b holds their signs too: -0.0 == 0.0, but a domain,
+# and so a search's witness, tells them apart.
+
+def _signs(a: float, b: float) -> tuple:
+    return math.copysign(1.0, a), math.copysign(1.0, b)
+
+
+def _rule_points(order: int, a: float, b: float, m: float) -> tuple:
+    return (a, b, (a + b) / (2.0 * m)) if order == 1 else (a, b / m)
+
+
+@lru_cache(maxsize=64)
+def _rule_domain(order: int, a: float, b: float, m: float, signs: tuple) -> DomainInterval:
+    x = _rule_points(order, a, b, m)[-1]
+    return DomainInterval(min(a, x), max(b, x))
+
+
+@lru_cache(maxsize=64)
+def _rule_values(f: Node, order: int, a: float, b: float, m: float, signs: tuple) -> tuple:
+    """|f^(order)| at the rule points. The domain, which a quadrature reads
+    too, and the deviation, which a rule reads after its rhs, are cached
+    apart, each read where it was worked without a cache: every rule of a
+    failing problem raises the same first error."""
+    d = compile_fn(differentiate(f, order))
+    return tuple([abs(d(x)) for x in _rule_points(order, a, b, m)])
+
+
+@lru_cache(maxsize=64)
+def _deviation(f: Node, order: int, a: float, b: float, signs: tuple) -> float:
+    return (midpoint_deviation if order == 1 else trapezoid_deviation)(f, a, b)
+
+
+@lru_cache(maxsize=64)
+def _hypothesis(f: Node, order: int, q: Optional[float]) -> Node:
+    """|f^(order)|, or its q-th power."""
+    mag = Abs(differentiate(f, order))
+    return mag if q is None else Pow(mag, Const(q))
 
 
 def _root_q(inner: float, q: float, rule: str) -> float:
@@ -253,13 +286,9 @@ def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float) -> BoundReport:
     a, b, hp = inst.a, inst.b, inst.hp
     h, alpha, m = inst.cls.h, inst.cls.alpha, inst.cls.m
     p, q = (hp.p, hp.q) if hp is not None else (None, None)
-    L = b - a
-    d = compile_fn(differentiate(inst.f, rule.order))
-    if rule.order == 1:
-        names, points = ("d1_a", "d1_b", "d1_mid"), (a, b, (a + b) / (2.0 * m))
-    else:
-        names, points = ("d2_a", "d2_b_over_m"), (a, b / m)
-    *ends, dm = values = [abs(d(x)) for x in points]
+    L, signs = b - a, _signs(a, b)
+    names = ("d1_a", "d1_b", "d1_mid") if rule.order == 1 else ("d2_a", "d2_b_over_m")
+    *ends, dm = values = _rule_values(inst.f, rule.order, a, b, m, signs)
 
     comp = {"length": L, "m": m}
     if q is not None:
@@ -282,8 +311,7 @@ def _evaluate_rule(inst: BoundInstance, rule: _Rule, tol: float) -> BoundReport:
     comp.update(zip(keys, brackets))
     rhs = comp["prefactor"] * sum(brackets)
 
-    deviation = midpoint_deviation if rule.order == 1 else trapezoid_deviation
-    lhs = deviation(inst.f, a, b)
+    lhs = _deviation(inst.f, rule.order, a, b, signs)
     notes = (_NOTE_SECOND,) if rule.order == 2 else ()
     if inst.rule_id in EMPIRICAL_RULES:
         notes += (_NOTE_EMPIRICAL,)

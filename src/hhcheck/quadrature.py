@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from .bounds import _mean_integral
+from .bounds import _hypothesis, _mean_integral, _rule_domain, _signs
 from .convexity import ConvexityClass, MembershipReport, hypothesis_membership, within
-from .expr import Abs, DomainInterval, Node, Value, compile_fn, differentiate
+from .expr import Node, Value, compile_fn, differentiate
 from .kernels import beta, check_holder_exponent
 
 __all__ = [
@@ -32,6 +32,8 @@ __all__ = [
     "error_bound_midpoint", "error_bound_trapezoid",
     "QuadratureReport", "certified_integrate",
 ]
+
+_PLAIN_CONVEX = ConvexityClass("plain_convex")
 
 
 class Partition(Value):
@@ -185,21 +187,19 @@ def certified_integrate(
         value = midpoint_rule(f, K)
         bound = error_bound_midpoint(f, K, p, variant)
         source = "P5" if variant == "statement" else "P5-proofline"
-        hyp = Abs(differentiate(f))
-        cls = ConvexityClass("plain_convex")
-        dom = DomainInterval(a, b)
+        order, cls, dom_m = 1, _PLAIN_CONVEX, 1.0
     else:
         value = trapezoid_rule(f, K)
         bound = error_bound_trapezoid(f, K, alpha, m, p)
         source = "P6"
-        hyp = Abs(differentiate(f, 2))
-        cls = trapezoid_cls
-        bm = b / m
-        dom = DomainInterval(min(a, bm), max(b, bm))
+        order, cls, dom_m = 2, trapezoid_cls, m
 
     membership = verified = note = None
     if check_hypothesis:
-        membership, note = hypothesis_membership(hyp, cls, dom, samples, seed, tol, f=f)
+        # |f'| or |f''|, on the order-2 rule domain: [a, b] at m = 1
+        dom = _rule_domain(2, a, b, dom_m, _signs(a, b))
+        membership, note = hypothesis_membership(_hypothesis(f, order, None), cls, dom,
+                                                 samples, seed, tol, f=f)
         verified = membership is not None and membership.ok
 
     signed_residual = reference - value

@@ -71,7 +71,8 @@ def _fmt(v) -> str:
 
 def format_params(**kv) -> str:
     """The params column: k=v pairs joined by ';', floats to 12 digits, None dropped."""
-    return ";".join(f"{k}={_fmt(v)}" for k, v in kv.items() if v is not None)
+    return ";".join([f"{k}={v:.12g}" if isinstance(v, float) else f"{k}={v}"
+                     for k, v in kv.items() if v is not None])
 
 
 def verdict(holds: bool, hypothesis_verified=None) -> str:

@@ -38,11 +38,17 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
-@pytest.fixture
-def cold_caches():
-    """Clear every cache of every hhcheck module before the test."""
+def _clear_caches():
     for name, module in list(sys.modules.items()):
         if name == "hhcheck" or name.startswith("hhcheck."):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear") and value.__module__ == name:
                     value.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Clear every cache of every hhcheck module before the test, and give
+    the test the function that clears them, to call again."""
+    _clear_caches()
+    return _clear_caches

@@ -127,12 +127,19 @@ def test_traced_rule_sweep_counts_every_custom_h_evaluation(tracer, workloads, c
     # at alpha/q for C1/C3, M2 for T4/T6, C2, C4), each integrated once.
     # Their runs visit 19 distinct panels, and h is tabulated once per panel
     # at its 15 nodes: 285 evaluations of h, where a call per node of every
-    # moment made 1,350. The other 127 evaluations are f's and its
+    # moment made 1,350. The other 83 evaluations are f's and its
     # derivatives': 60 at the nodes of the reference integral and the two
     # lemma integrals, which converge on one plain panel each (through the
-    # change of variable they took 7 or more), and 67 at single points. The
+    # change of variable they took 7 or more), and 23 at single points. The
     # quad reads the reference integral of f that the rules cached, so its
-    # own integral (15 evaluations, one compile) does not run
+    # own integral (15 evaluations, one compile) does not run. The rules
+    # share their problem's values: |f'| at 3 points and |f''| at 2, and f
+    # at 3 points for each of the two deviations, 11 evaluations where each
+    # rule made its own (55); the other 12 are the lemmas' 3 and the quad's
+    # 9 (4 midpoints and 5 partition points). The 11 compiles are 4 for the
+    # rules (one per order for the values and one per order for the
+    # deviations, where each rule made two: 20) and 7 for the lemmas, the
+    # quad and h
     w = workloads.RuleSweep(7, str(ROOT))
     spec = {"f": "x^3", "k": 0, "a": 0.5, "b": 1.5, "h": ("expr", "t*(2-t)"), "alpha": 0.5,
             "m": 0.9, "p": 2.0, "n": 4, "quad": "midpoint", "variant": "statement"}
@@ -142,9 +149,9 @@ def test_traced_rule_sweep_counts_every_custom_h_evaluation(tracer, workloads, c
         assert w.check(spec, w.run(spec)) == 13
     finally:
         tr.uninstall()
-    assert tr.counts["expr.evals"] == 412
+    assert tr.counts["expr.evals"] == 368
     assert tr.counts["convexity.evaluate_h.calls"] == 285
-    assert tr.calls["expr.compile_fn"] == 27
+    assert tr.calls["expr.compile_fn"] == 11
 
 
 def test_verify_suite_op_runs_and_checks(workloads):

@@ -31,6 +31,7 @@ from hhcheck import (
     verify,
 )
 from hhcheck.convexity import hypothesis_membership
+from hhcheck.errors import NonConvergenceError
 from hhcheck.suite import CATALOG
 
 BASELINE = ConvexityClass("h_alpha_m")  # h = t, alpha = 1, m = 1
@@ -379,6 +380,39 @@ class TestHypothesisPlumbing:
         assert dom.lo <= 0.5
         assert dom.hi >= 2.0  # b/m = 2
 
+
+class TestProblemCaches:
+    """The rule rows of one problem share its derivative values, domain,
+    hypothesis node and deviation, each from a bounded cache."""
+
+    def test_a_rule_raises_its_rhs_error_before_its_lhs_error(self):
+        # both sides fail here: the reference integral of f and the kernel
+        # M2 of h = 1/t^2 diverge. The rhs is worked first, so the moment's
+        # error is the one raised, also while no value of f is cached
+        f = parse("1/(x-1.3)^2")
+        cls = ConvexityClass("h_alpha_m", h=HFunction.custom(parse("1/t^2", var="t")))
+        with pytest.raises(NonConvergenceError, match="reference integral"):
+            trapezoid_deviation(f, 1.0, 2.0)
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError, match="kernel M2 for h=1/t\\^2 alpha=1"):
+                bound_second_derivative(BoundInstance("T4", f, 1.0, 2.0, cls))
+
+    def test_a_zero_endpoint_keeps_its_sign(self, cold_caches):
+        # -0.0 == 0.0 and they hash equal, but the search's first grid point,
+        # and so its witness, is the endpoint itself; a cache keyed on the
+        # floats alone would hand the second call the first one's domain
+        cls = ConvexityClass("h_alpha_m", alpha=0.5)
+        neg, pos = (BoundInstance("T1", EXP, a, 1.0, cls) for a in (-0.0, 0.0))
+        cold = []
+        for inst in (neg, pos):
+            cold_caches()
+            cold.append(repr(verify(inst, samples=300)))
+        assert "x=-0.0," in cold[0] and "x=0.0," in cold[1]
+        for order in ((neg, pos), (pos, neg)):
+            cold_caches()
+            for inst in order:
+                assert hypothesis_domain(inst).signs == (math.copysign(1.0, inst.a), 1.0)
+                assert repr(verify(inst, samples=300)) == cold[inst is pos]
 
 class TestVerify:
     def test_verified_baseline(self):

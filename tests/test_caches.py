@@ -14,6 +14,7 @@ import hhcheck
 from hhcheck import (FIRST_DERIVATIVE_RULES, HOLDER_RULES, RULE_IDS, BoundInstance,
                      ConvexityClass, HolderPair, build_suite, parse)
 from hhcheck.bounds import _mean_integral
+from hhcheck.expr import DomainInterval
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,13 +46,32 @@ def test_every_cache_is_bounded_and_listed_in_the_readme():
 
 def test_build_suite_mean_integral_working_set(cold_caches):
     # a suite reads 23 reference integrals (15 lemma rows, 5 bound rows,
-    # 3 quadratures); the next seed reads its own but for the 3 on [0, 1]
+    # 3 quadratures); the next seed reads its own but for the 3 on [0, 1].
+    # A bound problem reads its integral for its two deviations, not for
+    # each of its 26 rows, so a suite makes 85 calls: 30 lemma, 10 bound
+    # and 45 quadrature
     build_suite(42)
     info = _mean_integral.cache_info()
-    assert (info.misses, info.hits) == (23, 182)
+    assert (info.misses, info.hits) == (23, 62)
     build_suite(43)
     after = _mean_integral.cache_info()
-    assert (after.misses - info.misses, after.hits - info.hits) == (20, 185)
+    assert (after.misses - info.misses, after.hits - info.hits) == (20, 65)
+
+
+def test_build_suite_builds_each_domain_once(monkeypatch, cold_caches):
+    # 10 rule domains, one per catalog problem and derivative order, and
+    # [0, 1], which every P5 and P6 row reads (the P6 rows at m = 1). When
+    # each row built its own, a suite built 175: 130 rule rows, 18 P5 and
+    # 27 P6
+    built, real = [], DomainInterval.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(DomainInterval, "__init__", counting)
+    build_suite(43)
+    assert len(built) == 11
 
 
 _TEMPLATES = ("{c}*x^2+x", "exp({c}*x)", "1/(x+{c})", "x^{r}", "x*ln(x+{c})",

@@ -189,6 +189,15 @@ class TestExitCodes:
         assert case["rhs"] == pytest.approx(rhs, rel=1e-14)
         assert case["verdict"] == "holds"
 
+    def test_a_rule_reports_its_rhs_error_first(self, capsys):
+        # the reference integral of f diverges too, but the rhs is worked
+        # first, so the kernel moment's error is the one reported
+        code, out, err = _run(capsys, "bound", "--rule", "T4", "--f", "1/(x-1.3)^2", "--a", "1",
+                              "--b", "2", "--h", "expr:1/t^2", "--alpha", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: kernel M2 for h=1/t^2 alpha=1 did not converge")
+        assert "reference integral" not in err
+
     @pytest.mark.parametrize("rule, code", [
         (("T4",), 0), (("T5", "--p", "2"), 0), (("C3", "--p", "2"), 0), (("C4", "--p", "2"), 1),
     ], ids=["T4", "T5", "C3", "C4"])
