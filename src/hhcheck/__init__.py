@@ -16,8 +16,8 @@ _PUBLIC = {module: names.split() for module, names in {  # module -> the names e
     "_version": "__version__",
     "errors": "DomainError NonConvergenceError ParseError PreconditionError",
     "base": "SENSES beta",
-    "expr": "Node Const Var Add Sub Mul Div Pow Exp Ln Abs Neg Deriv DomainInterval parse "
-            "to_text evaluate compile_fn compile_interval differentiate",
+    "expr": "Node Const Var Add Sub Mul Div Pow Exp Ln Abs Neg DomainInterval parse to_text "
+            "evaluate compile_fn compile_interval differentiate",
     "convexity": "HFunction ConvexityClass MembershipReport MembershipProof Witness "
                  "evaluate_h check_membership",
     "kernels": "KERNEL_KINDS HolderPair IntegralResult KernelMoment integrate_adaptive "

@@ -53,7 +53,8 @@ from typing import NamedTuple, Optional
 
 from .base import SENSE_PARAMS, SENSES, Value, relative_slack, within
 from .errors import DomainError, PreconditionError
-from .expr import Abs, Const, Deriv, DomainInterval, Node, Pow, _jet, _mul, compile_fn
+from .expr import (Abs, Const, DomainInterval, Node, Pow, _jet, _mul, compile_fn,
+                   differentiate)
 
 __all__ = [
     "HFunction", "ConvexityClass", "MembershipReport", "MembershipProof", "Witness",
@@ -361,24 +362,26 @@ _PIECES = 64  # the most pieces a proof may split its domain into
 
 
 @lru_cache(maxsize=64)
-def _convex_proof(g: Node, lo: float, hi: float, convex: bool = True) -> Optional[MembershipProof]:
+def _convex_proof(g: Node, lo: float, hi: float, f: Optional[Node] = None,
+                  convex: bool = True) -> Optional[MembershipProof]:
     """A proof that g, defined on [lo, hi], is >= 0 and convex there (or
     constant, if not convex), or None.
 
     |u|^q with q >= 1 is convex where |u| is, since t^q is convex and
     nondecreasing on [0, inf) (Boyd and Vandenberghe, Convex Optimization,
     2004, 3.2.4): the Holder rows of one derivative share one proof. g is
-    |u| or u; u is f^(k) if it is Deriv(f, k), k = 1 or 2, else take f = u,
-    k = 0. f's Taylor coefficients c_j on [lo, hi] decide: c_k keeps
+    |u| or u; u is f^(k) if it is differentiate(f, k), k = 1 or 2, else take
+    f = u, k = 0. f's Taylor coefficients c_j on [lo, hi] decide: c_k keeps
     one sign s (is >= 0, if g is u), so g = s*u; g is constant if c_(k+1) is
     0, and convex if s*c_(k+2), g''/(k+2)!, is >= 0 on pieces, bisected
     under the budget (Moore, 1966; Tucker, Validated Numerics, 2011)."""
     if (type(g) is Pow and type(g.base) is Abs and type(g.exponent) is Const
             and (g.exponent.value >= 1.0 or not convex)):
-        return _convex_proof(g.base, lo, hi, convex)
+        return _convex_proof(g.base, lo, hi, f, convex)
     absolute = type(g) is Abs
-    u = g.arg if absolute else g
-    u, k = (u.arg, u.order) if type(u) is Deriv else (u, 0)
+    u, k = (g.arg if absolute else g), 0
+    if absolute and f is not None:  # identity tests: trees are interned
+        u, k = next(((f, j) for j in (1, 2) if u is differentiate(f, j)), (u, 0))
     order = k + 2 if convex else k + 1
     try:
         c = _jet(u, lo, hi, order)
@@ -404,7 +407,8 @@ def _convex_proof(g: Node, lo: float, hi: float, convex: bool = True) -> Optiona
     return MembershipProof(pieces, _mul(least, float(math.factorial(order)))[0])
 
 
-def _prove(g: Node, cls: ConvexityClass, dom: DomainInterval) -> Optional[MembershipProof]:
+def _prove(g: Node, cls: ConvexityClass, dom: DomainInterval,
+           f: Optional[Node] = None) -> Optional[MembershipProof]:
     """A proof that g is in cls on dom, or None. A convex g is in the
     classes that are plain convexity at their parameters; a constant g is
     in alpha_m at m = 1 for every alpha, where both sides are g. A sense
@@ -416,12 +420,12 @@ def _prove(g: Node, cls: ConvexityClass, dom: DomainInterval) -> Optional[Member
         return None
     if cls.sense in _NONNEG_DOMAIN_SENSES and dom.lo < 0.0:
         return None
-    return _convex_proof(g, dom.lo, dom.hi, plain)
+    return _convex_proof(g, dom.lo, dom.hi, f, plain)
 
 
 @lru_cache(maxsize=256)
 def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
-                          samples: int, seed: int, tol: float):
+                          samples: int, seed: int, tol: float, *, f: Optional[Node] = None):
     """The membership of g in cls on dom, for a rule's hypothesis, as
     (report, None); a failed precondition gives (None, reason) instead of
     raising, so the hypothesis is reported unverified.
@@ -429,9 +433,9 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
     A negative samples raises ValueError first, as the search would. The
     prover runs next, and a hypothesis it proves is reported "proven"
     without a search; any other goes to check_membership(g, cls, dom,
-    samples, seed, tol), which makes its own preconditions. For g built as
-    |f'| or |f''| (a Deriv) or a power of one, the prover reads f's Taylor
-    coefficients.
+    samples, seed, tol), which makes its own preconditions. A caller that
+    builds g from f, as |f'| or |f''| or a power of one, passes f, so that
+    the prover reads f's Taylor coefficients, not g's.
 
     Every argument is a frozen value and the outcome is deterministic in
     them, so one check serves every rule and quadrature that assumes the
@@ -441,7 +445,7 @@ def hypothesis_membership(g: Node, cls: ConvexityClass, dom: DomainInterval,
     check-class always searches.
     """
     _check_samples(samples)
-    proof = _prove(g, cls, dom)
+    proof = _prove(g, cls, dom, f)
     if proof is not None:
         return MembershipReport("proven", 0, None, seed, proof=proof), None
     try:

@@ -1,13 +1,11 @@
 """One-variable expression AST, its nodes built on `base.Value`: parsing,
-compiled evaluation, derivatives by Taylor coefficients.
+compiled evaluation, exact differentiation.
 
 The node set is deliberately small: constants, the variable, + - * / ^,
 exp, ln, abs and unary negation, and nodes are interned: one object per
 tree, so equality is identity. Everything downstream feeds on |f'| and
-|f''| evaluated pointwise, so Deriv(f, k) stands for f^(k), and every
-backend computes it from f's Taylor coefficients (automatic
-differentiation: no finite-difference noise and no derivative tree).
-Evaluation goes through one code generator: compile_fn turns a tree
+|f''| evaluated pointwise, so derivatives are symbolic (no finite-difference
+noise). Evaluation goes through one code generator: compile_fn turns a tree
 into straight-line Python, with one exec'd factory per tree shape and one
 function per distinct tree, each in a bounded cache. For a tree with finite
 constants (the parser admits no other) the result returns a finite float or
@@ -19,19 +17,18 @@ which encloses a tree's values on an interval of x, or raises DomainError.
 from __future__ import annotations
 
 import math
-import re
 import threading
 import weakref
 from functools import lru_cache, reduce
 from itertools import zip_longest
-from typing import Callable, Optional
+from typing import Callable
 
 from .base import Value
 from .errors import DomainError, ParseError
 
 __all__ = [
     "Node", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Exp", "Ln",
-    "Abs", "Neg", "Deriv", "DomainInterval", "parse", "evaluate", "differentiate",
+    "Abs", "Neg", "DomainInterval", "parse", "evaluate", "differentiate",
     "to_text", "compile_fn", "compile_interval",
 ]
 
@@ -131,19 +128,6 @@ class Neg(Node):
     __slots__ = _fields = ("arg",)
 
 
-class Deriv(Node):
-    """arg^(order), for order 1 or 2: no tree of the derivative is built,
-    and each backend computes it from arg's Taylor coefficients. It has no
-    text form."""
-
-    __slots__ = _fields = ("arg", "order")
-
-    def __new__(cls, arg: Node, order: int = 1):
-        if order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {order!r}")
-        return Node.__new__(cls, arg, int(order))
-
-
 class DomainInterval(Value):
     """A real interval with open/closed endpoint flags.
 
@@ -194,7 +178,7 @@ def _pow(b: float, e: float) -> float:
 # backend checks every + - * / ^ result for finiteness; the jet backend
 # computes over lists of (lo, hi) pairs with the helpers below, which raise
 # DomainError where the float backend would, and wherever they cannot
-# enclose. A Deriv is each backend's own row: see _taylor and _jderiv.
+# enclose.
 
 # Per backend and node kind: the value over the operands, and the statements
 # that follow it, given the temporary that holds it; or None for a kind
@@ -208,7 +192,6 @@ _FLOAT_OPS = {
          (lambda v: f"if {v} <= 0.0: raise DomainError(f'ln of non-positive value {{{v}!r}}')",
           lambda v: f"{v} = log({v})")),
     Abs: (lambda a: f"abs({a})", None), Neg: (lambda a: f"(-{a})", None),
-    Deriv: lambda *args: _deriv(*args),
 }
 _JET_OPS = {
     Add: (lambda a, b: f"_jadd({a}, {b})", ()), Sub: (lambda a, b: f"_jadd({a}, _jneg({b}))", ()),
@@ -216,8 +199,6 @@ _JET_OPS = {
     Pow: (lambda a, b: f"_jpow({a}, {b})", ()), Exp: (lambda a: f"_jexp({a})", ()),
     Ln: (lambda a: f"_jln({a})", ()), Abs: (lambda a: f"_jabs({a})", None),
     Neg: (lambda a: f"_jneg({a})", None),
-    Deriv: lambda node, lines, consts, memo: (consts.append(node)  # a parameter, as is
-                                              or f"_jderiv(c{len(consts) - 1}, x)"),
 }
 _INDENT = "\n            "
 _TEMPLATE = """\
@@ -240,7 +221,7 @@ def _emit(node: Node, lines: list, consts: list, ops: dict, memo: dict) -> str:
     """Append the statements computing node to lines, after those of its
     operands in the order of its _fields, and return the operand that holds
     its value, with the backend's node templates ops. memo maps each subtree
-    already emitted to its operand and those of its operands."""
+    already emitted to its operand."""
     kind = type(node)
     if kind is Const:
         consts.append(node.value)
@@ -248,173 +229,22 @@ def _emit(node: Node, lines: list, consts: list, ops: dict, memo: dict) -> str:
     if kind is Var:
         return "x"
     if node in memo:
-        return memo[node][0]
+        return memo[node]
     if kind not in ops:
         raise TypeError(f"not an expression node: {node!r}")
+    template, checks = ops[kind]
     operands = []
-    if kind is Deriv:
-        code = ops[Deriv](node, lines, consts, memo)
-    else:
-        for name in kind._fields:  # a loop, not a comprehension: one frame per level
-            operands.append(_emit(getattr(node, name), lines, consts, ops, memo))
-        template, checks = ops[kind]
-        code = template(*operands)
-        if checks is not None:
-            pure = ops is _FLOAT_OPS and (kind in _PURE or kind is Pow and _whole(node.exponent))
-            code = _let(lines, code, checks, pure)
-    memo[node] = code, operands
+    for name in kind._fields:
+        operands.append(_emit(getattr(node, name), lines, consts, ops, memo))
+    code = template(*operands)
+    if checks is not None:
+        v = f"v{len(lines)}"  # unique: each temporary appends at least one line
+        lines.append(f"{v} = {code}")
+        for check in checks:
+            lines.append(check(v))
+        code = v
+    memo[node] = code
     return code
-
-
-def _let(lines: list, code: str, checks=(), pure: bool = False) -> str:
-    """A new temporary holding code, as one line with its checks; a pure one
-    as a pair (name, line), which _prune leaves out if no line reads it."""
-    v = f"v{len(lines)}"  # unique: each temporary appends one line
-    line = _INDENT.join([f"{v} = {code}", *[check(v) for check in checks]])
-    lines.append((v, line) if pure else line)
-    return v
-
-
-def _prune(lines: tuple) -> list:
-    """lines without the pure temporaries that no later kept line reads."""
-    used, kept = set(), []
-    for line in reversed(lines):
-        if type(line) is tuple:
-            if line[0] not in used:
-                continue
-            line = line[1]
-        used.update(_NAME.findall(line))
-        kept.append(line)
-    return kept[::-1]
-
-
-def _whole(node: Node) -> bool:  # a constant exponent that _pow takes with any base
-    return type(node) is Const and 0.0 <= node.value <= 2 ** 31 and node.value.is_integer()
-
-
-# A Deriv in the float backend (automatic differentiation: Griewank and
-# Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 13): f's statements,
-# then straight-line code for the Taylor coefficients c1 ... ck of each node
-# of f at x, and f^(k) = k! ck. An operand is a name or a number, or None
-# for a coefficient known to be 0, which nothing computes: so a constant
-# subtree costs its value, and abs of one no sign test. A whole exponent is
-# written into the code, so the binomial coefficients that are 0 drop out.
-# A c0 that can fail only by overflow (+ - * exp and a whole power) and
-# every higher coefficient are pure: left out where nothing reads them. A
-# higher coefficient never divides or reaches exp, log or _pow, so it is not
-# checked: a non-finite one reaches the result, which is. The statements
-# after f's depend only on those and on which constants are whole, so they
-# are generated once per shape.
-
-_NAME = re.compile(r"\bv\d+\b")  # a temporary
-_PURE = frozenset({Add, Sub, Mul, Exp})
-
-
-def _deriv(node: Deriv, lines: list, consts: list, memo: dict) -> str:
-    c0 = _emit(node.arg, lines, consts, _FLOAT_OPS, memo)
-    code = _taylor_code(tuple(lines), c0, node.order,
-                        tuple(c if c.is_integer() else None for c in consts))
-    if code:
-        statements, value = code[0]
-        lines.extend(statements)
-        return value
-    start, k = len(lines), node.order  # the first tree of its shape
-    value = _put(lines, _dot([(f"{math.factorial(k)}.0", _taylor(node.arg, k, c0, lines,
-                                                                     memo)[k])])) or "0.0"
-    lines.extend(check(value) for check in _CHECKED if not value[0].isdigit())
-    code.append((lines[start:], value))  # a racing thread appends a pair as good
-    return value
-
-
-@lru_cache(maxsize=256)
-def _taylor_code(prefix: tuple, c0: str, order: int, whole: tuple) -> list:
-    return []  # (statements, operand of f^(order)) pairs, filled by _deriv
-
-
-def _put(lines: list, code: Optional[str]) -> Optional[str]:
-    """code's operand: None, a name or a number as it is, else a pure temporary."""
-    return _let(lines, code, (), True) if code and " " in code else code
-
-
-def _dot(products) -> Optional[str]:
-    """The sum of the products of factors, but of those with a factor None,
-    with no factor 1.0; None if nothing is left."""
-    terms = [" * ".join([f for f in fs if f != "1.0"]) or "1.0" for fs in products
-             if None not in fs]
-    return " + ".join(terms) if terms else None
-
-
-def _quot(top: Optional[str], products, den: str) -> Optional[str]:  # (top - dot) / den
-    s = _dot(products)
-    return top and f"{top} / {den}" if s is None else f"({top or ''} - ({s})) / {den}"
-
-
-# coefficient j >= 1 from the operands' coefficients u and v and its own w
-_RECURRENCES = {
-    Add: lambda u, v, w, j: _dot([(u[j],), (v[j],)]),
-    Sub: lambda u, v, w, j: v[j] and f"{u[j] or ''} - {v[j]}" or u[j],
-    Neg: lambda u, v, w, j: u[j] and f"-{u[j]}",
-    Mul: lambda u, v, w, j: _dot([(u[i], v[j - i]) for i in range(j, -1, -1)]),
-    Div: lambda u, v, w, j: _quot(u[j], [(v[i], w[j - i]) for i in range(1, j + 1)], v[0]),
-    Exp: lambda u, v, w, j: _dot([(repr(i / j), u[i], w[j - i]) for i in range(1, j + 1)]),
-    Ln: lambda u, v, w, j: _quot(u[j], [(repr(i / j), w[i], u[j - i]) for i in range(1, j)], u[0]),
-    Abs: lambda u, v, w, j: u[j] and f"({u[j]} if {u[0]} > 0.0 else -{u[j]})",
-}
-
-
-def _binomial(r: str, n: Optional[float], m: int, u0: str) -> tuple:
-    """The factors of C(r, m) u0^(r-m); n is r's value if r is whole."""
-    if n is None:
-        return (r, *[f"({r} - {i}.0)" for i in range(1, m)], repr(1.0 / math.factorial(m)),
-                f"_pow({u0}, {r} - {m}.0)")
-    return (None,) if m > n else (repr(float(math.comb(int(n), m))),
-                                  "1.0" if m == n else u0 if m == n - 1 else f"{u0} ** {n - m!r}")
-
-
-def _taylor(node: Node, order: int, c0: str, lines: list, memo: dict) -> list:
-    """node's coefficients c0 ... c_order at x, given c0, its emitted value:
-    append the statements of the others and return the operands."""
-    kind, js = type(node), range(1, order + 1)
-    if kind is Const or kind is Var:
-        return ([c0, "1.0" if kind is Var else None] + [None] * order)[:order + 1]
-    w = memo.get((node, order))
-    if w is not None:
-        return w
-    w = [c0]
-    if kind is Deriv:  # cj of f^(k) is (j+k)!/j! c(j+k) of f
-        k = node.order
-        f = _taylor(node.arg, order + k, memo[node.arg][0], lines, memo)
-        w += [_put(lines, _dot([(repr(float(math.perm(j + k, k))), f[j + k])])) for j in js]
-        memo[node, order] = w
-        return w
-    args, c0s = node._key(node), memo[node][1]
-    u = _taylor(args[0], order, c0s[0], lines, memo)
-    n = args[1].value if kind is Pow and _whole(args[1]) else None
-    v = u if len(args) == 1 else ([repr(n)] + [None] * order if n is not None else
-                                  _taylor(args[1], order, c0s[1], lines, memo))
-    if kind is Abs and any(u[1:]):
-        lines.append(f"if {u[0]} == 0.0: raise DomainError('abs has no derivative at 0')")
-    if kind is not Pow:
-        for j in js:
-            w.append(_put(lines, _RECURRENCES[kind](u, v, w, j)))
-    elif any(v[1:]):  # u^v = exp(v ln u)
-        logs, prods = [_let(lines, u[0], _FLOAT_OPS[Ln][1])], [None]
-        for j in js:
-            logs.append(_put(lines, _RECURRENCES[Ln](u, None, logs, j)))
-            prods.append(_put(lines, _RECURRENCES[Mul](v, logs, None, j)))
-            w.append(_put(lines, _RECURRENCES[Exp](prods, None, w, j)))
-    elif any(u[1:]):  # cj = sum over m of C(r, m) u0^(r-m) [t^j] (u - u0)^m
-        h, p = [u], [None]
-        for m in js:
-            h.append([None] * (m + 1) + [_put(lines, _dot([(h[-1][i], u[j - i])
-                                                           for i in range(m, j)]))
-                                         for j in range(m + 1, order + 1)])
-            p.append(_put(lines, _dot([_binomial(v[0], n, m, u[0])])))
-        w += [_put(lines, _dot([(p[m], h[m - 1][j]) for m in range(1, j + 1)])) for j in js]
-    else:
-        w += [None] * order
-    memo[node, order] = w
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +415,6 @@ def _jabs(a):
     return a if a[0][0] >= 0.0 else [_iabs(a[0])] + [(-hi, -lo) for lo, hi in a[1:]]
 
 
-def _jderiv(node: Deriv, x: list) -> list:  # f's jet, k orders longer, shifted down k
-    k = node.order
-    c = _compiled("jet", node.arg)([x[0], (1.0, 1.0)] + [_ZERO] * (len(x) + k - 2))
-    c = c + [_ZERO] * (len(x) + k - len(c))
-    return [_imul(c[j + k], (float(math.perm(j + k, k)),) * 2) for j in range(len(x))]
-
-
 # Per entry: the statements that open fn, the node templates, the names the
 # code reads, how a constant enters it and its return statement. Every entry
 # computes an equal subtree once: equal trees are one node, so their values
@@ -601,8 +424,7 @@ _JET = ({
     "DomainError": DomainError, "_ipow": _ipow, "_jmul": _jmul, "_jdiv": _jdiv, "_jpow": _jpow,
     "_jexp": _jexp, "_jln": _jln, "_jabs": _jabs, "_jneg": lambda a: [(-h, -l) for l, h in a],
     "_jadd": lambda a, b: [_iadd(u, v) for u, v in zip_longest(a, b, fillvalue=_ZERO)],
-    "_jderiv": _jderiv,
-}, lambda c: c if type(c) is Deriv else [(c, c)])
+}, lambda c: [(c, c)])
 _BACKENDS = {
     "float": (("x = float(x)",
                "if not isfinite(x): raise DomainError(f'non-finite argument {x!r}')"),
@@ -617,9 +439,8 @@ _BACKENDS = {
 
 
 @lru_cache(maxsize=256)
-def _factory(backend: str, lines: tuple, nconsts: int) -> Callable:
+def _factory(backend: str, body: str, nconsts: int) -> Callable:
     params = ", ".join(f"c{i}" for i in range(nconsts))
-    body = _INDENT + _INDENT.join(_prune(lines))
     namespace = dict(_BACKENDS[backend][2])
     exec(_TEMPLATE.format(params=params, body=body), namespace)
     return namespace["make"]
@@ -630,7 +451,7 @@ def _build(node: Node, backend: str) -> Callable:
     opening, ops, _, lift, result = _BACKENDS[backend]
     lines, consts = list(opening), []
     lines.append(result.format(_emit(node, lines, consts, ops, {})))
-    return _factory(backend, tuple(lines), len(consts))(*[lift(c) for c in consts])
+    return _factory(backend, _INDENT + _INDENT.join(lines), len(consts))(*[lift(c) for c in consts])
 
 
 @lru_cache(maxsize=256)
@@ -676,11 +497,146 @@ def evaluate(node: Node, x: float) -> float:
     return _compiled("float", node)(x)
 
 
+# ---------------------------------------------------------------------------
+# Smart constructors with constant folding. Used by differentiate() so
+# derivative trees stay small; the parser builds raw nodes instead so that
+# parse(to_text(e)) round-trips structurally. A fold whose value is not
+# finite is not made: the node stays, and raises DomainError when evaluated,
+# so a tree built from finite constants keeps only finite ones.
+
+def add(a: Node, b: Node) -> Node:
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value + b.value):
+        return Const(v)
+    if isinstance(a, Const) and a.value == 0.0:
+        return b
+    if isinstance(b, Const) and b.value == 0.0:
+        return a
+    return Add(a, b)
+
+
+def sub(a: Node, b: Node) -> Node:
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value - b.value):
+        return Const(v)
+    if isinstance(b, Const) and b.value == 0.0:
+        return a
+    if isinstance(a, Const) and a.value == 0.0:
+        return neg(b)
+    return Sub(a, b)
+
+
+def mul(a: Node, b: Node) -> Node:
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(v := a.value * b.value):
+        return Const(v)
+    if isinstance(a, Const):
+        if a.value == 0.0:
+            return Const(0.0)
+        if a.value == 1.0:
+            return b
+    if isinstance(b, Const):
+        if b.value == 0.0:
+            return Const(0.0)
+        if b.value == 1.0:
+            return a
+    return Mul(a, b)
+
+
+def div(a: Node, b: Node) -> Node:
+    if isinstance(b, Const) and b.value == 1.0:
+        return a
+    if isinstance(a, Const) and a.value == 0.0:
+        return Const(0.0)
+    return Div(a, b)
+
+
+def neg(a: Node) -> Node:
+    if isinstance(a, Const) and math.isfinite(a.value):
+        return Const(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
+def pow_(a: Node, b: Node) -> Node:
+    if isinstance(b, Const):
+        if b.value == 0.0:
+            return Const(1.0)
+        if b.value == 1.0:
+            return a
+        if isinstance(a, Const):
+            try:
+                if math.isfinite(v := _pow(a.value, b.value)):
+                    return Const(v)
+            except (DomainError, OverflowError):
+                pass
+    if isinstance(a, Const) and a.value == 1.0:
+        return Const(1.0)
+    return Pow(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Differentiation.
+
 def differentiate(node: Node, order: int = 1) -> Node:
-    """The derivative of order 1 or 2: the node Deriv(node, order). It
-    raises DomainError where a division, ln or non-whole power of node
-    does, at a kink of abs and where it takes 0 to a negative power."""
-    return Deriv(node, order)
+    """Exact symbolic derivative of the requested order (1 or 2).
+
+    abs differentiates to arg'/|arg| * arg, which evaluates to sign(arg)*arg'
+    away from zero and raises DomainError exactly at a kink. Trees are
+    interned, so equal calls share one result from a bounded cache that
+    keys differentiate(f) and differentiate(f, 1) as one. differentiate(f, 2)
+    differentiates differentiate(f), which the cache usually holds. Within a
+    call each distinct subtree is differentiated once, so the work is linear
+    in the tree's distinct nodes, however often a derivative repeats them.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
+    return _derivative(node, order)
+
+
+@lru_cache(maxsize=128)
+def _derivative(node: Node, order: int) -> Node:
+    return _d(differentiate(node) if order == 2 else node, {})
+
+
+def _d(node: Node, memo: dict) -> Node:
+    """node's derivative; memo maps each subtree already differentiated to
+    its derivative."""
+    if isinstance(node, Const):
+        return Const(0.0)
+    if isinstance(node, Var):
+        return Const(1.0)
+    if node in memo:
+        return memo[node]
+    if isinstance(node, Add):
+        d = add(_d(node.left, memo), _d(node.right, memo))
+    elif isinstance(node, Sub):
+        d = sub(_d(node.left, memo), _d(node.right, memo))
+    elif isinstance(node, Mul):
+        d = add(mul(_d(node.left, memo), node.right), mul(node.left, _d(node.right, memo)))
+    elif isinstance(node, Div):
+        num = sub(mul(_d(node.left, memo), node.right), mul(node.left, _d(node.right, memo)))
+        d = div(num, mul(node.right, node.right))
+    elif isinstance(node, Pow):
+        u, v = node.base, node.exponent
+        du = _d(u, memo)
+        if isinstance(v, Const):
+            c = v.value
+            d = mul(mul(Const(c), pow_(u, Const(c - 1.0))), du)
+        else:
+            # general u^v = exp(v ln u), valid for u > 0 at evaluation time
+            dv = _d(v, memo)
+            d = mul(Pow(u, v), add(mul(dv, Ln(u)), div(mul(v, du), u)))
+    elif isinstance(node, Exp):
+        d = mul(Exp(node.arg), _d(node.arg, memo))
+    elif isinstance(node, Ln):
+        d = div(_d(node.arg, memo), node.arg)
+    elif isinstance(node, Abs):
+        d = mul(_d(node.arg, memo), div(node.arg, Abs(node.arg)))
+    elif isinstance(node, Neg):
+        d = neg(_d(node.arg, memo))
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    memo[node] = d
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +654,7 @@ def differentiate(node: Node, order: int = 1) -> Node:
 # the parentheses, functions, prefix minus signs and exponents open around
 # a factor, checked on the way down, and the height of each node built,
 # checked on the way up. So neither the parser nor a walk of the tree
-# (printing, compiling) runs out of stack.
+# (printing, differentiating, compiling) runs out of stack.
 
 _BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
 _FUNCS = {"exp": Exp, "ln": Ln, "abs": Abs}
@@ -859,8 +815,6 @@ def _text(node: Node) -> tuple[str, int]:
         return text, 3 if text[0] == "-" else 5
     if kind is Var:
         return node.name, 5
-    if kind is Deriv:
-        raise TypeError(f"a Deriv has no text form: {node!r}")
     if kind not in _PRINT:
         raise TypeError(f"not an expression node: {node!r}")
     prec, text, operands = _PRINT[kind]

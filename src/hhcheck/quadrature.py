@@ -199,7 +199,7 @@ def certified_integrate(
         # |f'| or |f''|, on the order-2 rule domain: [a, b] at m = 1
         dom = _rule_domain(2, a, b, dom_m, _signs(a, b))
         membership, note = hypothesis_membership(_hypothesis(f, order, None), cls, dom,
-                                                 samples, seed, tol)
+                                                 samples, seed, tol, f=f)
         verified = membership is not None and membership.ok
 
     signed_residual = reference - value

@@ -354,15 +354,14 @@ class TestHypothesisCache:
     def test_build_suite_searches_each_hypothesis_once(self, monkeypatch, cold_caches):
         calls = _count_searches(monkeypatch)
         build_suite(42)
-        # 48 when |f'| and |f''| of exp(x), both the tree exp(x), were one
-        # function on one domain; as Deriv nodes they are two
-        assert hypothesis_membership.cache_info().misses == 52
-        # 48 are proven; the alpha_m hypotheses of exp(x) and x^4 at alpha 0
+        # |f'| and |f''| of exp(x) are one function on one domain
+        assert hypothesis_membership.cache_info().misses == 48
+        # 44 are proven; the alpha_m hypotheses of exp(x) and x^4 at alpha 0
         # and 0.5 are searched
         assert len(calls) == len(set(calls)) == 4
-        assert {(g, cls.alpha) for g, cls, *_ in calls} == {
-            (Abs(differentiate(parse(f), 2)), alpha)
-            for f in ("exp(x)", "x^4") for alpha in (0.0, 0.5)}
+        assert {(str(g), cls.alpha) for g, cls, *_ in calls} == {
+            ("abs(exp(x))", 0.0), ("abs(exp(x))", 0.5),
+            ("abs(4*(3*x^2))", 0.0), ("abs(4*(3*x^2))", 0.5)}
 
     def test_repeated_call_shares_the_report(self, monkeypatch, cold_caches):
         calls = _count_searches(monkeypatch)
@@ -807,11 +806,10 @@ def test_build_suite_membership_work(monkeypatch, cold_caches):
     # the grid scan read g from a memo
     assert evals[0] == 150
     assert triples[0] == 50  # the 4 searches hit at grid triples 12, 13, 12 and 13
-    # 44 when |f'| and |f''| of exp(x) were one tree, and so one hypothesis
-    assert len(proofs) == 48
+    assert len(proofs) == 44
     # each in one piece, from f's Taylor coefficients; 116 when the prover
     # enclosed the g'' trees, and |f''| of 1/x took 73 of them
-    assert sum(p.pieces for p in proofs) == 48
+    assert sum(p.pieces for p in proofs) == 44
 
 
 def test_build_suite_generates_each_function_once(monkeypatch, cold_caches):
@@ -830,15 +828,14 @@ def test_build_suite_generates_each_function_once(monkeypatch, cold_caches):
     # for 454 calls of compile_fn, evaluate and the jets: the prover compiles
     # the jet of each of the six functions it reads, where it compiled 57
     # interval trees of g, g' and g''; a proven hypothesis compiles no float
-    # g, where the search's preconditions made 54 float builds before it.
-    # f' and f'' of exp(x) are two Deriv nodes, where both were exp(x)
-    # itself, which made 18 float builds
-    assert [generated.count(b) for b in ("float", "interval", "jet")] == [20, 0, 6]
-    assert hhcheck.expr._compiled.cache_info().misses == 26
-    for cache in (hypothesis_membership, convexity._convex_proof, hhcheck.bounds._mean_integral):
+    # g, where the search's preconditions made 54 float builds before it
+    assert [generated.count(b) for b in ("float", "interval", "jet")] == [18, 0, 6]
+    assert hhcheck.expr._compiled.cache_info().misses == 24
+    for cache in (hhcheck.expr._derivative, hypothesis_membership, convexity._convex_proof,
+                  hhcheck.bounds._mean_integral):
         cache.cache_clear()
     build_suite(42)
-    assert len(generated) == 26
+    assert len(generated) == 24
 
 
 def test_build_suite_checks_each_hypothesis_once(monkeypatch, cold_caches):
@@ -856,12 +853,11 @@ def test_build_suite_checks_each_hypothesis_once(monkeypatch, cold_caches):
     monkeypatch.setattr(convexity, "_preconditions", counting)
     calls = _count_searches(monkeypatch)
     build_suite(101)
-    # 48 when |f'| and |f''| of exp(x) were one tree, and so one hypothesis
-    assert hypothesis_membership.cache_info().misses == 52
+    assert hypothesis_membership.cache_info().misses == 48
     assert checks[0] == len(calls) == 4
     rep = verify(BoundInstance("T4", parse("x^3"), -1.0, 1.0, ConvexityClass("h_alpha_m")))
     assert rep.membership.verdict == "no-counterexample-found"
-    assert hypothesis_membership.cache_info().misses == 53
+    assert hypothesis_membership.cache_info().misses == 49
     assert checks[0] == len(calls) == 5
 
 
@@ -1132,13 +1128,13 @@ class TestProver:
         # and the search reports why, while plain convexity is proven there
         f = parse("x^2")
         g, cls = Abs(differentiate(f, 2)), ConvexityClass("alpha_m", alpha=0.5)
-        assert convexity._prove(g, cls, DomainInterval(0.0, 1.0)) == MembershipProof(1, 0.0)
+        assert convexity._prove(g, cls, DomainInterval(0.0, 1.0), f) == MembershipProof(1, 0.0)
         dom = DomainInterval(-1.0, 1.0)
-        assert convexity._prove(g, cls, dom) is None
-        assert hypothesis_membership(g, cls, dom, 50, 0, 1e-9) == (
+        assert convexity._prove(g, cls, dom, f) is None
+        assert hypothesis_membership(g, cls, dom, 50, 0, 1e-9, f=f) == (
             None, "membership precondition failed: sense 'alpha_m' is defined on [0,inf); "
                   "domain starts at -1.0")
-        rep, note = hypothesis_membership(g, ConvexityClass("plain_convex"), dom, 50, 0, 1e-9)
+        rep, note = hypothesis_membership(g, ConvexityClass("plain_convex"), dom, 50, 0, 1e-9, f=f)
         assert note is None and rep.verdict == "proven"
 
     def test_a_failed_precondition_is_left_to_the_search(self):
